@@ -94,8 +94,8 @@ def _print_rows(rows: list) -> None:
 def _metric_rows(run: experiments.TrainedRun, split_name: str,
                  cutoffs) -> list:
     test = getattr(run.splits, split_name)
-    metrics = evaluation.evaluate_scores(run.scores(), run.splits.train,
-                                         test, cutoffs)
+    metrics = evaluation.evaluate_model(run.model, run.adj, run.splits.train,
+                                        test, cutoffs)
     return [{"split": split_name, "cutoff": c,
              "recall": metrics[f"recall@{c}"], "ndcg": metrics[f"ndcg@{c}"]}
             for c in sorted(set(int(c) for c in cutoffs))]
@@ -199,10 +199,8 @@ def cmd_evaluate(args) -> int:
     if not cutoffs:
         raise UsageError("--cutoffs: need at least one cutoff")
     target = getattr(splits, args.split)
-    user_emb, item_emb = model.embedding_tables(adj)
-    metrics = evaluation.evaluate_scores(
-        evaluation.score_matrix(user_emb, item_emb), splits.train, target,
-        cutoffs)
+    metrics = evaluation.evaluate_model(model, adj, splits.train, target,
+                                        cutoffs)
     rows = [{"split": args.split, "cutoff": c,
              "recall": metrics[f"recall@{c}"], "ndcg": metrics[f"ndcg@{c}"]}
             for c in sorted(set(cutoffs))]

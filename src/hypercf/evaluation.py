@@ -5,6 +5,12 @@ Every user is scored against every item they have not interacted with in
 training; no sampled candidate sets. Ties break by ascending item index so
 runs are reproducible across platforms. Users without test interactions are
 excluded from metric averages (the denominator is the evaluated-user count).
+
+Memory: ranking runs ``ROW_CHUNK`` users at a time. Above the caller's own
+score matrix it holds one ROW_CHUNK x items float64 block of scores (plus
+the same-sized int64 candidate index from ``np.argpartition``) and the
+users x n result. ``evaluate_model`` and ``rank_embeddings`` score each
+block from the embeddings, so they never build the users x items matrix.
 """
 
 from __future__ import annotations
@@ -15,6 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import InteractionDataset
+
+# users scored and ranked per block (see the memory note above)
+ROW_CHUNK = 256
 
 
 class EvaluationError(ValueError):
@@ -44,34 +53,86 @@ def score_matrix(user_emb: np.ndarray, item_emb: np.ndarray) -> np.ndarray:
         item_emb, dtype=np.float64).T
 
 
+def _rank_rows(block: np.ndarray, train: InteractionDataset, lo: int,
+               n: int) -> np.ndarray:
+    """Top-n lists of users ``lo .. lo + len(block)`` from their float64
+    score rows; ``block`` is the caller's scratch copy and is overwritten.
+
+    ``np.argpartition`` picks n candidates per row, which are then ordered
+    by descending score and ascending item index. The candidates are exact
+    unless items beyond them tie with the n-th score; those rows (including
+    rows with fewer than n untrained items) take a stable argsort instead.
+    """
+    # NaN propagates through min and max, so both are finite iff all are
+    if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+        raise EvaluationError("scores contain non-finite values")
+    rows, items = block.shape
+    # negated in place: ascending order now ranks best first, and a stable
+    # sort keeps ties in ascending item order
+    np.negative(block, out=block)
+    start, stop = np.searchsorted(train.edges[:, 0], [lo, lo + rows])
+    seen = train.edges[start:stop]
+    block[seen[:, 0] - lo, seen[:, 1]] = np.inf
+
+    k = min(n, items)
+    if k < items:
+        top = np.argpartition(block, k - 1, axis=1)[:, :k]
+        top.sort(axis=1)
+        order = np.argsort(np.take_along_axis(block, top, axis=1), axis=1,
+                           kind="stable")
+        top = np.take_along_axis(top, order, axis=1)
+        kth = np.take_along_axis(block, top[:, -1:], axis=1)
+        tied = np.flatnonzero(np.count_nonzero(block <= kth, axis=1) > k)
+        if len(tied):
+            top[tied] = np.argsort(block[tied], axis=1, kind="stable")[:, :k]
+    else:
+        top = np.argsort(block, axis=1, kind="stable")
+    ranked = np.full((rows, n), -1, dtype=np.int64)
+    ranked[:, :k] = np.where(
+        np.take_along_axis(block, top, axis=1) == np.inf, -1, top)
+    return ranked
+
+
+def _rank_blocks(train: InteractionDataset, n: int,
+                 block_of) -> RankingResult:
+    """Rank every user, ``block_of(lo, hi)`` giving a fresh float64 score
+    block for users ``lo .. hi`` (clipped at the user count)."""
+    if n < 1:
+        raise EvaluationError(f"cutoff must be >= 1, got {n}")
+    ranked = np.empty((train.num_users, n), dtype=np.int64)
+    for lo in range(0, train.num_users, ROW_CHUNK):
+        block = block_of(lo, lo + ROW_CHUNK)
+        ranked[lo:lo + len(block)] = _rank_rows(block, train, lo, n)
+    return RankingResult(ranked, n)
+
+
 def rank_all(scores: np.ndarray, train: InteractionDataset,
              n: int) -> RankingResult:
     """Top-n items per user by score, training items removed.
 
-    A stable sort on negated scores gives descending order with ascending
-    item index on ties. Slots past a user's candidate count hold -1.
+    Order is descending score, then ascending item index. Slots past a
+    user's candidate count hold -1. ``scores`` is read, never written; the
+    ranking works on one ``ROW_CHUNK``-row copy at a time.
     """
-    if n < 1:
-        raise EvaluationError(f"cutoff must be >= 1, got {n}")
-    scores = np.array(scores, dtype=np.float64)
+    scores = np.asarray(scores)
     if scores.shape != (train.num_users, train.num_items):
         raise EvaluationError(
             f"score matrix {scores.shape} does not match dataset "
             f"({train.num_users}, {train.num_items})")
-    if not np.all(np.isfinite(scores)):
-        raise EvaluationError("scores contain non-finite values")
-    scores[train.edges[:, 0], train.edges[:, 1]] = -np.inf
+    return _rank_blocks(train, n, lambda lo, hi: np.array(
+        scores[lo:hi], dtype=np.float64))
 
-    order = np.argsort(-scores, axis=1, kind="stable")[:, :n]
-    top = np.take_along_axis(scores, order, axis=1)
-    ranked = np.where(np.isneginf(top), -1, order)
 
-    # fewer items than the cutoff: pad every row out to n
-    if ranked.shape[1] < n:
-        full = np.full((ranked.shape[0], n), -1, dtype=np.int64)
-        full[:, :ranked.shape[1]] = ranked
-        ranked = full
-    return RankingResult(ranked.astype(np.int64), n)
+def rank_embeddings(user_emb: np.ndarray, item_emb: np.ndarray,
+                    train: InteractionDataset, n: int) -> RankingResult:
+    """``rank_all(score_matrix(user_emb, item_emb), train, n)`` without the
+    users-by-items matrix: scores ``ROW_CHUNK`` users at a time."""
+    if (len(user_emb), len(item_emb)) != (train.num_users, train.num_items):
+        raise EvaluationError(
+            f"embeddings ({len(user_emb)}, {len(item_emb)}) do not match "
+            f"dataset ({train.num_users}, {train.num_items})")
+    return _rank_blocks(train, n, lambda lo, hi: score_matrix(
+        user_emb[lo:hi], item_emb))
 
 
 def _check_cutoff(result: RankingResult, n) -> int:
@@ -83,49 +144,46 @@ def _check_cutoff(result: RankingResult, n) -> int:
     return n
 
 
+def _hits(result: RankingResult, test: InteractionDataset, n):
+    """Hit mask of the top-n lists of the users with test items, and those
+    users' test degrees. A hit is a (user * items + item) key found in the
+    sorted ``test.packed``."""
+    n = _check_cutoff(result, n)
+    if result.num_users != test.num_users:
+        raise EvaluationError(
+            f"ranking has {result.num_users} users, test set "
+            f"{test.num_users}")
+    degree = test.user_degree()
+    users = np.flatnonzero(degree)
+    if not len(users):
+        raise EvaluationError("no users with test interactions")
+    top = result.items[users, :n]
+    keys = users[:, None] * test.num_items + top
+    packed = test.packed
+    at = np.minimum(np.searchsorted(packed, keys), len(packed) - 1)
+    return (top >= 0) & (packed[at] == keys), degree[users]
+
+
 def recall_at_n(result: RankingResult, test: InteractionDataset,
                 n: int = None) -> float:
     """Mean over evaluated users of |top-n hits| / |test items|."""
-    n = _check_cutoff(result, n)
-    total, evaluated = 0.0, 0
-    for u in range(result.num_users):
-        relevant = test.items_of(u)
-        if not len(relevant):
-            continue
-        evaluated += 1
-        hits = np.isin(result.items[u, :n], relevant).sum()
-        total += hits / len(relevant)
-    if evaluated == 0:
-        raise EvaluationError("no users with test interactions")
-    return total / evaluated
+    hit, degree = _hits(result, test, n)
+    return float(np.mean(np.count_nonzero(hit, axis=1) / degree))
 
 
 def ndcg_at_n(result: RankingResult, test: InteractionDataset,
               n: int = None) -> float:
     """Binary-relevance NDCG: gain 1/log2(rank+1), ideal list of length
     min(n, |test items|), averaged over evaluated users."""
-    n = _check_cutoff(result, n)
-    discounts = 1.0 / np.log2(np.arange(2, n + 2))
-    total, evaluated = 0.0, 0
-    for u in range(result.num_users):
-        relevant = test.items_of(u)
-        if not len(relevant):
-            continue
-        evaluated += 1
-        hit = np.isin(result.items[u, :n], relevant)
-        dcg = discounts[hit].sum()
-        idcg = discounts[:min(n, len(relevant))].sum()
-        total += dcg / idcg
-    if evaluated == 0:
-        raise EvaluationError("no users with test interactions")
-    return total / evaluated
+    hit, degree = _hits(result, test, n)
+    discounts = 1.0 / np.log2(np.arange(2, hit.shape[1] + 2))
+    dcg = hit @ discounts
+    idcg = np.cumsum(discounts)[np.minimum(degree, hit.shape[1]) - 1]
+    return float(np.mean(dcg / idcg))
 
 
-def evaluate_scores(scores: np.ndarray, train: InteractionDataset,
-                    test: InteractionDataset, cutoffs=(20,)) -> dict:
-    """Recall and NDCG at each cutoff, ranking once at the deepest one."""
-    cutoffs = sorted(set(int(c) for c in cutoffs))
-    result = rank_all(scores, train, max(cutoffs))
+def _report(result: RankingResult, test: InteractionDataset,
+            cutoffs) -> dict:
     out = {}
     for c in cutoffs:
         out[f"recall@{c}"] = recall_at_n(result, test, c)
@@ -133,12 +191,21 @@ def evaluate_scores(scores: np.ndarray, train: InteractionDataset,
     return out
 
 
+def evaluate_scores(scores: np.ndarray, train: InteractionDataset,
+                    test: InteractionDataset, cutoffs=(20,)) -> dict:
+    """Recall and NDCG at each cutoff, ranking once at the deepest one."""
+    cutoffs = sorted(set(int(c) for c in cutoffs))
+    return _report(rank_all(scores, train, max(cutoffs)), test, cutoffs)
+
+
 def evaluate_model(model, adj, train: InteractionDataset,
                    test: InteractionDataset, cutoffs=(20,)) -> dict:
-    """Convenience wrapper: embed, score, rank, report."""
+    """Embed, then rank and report like ``evaluate_scores`` without ever
+    holding the users-by-items score matrix."""
+    cutoffs = sorted(set(int(c) for c in cutoffs))
     user_emb, item_emb = model.embedding_tables(adj)
-    return evaluate_scores(score_matrix(user_emb, item_emb), train, test,
-                           cutoffs)
+    return _report(rank_embeddings(user_emb, item_emb, train, max(cutoffs)),
+                   test, cutoffs)
 
 
 def subset_by_group(test: InteractionDataset, assignment: np.ndarray,
@@ -161,8 +228,7 @@ def group_metrics(result: RankingResult, test: InteractionDataset,
         try:
             row["recall"] = recall_at_n(result, sub, n)
             row["ndcg"] = ndcg_at_n(result, sub, n)
-            row["users"] = sum(1 for u in range(sub.num_users)
-                               if len(sub.items_of(u)))
+            row["users"] = int(np.count_nonzero(sub.user_degree()))
         except EvaluationError:
             row["recall"] = float("nan")
             row["ndcg"] = float("nan")

@@ -420,7 +420,6 @@ def test_criterion_9_paper_numbers_not_gating():
                     "only (set HYPERCF_DATASET to record the smoke run)")
     ds = D.load_interactions(dump)
     splits = D.split(ds, 0)
-    cfg = Config(seed=0, hyperedges=16, epochs=15)
     full, _, _ = fit_and_score(0, splits.train, splits)
     hyper, _, _ = fit_and_score(0, splits.train, splits, ablate=("hyper",))
     beat = full > hyper

@@ -85,6 +85,8 @@ class TestRankAll:
         train = dataset([[0, 0]], 2, 2)
         with pytest.raises(E.EvaluationError):
             E.rank_all(np.zeros((3, 2)), train, 2)
+        with pytest.raises(E.EvaluationError):
+            E.rank_embeddings(np.zeros((3, 4)), np.zeros((2, 4)), train, 2)
 
     def test_nonfinite_scores_rejected(self):
         train = dataset([[0, 0]], 1, 2)
@@ -101,6 +103,73 @@ class TestRankAll:
             result = E.rank_all(rng.normal(size=(users, items)), train, items)
             for u in range(users):
                 assert not set(train.items_of(u)) & set(result.user_list(u))
+
+
+class TestChunkedRanking:
+    """Ranking runs ROW_CHUNK users at a time; results must not depend on
+    where the chunk edges fall."""
+
+    @pytest.mark.parametrize("chunk", [7, None])
+    def test_matches_loops_across_chunk_edges(self, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(E, "ROW_CHUNK", chunk)
+        rng = make_rng(17)
+        users, items = 2 * E.ROW_CHUNK + 5, 9
+        edges = np.stack([rng.integers(0, users, 3 * users),
+                          rng.integers(0, items, 3 * users)], axis=1)
+        # users whose every item is in train, on both sides of a chunk edge
+        full = [0, E.ROW_CHUNK - 1, E.ROW_CHUNK, users - 1]
+        edges = np.concatenate(
+            [edges] + [[[u, j] for j in range(items)] for u in full])
+        train = dataset(edges, users, items)
+        scores = np.round(rng.normal(size=(users, items)), 0)  # many ties
+        for n in (1, items - 1, items, items + 5):
+            result = E.rank_all(scores, train, n)
+            oracle_lists = rank_loops(scores, train, n)
+            assert result.items.shape == (users, n)
+            for u in range(users):
+                got = result.items[u]
+                assert got[got >= 0].tolist() == oracle_lists[u], (n, u)
+                assert (got[len(oracle_lists[u]):] == -1).all()
+            for u in full:
+                assert (result.items[u] == -1).all()
+
+    def test_scores_left_unmodified(self):
+        rng = make_rng(4)
+        users, items = E.ROW_CHUNK + 3, 6
+        train = dataset(np.stack([rng.integers(0, users, 50),
+                                  rng.integers(0, items, 50)], 1),
+                        users, items)
+        scores = rng.normal(size=(users, items))
+        before = scores.copy()
+        E.rank_all(scores, train, 3)
+        assert np.array_equal(scores, before)
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_embeddings_path_bit_identical(self, quantized):
+        rng = make_rng(8)
+        users, items, d = 2 * E.ROW_CHUNK + 1, 40, 5
+        user_emb, item_emb = (rng.normal(size=(users, d)),
+                              rng.normal(size=(items, d)))
+        if quantized:  # exact ties between items
+            user_emb, item_emb = np.round(user_emb), np.round(item_emb)
+        train = dataset(np.stack([rng.integers(0, users, 4 * users),
+                                  rng.integers(0, items, 4 * users)], 1),
+                        users, items)
+        test = dataset(np.stack([rng.integers(0, users, 2 * users),
+                                 rng.integers(0, items, 2 * users)], 1),
+                       users, items)
+        dense = E.rank_all(E.score_matrix(user_emb, item_emb), train, 20)
+        chunked = E.rank_embeddings(user_emb, item_emb, train, 20)
+        assert np.array_equal(chunked.items, dense.items)
+
+        class Tables:
+            def embedding_tables(self, adj):
+                return user_emb, item_emb
+
+        assert E.evaluate_model(Tables(), None, train, test, (5, 20)) == \
+            E.evaluate_scores(E.score_matrix(user_emb, item_emb), train,
+                              test, (5, 20))
 
 
 class TestMetricValues:
@@ -148,6 +217,11 @@ class TestMetricValues:
         result = E.rank_all(np.zeros((1, 2)), train, 2)
         with pytest.raises(E.EvaluationError):
             E.recall_at_n(result, test)
+
+    def test_user_count_mismatch_rejected(self):
+        result = E.rank_all(np.zeros((2, 3)), dataset([[0, 0]], 2, 3), 2)
+        with pytest.raises(E.EvaluationError):
+            E.recall_at_n(result, dataset([[0, 1]], 3, 3))
 
     def test_cutoff_validation(self):
         train = dataset([[0, 0]], 1, 5)
