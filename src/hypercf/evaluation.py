@@ -58,7 +58,7 @@ def _rank_rows(block: np.ndarray, train: InteractionDataset, lo: int,
     """Top-n lists of users ``lo .. lo + len(block)`` from their float64
     score rows; ``block`` is the caller's scratch copy and is overwritten.
 
-    ``np.argpartition`` picks n candidates per row, which are then ordered
+    ``np.argpartition`` picks min(n, items) candidates per row, ordered
     by descending score and ascending item index. The candidates are exact
     unless items beyond them tie with the n-th score; those rows (including
     rows with fewer than n untrained items) take a stable argsort instead.
@@ -75,18 +75,15 @@ def _rank_rows(block: np.ndarray, train: InteractionDataset, lo: int,
     block[seen[:, 0] - lo, seen[:, 1]] = np.inf
 
     k = min(n, items)
-    if k < items:
-        top = np.argpartition(block, k - 1, axis=1)[:, :k]
-        top.sort(axis=1)
-        order = np.argsort(np.take_along_axis(block, top, axis=1), axis=1,
-                           kind="stable")
-        top = np.take_along_axis(top, order, axis=1)
-        kth = np.take_along_axis(block, top[:, -1:], axis=1)
-        tied = np.flatnonzero(np.count_nonzero(block <= kth, axis=1) > k)
-        if len(tied):
-            top[tied] = np.argsort(block[tied], axis=1, kind="stable")[:, :k]
-    else:
-        top = np.argsort(block, axis=1, kind="stable")
+    top = np.argpartition(block, k - 1, axis=1)[:, :k]
+    top.sort(axis=1)
+    order = np.argsort(np.take_along_axis(block, top, axis=1), axis=1,
+                       kind="stable")
+    top = np.take_along_axis(top, order, axis=1)
+    kth = np.take_along_axis(block, top[:, -1:], axis=1)
+    tied = np.flatnonzero(np.count_nonzero(block <= kth, axis=1) > k)
+    if len(tied):
+        top[tied] = np.argsort(block[tied], axis=1, kind="stable")[:, :k]
     ranked = np.full((rows, n), -1, dtype=np.int64)
     ranked[:, :k] = np.where(
         np.take_along_axis(block, top, axis=1) == np.inf, -1, top)
@@ -146,8 +143,8 @@ def _check_cutoff(result: RankingResult, n) -> int:
 
 def _hits(result: RankingResult, test: InteractionDataset, n):
     """Hit mask of the top-n lists of the users with test items, and those
-    users' test degrees. A hit is a (user * items + item) key found in the
-    sorted ``test.packed``."""
+    users' test degrees. A hit is a (user, item) pair that ``test``
+    contains."""
     n = _check_cutoff(result, n)
     if result.num_users != test.num_users:
         raise EvaluationError(
@@ -158,10 +155,10 @@ def _hits(result: RankingResult, test: InteractionDataset, n):
     if not len(users):
         raise EvaluationError("no users with test interactions")
     top = result.items[users, :n]
-    keys = users[:, None] * test.num_items + top
-    packed = test.packed
-    at = np.minimum(np.searchsorted(packed, keys), len(packed) - 1)
-    return (top >= 0) & (packed[at] == keys), degree[users]
+    pairs = np.stack(np.broadcast_arrays(users[:, None], top), axis=-1)
+    found = test.contains(pairs.reshape(-1, 2)).reshape(top.shape)
+    # a -1 pad packs to the key of the previous user's last item
+    return (top >= 0) & found, degree[users]
 
 
 def recall_at_n(result: RankingResult, test: InteractionDataset,
