@@ -411,11 +411,6 @@ def tensor_contract(t3: Tensor, v: Tensor, out_rows: int) -> Tensor:
     return _make(value, (t3, v), vjp, "tensor_contract")
 
 
-def detach(a: Tensor) -> Tensor:
-    """Copy a tensor's value as a fresh leaf; gradients stop here."""
-    return Tensor(a.value.copy(), (), None, "detach")
-
-
 # ---------------------------------------------------------------------------
 # Backward pass and gradient checking
 # ---------------------------------------------------------------------------

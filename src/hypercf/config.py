@@ -41,14 +41,8 @@ class Config:
     init_scale: float = 0.1
     ablate: tuple = ()
 
-    # paper-gap switches (defaults recorded in the module design notes)
-    detach_labels: bool = False      # teacher-student labels vs joint training
-    raw_id_solidity: bool = False    # predict solidity from raw id embeddings
-    per_layer_params: bool = False   # untie transformer weights across layers
+    # paper-gap switch; off follows the paper, which sums only layer outputs
     include_input_in_sum: bool = False  # add layer-0 input to the final sum
-    reg_embeddings_only: bool = False
-    sal_per_epoch: bool = False      # sample ranking pairs once per epoch
-    gcn_residual: bool = False       # extra identity term inside the GCN
 
     pairs_main: int = 0              # 0: use batch size
     pairs_sal: int = 0
@@ -130,15 +124,8 @@ def _parse_value(field_type, raw: str, key: str):
 
 def config_from_mapping(mapping: dict, base: Config = None) -> Config:
     base = base or Config()
-    types = {"d": int, "hyperedges": int, "layers": int, "heads": int,
-             "lambda1": float, "lambda2": float, "batch": int, "lr": float,
-             "decay": float, "dropout": float, "epochs": int, "seed": int,
-             "slope": float, "init_scale": float, "ablate": tuple,
-             "detach_labels": bool, "raw_id_solidity": bool,
-             "per_layer_params": bool, "include_input_in_sum": bool,
-             "reg_embeddings_only": bool, "sal_per_epoch": bool,
-             "gcn_residual": bool, "pairs_main": int, "pairs_sal": int,
-             "patience": int, "eval_every": int, "data": str, "out": str}
+    # every field has a default, and its type is the type file values parse to
+    types = {f.name: type(f.default) for f in fields(Config)}
     updates = {}
     for key, raw in mapping.items():
         if key not in types:

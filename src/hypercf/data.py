@@ -8,8 +8,6 @@ deterministic under them.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,7 +162,6 @@ class SplitDataset:
     validation: InteractionDataset
     test: InteractionDataset
     seed: int
-    ratios: tuple = (TRAIN_RATIO, VALID_RATIO, TEST_RATIO)
 
     @property
     def num_users(self) -> int:
@@ -216,22 +213,6 @@ class NormalizedAdjacency:
     def pair_t(self):
         return (self.matrix_t, self.matrix)
 
-    @property
-    def isolated_users(self) -> np.ndarray:
-        return self.user_degree == 0
-
-    @property
-    def isolated_items(self) -> np.ndarray:
-        return self.item_degree == 0
-
-    def user_neighbors(self, u: int):
-        row = self.matrix.getrow(u)
-        return row.indices.copy(), row.data.copy()
-
-    def item_neighbors(self, j: int):
-        row = self.matrix_t.getrow(j)
-        return row.indices.copy(), row.data.copy()
-
 
 def build_normalized_adjacency(train: InteractionDataset,
                                dtype=np.float32) -> NormalizedAdjacency:
@@ -262,11 +243,6 @@ class EdgePairBatch:
     @property
     def size(self) -> int:
         return len(self.u1)
-
-    @property
-    def pairs(self):
-        return [((int(a), int(b)), (int(c), int(d)))
-                for a, b, c, d in zip(self.u1, self.v1, self.u2, self.v2)]
 
 
 _MAX_RESAMPLE = 200
@@ -404,7 +380,7 @@ def sparsity_groups(train: InteractionDataset, axis: str,
 
 
 # ---------------------------------------------------------------------------
-# File round trips
+# File output
 # ---------------------------------------------------------------------------
 
 def write_interactions(path: str, dataset: InteractionDataset) -> None:
@@ -414,70 +390,6 @@ def write_interactions(path: str, dataset: InteractionDataset) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for u, v in dataset.edges:
             fh.write(f"{uid[u]}\t{vid[v]}\n")
-
-
-def write_id_maps(dataset: InteractionDataset, user_path: str,
-                  item_path: str) -> None:
-    for path, ids in ((user_path, dataset.user_ids), (item_path, dataset.item_ids)):
-        ids = ids or []
-        with open(path, "w", encoding="utf-8") as fh:
-            for dense, ext in enumerate(ids):
-                fh.write(f"{ext}\t{dense}\n")
-
-
-def write_split(split_data: SplitDataset, out_dir: str) -> None:
-    """Persist a split as three interaction files plus a provenance manifest."""
-    os.makedirs(out_dir, exist_ok=True)
-    names = {"train": split_data.train, "validation": split_data.validation,
-             "test": split_data.test}
-    for name, ds in names.items():
-        write_interactions(os.path.join(out_dir, f"{name}.tsv"), ds)
-    manifest = {
-        "seed": split_data.seed,
-        "ratios": list(split_data.ratios),
-        "users": split_data.num_users,
-        "items": split_data.num_items,
-        "files": {name: f"{name}.tsv" for name in names},
-        "edges": {name: ds.num_edges for name, ds in names.items()},
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-
-
-def read_split(split_dir: str) -> SplitDataset:
-    """Load a persisted split, realigning the three parts to one index space."""
-    with open(os.path.join(split_dir, "manifest.json"), encoding="utf-8") as fh:
-        manifest = json.load(fh)
-
-    # Re-reading each file independently would renumber ids by local first
-    # appearance, so rebuild one shared vocabulary over all three parts.
-    user_index: dict = {}
-    item_index: dict = {}
-    raw = {}
-    for name in ("train", "validation", "test"):
-        path = os.path.join(split_dir, manifest["files"][name])
-        rows = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise DataError(f"{path}:{lineno}: malformed line")
-                u = user_index.setdefault(parts[0], len(user_index))
-                v = item_index.setdefault(parts[1], len(item_index))
-                rows.append((u, v))
-        raw[name] = rows
-    num_users, num_items = len(user_index), len(item_index)
-    uids, vids = list(user_index), list(item_index)
-    parts = {
-        name: InteractionDataset.from_edges(rows, num_users, num_items, uids, vids)
-        for name, rows in raw.items()
-    }
-    return SplitDataset(parts["train"], parts["validation"], parts["test"],
-                        seed=manifest["seed"], ratios=tuple(manifest["ratios"]))
 
 
 # ---------------------------------------------------------------------------

@@ -69,22 +69,19 @@ class Model:
 
         map_scale = 1.0 / np.sqrt(d)
         mix_scale = 1.0 / np.sqrt(k)
-        layer_tags = ([f"l{i}." for i in range(cfg.effective_layers)]
-                      if cfg.per_layer_params else [""])
         side_nodes = {"user": self.num_users, "item": self.num_items}
         for side, n_nodes in side_nodes.items():
-            for tag in layer_tags:
-                base = f"{side}.hyper.{tag}"
-                if "trans" in self.ablations:
-                    self._add(base + "incidence",
-                              normal((k, n_nodes), cfg.init_scale))
-                else:
-                    self._add(base + "Z", normal((k, d), cfg.init_scale))
-                    self._add(base + "K", normal((d, d), map_scale))
-                    self._add(base + "V", normal((d, d), map_scale))
-                self._add(base + "H1", normal((k, k), mix_scale))
-                if "deeph" not in self.ablations:
-                    self._add(base + "H2", normal((k, k), mix_scale))
+            base = f"{side}.hyper."
+            if "trans" in self.ablations:
+                self._add(base + "incidence",
+                          normal((k, n_nodes), cfg.init_scale))
+            else:
+                self._add(base + "Z", normal((k, d), cfg.init_scale))
+                self._add(base + "K", normal((d, d), map_scale))
+                self._add(base + "V", normal((d, d), map_scale))
+            self._add(base + "H1", normal((k, k), mix_scale))
+            if "deeph" not in self.ablations:
+                self._add(base + "H2", normal((k, k), mix_scale))
 
         if "sal" in self.ablations:
             return
@@ -101,8 +98,9 @@ class Model:
 
     # -- assembled views over the registry -------------------------------
 
-    def side_params(self, side: str, layer_tag: str = "") -> transformer.HyperSideParams:
-        base = f"{side}.hyper.{layer_tag}"
+    def transformer_params(self, side: str) -> transformer.HyperSideParams:
+        """One side's transformer parameters, shared by every layer."""
+        base = f"{side}.hyper."
         get = self.params.get
         return transformer.HyperSideParams(
             z=get(base + "Z"),
@@ -113,12 +111,6 @@ class Model:
             heads=self.cfg.heads,
             incidence=get(base + "incidence"),
         )
-
-    def transformer_params(self, side: str):
-        if self.cfg.per_layer_params:
-            return [self.side_params(side, f"l{i}.")
-                    for i in range(self.cfg.effective_layers)]
-        return self.side_params(side)
 
     def meta_params(self, side: str) -> solidity.MetaNetParams:
         base = f"{side}.meta."
@@ -159,9 +151,6 @@ class Model:
             topo_u, topo_v = encoder.topo_embed(e_user, e_item, adj)
             fused_user, fused_item = encoder.fuse_inputs(
                 e_user, e_item, topo_u, topo_v)
-            if cfg.gcn_residual:
-                fused_user = ad.add(fused_user, e_user)
-                fused_item = ad.add(fused_item, e_item)
 
         if "hyper" in self.ablations:
             return ForwardState(fused_user, fused_item, fused_user, fused_item,
@@ -186,10 +175,8 @@ class Model:
             zsrc_user, zsrc_item = zfeats["user"], zfeats["item"]
         else:
             key_user, key_item = keys["user"], keys["item"]
-            p_user, p_item = self.transformer_params("user"), self.transformer_params("item")
-            if cfg.per_layer_params:
-                p_user, p_item = p_user[0], p_item[0]
-            zsrc_user, zsrc_item = p_user.z, p_item.z
+            zsrc_user = self.params["user.hyper.Z"]
+            zsrc_item = self.params["item.hyper.Z"]
         return ForwardState(fused_user, fused_item, finals["user"], finals["item"],
                             key_user, key_item, zsrc_user, zsrc_item)
 
@@ -226,14 +213,9 @@ class Model:
             self.solidity_head(), self.cfg.slope)
 
     def pair_scores_fused(self, state: ForwardState, users, items) -> ad.Tensor:
-        """Local solidity estimates: dot products over the fused embeddings
-        (or raw id embeddings in the literal variant)."""
-        table_u = (self.params["user.embed"] if self.cfg.raw_id_solidity
-                   else state.fused_user)
-        table_v = (self.params["item.embed"] if self.cfg.raw_id_solidity
-                   else state.fused_item)
-        return solidity.solidity_predict(ad.gather_rows(table_u, users),
-                                         ad.gather_rows(table_v, items))
+        """Local solidity estimates: dot products over the fused embeddings."""
+        return solidity.solidity_predict(ad.gather_rows(state.fused_user, users),
+                                         ad.gather_rows(state.fused_item, items))
 
     def sal_loss(self, state: ForwardState, batch) -> ad.Tensor:
         """Solidity-ranking loss over pairs of observed edges."""
@@ -249,17 +231,12 @@ class Model:
         label_2 = solidity.solidity_label(
             ad.gather_rows(gamma_user, batch.u2),
             ad.gather_rows(gamma_item, batch.v2), head, self.cfg.slope)
-        if self.cfg.detach_labels:
-            label_1, label_2 = ad.detach(label_1), ad.detach(label_2)
         return solidity.sa_loss(pred_1, pred_2, label_1, label_2)
 
     def reg_loss(self) -> ad.Tensor:
-        """Squared Frobenius norm over the regularized parameter set."""
-        names = sorted(self.params)
-        if self.cfg.reg_embeddings_only:
-            names = [n for n in names if n.endswith(".embed")]
+        """Squared Frobenius norm summed over every parameter."""
         total = None
-        for name in names:
+        for name in sorted(self.params):
             p = self.params[name]
             term = ad.sum_all(ad.hadamard(p, p))
             total = term if total is None else ad.add(total, term)

@@ -2,9 +2,8 @@
 two-layer scoring head producing labels in (0, 1), local dot-product
 predictions, and the pairwise solidity-ranking loss.
 
-Labels come from the hypergraph side (keys and hyperedge features) and can be
-treated either as constants (teacher-student mode) or as live tape nodes
-(joint mode); the caller decides by detaching before calling sa_loss.
+Labels come from the hypergraph side (keys and hyperedge features) and stay
+live tape nodes: the label branch trains jointly with the predictions.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .transformer import DEFAULT_SLOPE, head_slices
+from .transformer import DEFAULT_SLOPE
 
 
 @dataclass
@@ -44,25 +43,6 @@ class SolidityHead:
     d_vec: ad.Tensor   # d x 1
     t: ad.Tensor       # d x 2d
     c: ad.Tensor       # 1 x d
-
-
-def assemble_keys(parts) -> ad.Tensor:
-    """Concatenate per-head key slices back into full key vectors.
-
-    With one head this is the identity. The concatenation reconstructs the
-    unsliced transform product, which is what the label branch consumes.
-    """
-    if isinstance(parts, ad.Tensor):
-        return parts
-    out = parts[0]
-    for part in parts[1:]:
-        out = ad.concat_cols(out, part)
-    return out
-
-
-def split_heads(keys: ad.Tensor, heads: int):
-    return [ad.slice_cols(keys, lo, hi)
-            for lo, hi in head_slices(keys.cols, heads)]
 
 
 def mean_hyperedge(z_table: ad.Tensor) -> ad.Tensor:
@@ -120,8 +100,8 @@ def sa_loss(pred_1: ad.Tensor, pred_2: ad.Tensor,
     """Pairwise ranking transfer: sum of max(0, 1 - (dpred * dlabel)).
 
     The label gap scales the gradient on the predictions, so near-equal
-    labels contribute (almost) no ranking pressure. Detach the labels before
-    calling to keep the label branch out of the gradient.
+    labels contribute (almost) no ranking pressure. The labels are live tape
+    nodes, so the loss trains the label branch as well.
     """
     for name, t in (("pred_1", pred_1), ("pred_2", pred_2),
                     ("label_1", label_1), ("label_2", label_2)):

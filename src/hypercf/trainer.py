@@ -127,8 +127,6 @@ def train_epoch(model: Model, adj, train_ds, optimizer: Adam,
     perm = rng.permutation(model.num_users)
     degrees = train_ds.user_degree()
     need_sal = model.supports_solidity and cfg.effective_lambda1 > 0.0
-    shared_sal = (sample_sal_pairs(train_ds, cfg.sal_pair_count, rng)
-                  if need_sal and cfg.sal_per_epoch else None)
 
     sums = {"loss": 0.0, "main": 0.0, "sal": 0.0, "reg": 0.0}
     batches = skipped = 0
@@ -140,10 +138,8 @@ def train_epoch(model: Model, adj, train_ds, optimizer: Adam,
             continue
         main = sample_main_pairs(train_ds, cfg.main_pair_count, rng,
                                  users=active)
-        sal = None
-        if need_sal:
-            sal = shared_sal or sample_sal_pairs(train_ds, cfg.sal_pair_count,
-                                                 rng)
+        sal = (sample_sal_pairs(train_ds, cfg.sal_pair_count, rng)
+               if need_sal else None)
         parts: dict = {}
         with ad.recording():
             state = model.forward(adj, training=True, dropout_rng=rng)
@@ -246,7 +242,9 @@ def _best_extra(best: dict, stale: int) -> dict:
 
 
 def load_values(model: Model, values: dict) -> None:
-    """Copy plain arrays into the model's parameters, shape-checked."""
+    """Strict copy of plain arrays (a checkpoint's parameters or a retained
+    best epoch) into a model; any missing, unexpected, or reshaped tensor is
+    an error."""
     for name, p in model.params.items():
         if name not in values:
             raise CheckpointError(f"missing value for parameter {name!r}")
@@ -256,6 +254,10 @@ def load_values(model: Model, values: dict) -> None:
                 f"shape mismatch for {name!r}: value {arr.shape}, "
                 f"model {p.value.shape}")
         p.value[...] = arr.astype(p.value.dtype)
+    unexpected = sorted(set(values) - set(model.params))
+    if unexpected:
+        raise CheckpointError(
+            f"values for tensors the model does not hold: {unexpected[:3]}")
 
 
 # ---------------------------------------------------------------------------
@@ -379,29 +381,10 @@ def load_checkpoint(path: str) -> Checkpoint:
     return Checkpoint(tensors, snapshot, rng_json)
 
 
-def load_parameters(model: Model, ckpt: Checkpoint) -> None:
-    """Strict copy of checkpoint parameters into a model; any missing,
-    unexpected, or reshaped tensor is an error."""
-    params = ckpt.parameters()
-    for name, p in model.params.items():
-        if name not in params:
-            raise CheckpointError(f"checkpoint missing tensor {name!r}")
-        arr = params[name]
-        if arr.shape != p.value.shape:
-            raise CheckpointError(
-                f"shape mismatch for {name!r}: checkpoint {arr.shape}, "
-                f"model {p.value.shape}")
-        p.value[...] = arr.astype(p.value.dtype)
-    unexpected = sorted(set(params) - set(model.params))
-    if unexpected:
-        raise CheckpointError(
-            f"checkpoint holds tensors the model does not: {unexpected[:3]}")
-
-
 def build_model(ckpt: Checkpoint) -> Model:
     model = Model(ckpt.config, int(ckpt.snapshot["users"]),
                   int(ckpt.snapshot["items"]))
-    load_parameters(model, ckpt)
+    load_values(model, ckpt.parameters())
     return model
 
 

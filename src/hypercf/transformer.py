@@ -74,17 +74,7 @@ def node_to_hyperedge(nodes: ad.Tensor, p: HyperSideParams):
             f"node_to_hyperedge: key map {p.k_map.shape} vs nodes {nodes.value.shape}")
     keys = apply_map(nodes, p.k_map)
     vals = apply_map(nodes, p.v_map)
-    parts = []
-    for lo, hi in head_slices(nodes.cols, p.heads):
-        k_h = ad.slice_cols(keys, lo, hi)
-        v_h = ad.slice_cols(vals, lo, hi)
-        q_h = ad.slice_cols(p.z, lo, hi)
-        summary = ad.matmul(ad.transpose(k_h), v_h)   # (d/H) x (d/H)
-        parts.append(ad.matmul(q_h, summary))
-    out = parts[0]
-    for part in parts[1:]:
-        out = ad.concat_cols(out, part)
-    return out, keys
+    return _per_head(p.z, keys, vals, p.heads), keys
 
 
 def hhgn(z_tilde: ad.Tensor, p: HyperSideParams,
@@ -108,10 +98,18 @@ def hyperedge_to_node(z_hat: ad.Tensor, keys: ad.Tensor,
     if p.incidence is not None:
         return ad.matmul(ad.transpose(p.incidence), z_hat)
     vals = apply_map(z_hat, p.v_map)
+    return _per_head(keys, p.z, vals, p.heads)
+
+
+def _per_head(queries: ad.Tensor, keys: ad.Tensor, vals: ad.Tensor,
+              heads: int) -> ad.Tensor:
+    """Factorized linear attention per head: for each column slice, the
+    queries times the (d/H) x (d/H) key-value summary, the slices concatenated
+    back in head order."""
     parts = []
-    for lo, hi in head_slices(keys.cols, p.heads):
-        q_h = ad.slice_cols(keys, lo, hi)       # node-side queries
-        k_h = ad.slice_cols(p.z, lo, hi)        # hyperedge-side keys
+    for lo, hi in head_slices(queries.cols, heads):
+        q_h = ad.slice_cols(queries, lo, hi)
+        k_h = ad.slice_cols(keys, lo, hi)
         v_h = ad.slice_cols(vals, lo, hi)
         summary = ad.matmul(ad.transpose(k_h), v_h)
         parts.append(ad.matmul(q_h, summary))
@@ -121,39 +119,26 @@ def hyperedge_to_node(z_hat: ad.Tensor, keys: ad.Tensor,
     return out
 
 
-def layer(nodes: ad.Tensor, p: HyperSideParams,
-          slope: float = DEFAULT_SLOPE):
-    """One full propagation: nodes -> hyperedges -> mixing -> nodes."""
-    z_tilde, keys = node_to_hyperedge(nodes, p)
-    z_hat = hhgn(z_tilde, p, slope)
-    return hyperedge_to_node(z_hat, keys, p), keys
-
-
-def forward(nodes0: ad.Tensor, p, num_layers: int,
+def forward(nodes0: ad.Tensor, p: HyperSideParams, num_layers: int,
             slope: float = DEFAULT_SLOPE, dropout_mask=None):
     """Stack ``num_layers`` propagations and sum their outputs.
 
-    ``p`` is one HyperSideParams shared by every layer (the default reading of
-    the recursive formulation) or a list of per-layer instances. The layer-0
-    input itself is excluded from the sum. ``dropout_mask(shape)`` may return
-    a premultiplied inverted-dropout mask (or None) applied to each layer
-    output during training. Returns (summed embeddings, first-layer keys,
-    first-layer hyperedge features).
+    One HyperSideParams is shared by every layer (the recursive formulation
+    ties the layers' weights). The layer-0 input itself is excluded from the
+    sum. ``dropout_mask(shape)`` may return a premultiplied inverted-dropout
+    mask (or None) applied to each layer output during training. Returns
+    (summed embeddings, first-layer keys, first-layer hyperedge features).
     """
     if num_layers < 1:
         raise ValueError(f"need at least one layer, got {num_layers}")
-    per_layer = list(p) if isinstance(p, (list, tuple)) else [p] * num_layers
-    if len(per_layer) != num_layers:
-        raise ValueError(
-            f"got {len(per_layer)} parameter sets for {num_layers} layers")
     current = nodes0
     total = None
     first_keys = None
     first_edges = None
-    for step, p_l in enumerate(per_layer):
-        z_tilde, keys = node_to_hyperedge(current, p_l)
-        z_hat = hhgn(z_tilde, p_l, slope)
-        out = hyperedge_to_node(z_hat, keys, p_l)
+    for step in range(num_layers):
+        z_tilde, keys = node_to_hyperedge(current, p)
+        z_hat = hhgn(z_tilde, p, slope)
+        out = hyperedge_to_node(z_hat, keys, p)
         if dropout_mask is not None:
             mask = dropout_mask(out.value.shape)
             if mask is not None:
@@ -168,11 +153,6 @@ def forward(nodes0: ad.Tensor, p, num_layers: int,
 def predict_scores(user_vecs: ad.Tensor, item_vecs: ad.Tensor) -> ad.Tensor:
     """Edge scores as row-wise dot products of aligned user/item matrices."""
     return ad.dot_rows(user_vecs, item_vecs)
-
-
-def predict_all_items(user_vec: np.ndarray, item_table: np.ndarray) -> np.ndarray:
-    """One user against every item; plain numpy (evaluation is gradient-free)."""
-    return item_table @ user_vec
 
 
 # ---------------------------------------------------------------------------

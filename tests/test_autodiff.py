@@ -133,14 +133,6 @@ class TestBackward:
         ad.backward(loss)
         np.testing.assert_array_equal(x.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
-    def test_detach_blocks_gradient(self, float64_mode):
-        x = ad.constant(np.ones((2, 2)))
-        with ad.recording():
-            frozen = ad.detach(ad.scale(x, 3.0))
-            loss = ad.mean_all(frozen)
-        ad.backward(loss)
-        np.testing.assert_array_equal(x.grad, np.zeros((2, 2)))
-
     def test_linearity_of_backward(self, float64_mode):
         rng = np.random.default_rng(4)
         base = rng.normal(size=(3, 3))

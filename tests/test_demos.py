@@ -1,0 +1,26 @@
+"""The quick demos run to completion as scripts."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# 03 (robustness and solidity) is left out: it trains several models and
+# takes longer than the other four together
+QUICK_DEMOS = ("01_autodiff_basics.py", "02_synthetic_training.py",
+               "04_attention_kernel_bench.py", "05_colorize_embeddings.py")
+
+
+@pytest.mark.parametrize("script", QUICK_DEMOS)
+def test_demo_exits_cleanly(script, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", script)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip()

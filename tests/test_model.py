@@ -5,7 +5,6 @@ import pytest
 
 from hypercf import autodiff as ad
 from hypercf import data as D
-from hypercf import solidity as S
 from hypercf.config import Config
 from hypercf.model import Model
 from hypercf.rng import make_rng
@@ -35,7 +34,7 @@ class TestFullLossGradient:
     EPS = 1e-5
 
     def test_joint_mode(self, float64_mode):
-        model, adj, main, sal = toy_setup(detach_labels=False)
+        model, adj, main, sal = toy_setup()
 
         def build():
             return model.total_loss(model.forward(adj), main, sal)
@@ -43,62 +42,8 @@ class TestFullLossGradient:
         report = ad.grad_check(build, model.params, epsilon=self.EPS)
         assert report.passed, str(report)
 
-    def test_detached_label_mode(self, float64_mode):
-        # detaching redefines the objective as "labels held constant", so the
-        # finite-difference reference must freeze them too; the tape gradient
-        # of the real detached loss must then match that frozen function
-        model, adj, main, sal = toy_setup(detach_labels=True)
-        with ad.recording(False):
-            state0 = model.forward(adj)
-            lab1 = model.solidity_labels(state0, sal.u1, sal.v1).value.copy()
-            lab2 = model.solidity_labels(state0, sal.u2, sal.v2).value.copy()
-
-        def frozen_build():
-            state = model.forward(adj)
-            loss = model.main_loss(state, main)
-            pred_1 = model.pair_scores_fused(state, sal.u1, sal.v1)
-            pred_2 = model.pair_scores_fused(state, sal.u2, sal.v2)
-            sa = S.sa_loss(pred_1, pred_2, ad.constant(lab1), ad.constant(lab2))
-            loss = ad.add(loss, ad.scale(sa, model.cfg.lambda1))
-            return ad.add(loss, ad.scale(model.reg_loss(), model.cfg.lambda2))
-
-        report = ad.grad_check(frozen_build, model.params, epsilon=self.EPS)
-        assert report.passed, str(report)
-
-        # real detached loss produces the same gradients as the frozen build
-        frozen_grads = {}
-        for p in model.params.values():
-            p.zero_grad()
-        with ad.recording():
-            loss = frozen_build()
-        ad.backward(loss)
-        frozen_grads = {n: p.grad.copy() for n, p in model.params.items()}
-        for p in model.params.values():
-            p.zero_grad()
-        with ad.recording():
-            loss = model.total_loss(model.forward(adj), main, sal)
-        ad.backward(loss)
-        for name, p in model.params.items():
-            np.testing.assert_allclose(p.grad, frozen_grads[name], atol=1e-12,
-                                       err_msg=name)
-
-    def test_detached_mode_zeroes_label_branch(self, float64_mode):
-        model, adj, main, sal = toy_setup(detach_labels=True)
-        for p in model.params.values():
-            p.zero_grad()
-        with ad.recording():
-            state = model.forward(adj)
-            loss = model.total_loss(state, main, sal)
-        ad.backward(loss)
-        # the only gradient on label-branch parameters is the weight decay
-        for name in ("sal.d", "sal.T", "user.meta.V1", "item.meta.W0"):
-            p = model.params[name]
-            np.testing.assert_allclose(
-                p.grad, 2 * model.cfg.lambda2 * p.value, rtol=1e-10,
-                err_msg=name)
-
     def test_joint_mode_reaches_label_branch(self, float64_mode):
-        model, adj, main, sal = toy_setup(detach_labels=False)
+        model, adj, main, sal = toy_setup()
         for p in model.params.values():
             p.zero_grad()
         with ad.recording():
@@ -163,12 +108,6 @@ class TestLossComponents:
         for p in model.params.values():
             p.value[...] = 0.0
         assert model.reg_loss().value[0, 0] == 0.0
-
-    def test_reg_embeddings_only_mode(self, float64_mode):
-        model, _, _, _ = toy_setup(reg_embeddings_only=True)
-        expect = sum(np.sum(model.params[n].value ** 2)
-                     for n in ("user.embed", "item.embed"))
-        assert abs(model.reg_loss().value[0, 0] - expect) < 1e-10
 
     def test_reg_oracle_random_values(self, float64_mode):
         model, _, _, _ = toy_setup()

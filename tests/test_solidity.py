@@ -26,33 +26,6 @@ def make_head(d, rng):
         c=ad.constant(rng.normal(size=(1, d))))
 
 
-class TestAssembleKeys:
-    def test_single_head_identity(self, float64_mode):
-        x = ad.constant(np.arange(8.0).reshape(2, 4))
-        out = S.assemble_keys([x])
-        np.testing.assert_array_equal(out.value, x.value)
-
-    def test_slices_reconstruct_product(self, float64_mode):
-        rng = np.random.default_rng(0)
-        nodes = rng.normal(size=(5, 8))
-        k_map = rng.normal(size=(8, 8))
-        keys = ad.constant(nodes @ k_map.T)
-        parts = S.split_heads(keys, 2)
-        out = S.assemble_keys(parts)
-        np.testing.assert_allclose(out.value, nodes @ k_map.T, rtol=1e-12)
-
-    def test_random_vs_direct_product(self, float64_mode):
-        rng = np.random.default_rng(1)
-        nodes = rng.normal(size=(4, 8))
-        k_map = rng.normal(size=(8, 8))
-        full = ad.constant(nodes @ k_map.T)
-        for heads in (1, 2, 4):
-            out = S.assemble_keys(S.split_heads(full, heads))
-            for i in range(4):
-                np.testing.assert_allclose(out.value[i], k_map @ nodes[i],
-                                           rtol=1e-12)
-
-
 class TestMetaTransform:
     def test_identity_configuration(self, float64_mode):
         d = 4
@@ -254,27 +227,3 @@ class TestPredictAndLoss:
                   "d_vec": head.d_vec, "t": head.t, "c": head.c}
         report = ad.grad_check(build, params, epsilon=1e-4)
         assert report.passed, str(report)
-
-    def test_detached_labels_cut_gradient(self, float64_mode):
-        d = 4
-        rng = np.random.default_rng(16)
-        meta = make_meta(d, rng)
-        head = make_head(d, rng)
-        keys = ad.constant(rng.normal(size=(4, d)))
-        z = ad.constant(rng.normal(size=(3, d)))
-        embed = ad.constant(rng.normal(size=(4, d)))
-        head.d_vec.zero_grad()
-        with ad.recording():
-            gamma = S.meta_transform(keys, z, meta)
-            lab1 = S.solidity_label(ad.gather_rows(gamma, np.array([0, 1])),
-                                    ad.gather_rows(gamma, np.array([1, 2])), head)
-            lab2 = S.solidity_label(ad.gather_rows(gamma, np.array([2, 3])),
-                                    ad.gather_rows(gamma, np.array([3, 0])), head)
-            pr1 = S.solidity_predict(ad.gather_rows(embed, np.array([0, 1])),
-                                     ad.gather_rows(embed, np.array([1, 2])))
-            pr2 = S.solidity_predict(ad.gather_rows(embed, np.array([2, 3])),
-                                     ad.gather_rows(embed, np.array([3, 0])))
-            loss = S.sa_loss(pr1, pr2, ad.detach(lab1), ad.detach(lab2))
-        ad.backward(loss)
-        assert not head.d_vec.grad.any() and not meta.w0.grad.any()
-        assert embed.grad.any()

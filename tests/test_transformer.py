@@ -137,20 +137,9 @@ class TestForward:
         p = make_params(3, 8, 2, rng)
         nodes = rng.normal(size=(5, 8)) * 0.5
         total, _, _ = self.run_layers(nodes, p, 1)
-        single, _ = T.layer(ad.constant(nodes), p)
+        z_tilde, keys = T.node_to_hyperedge(ad.constant(nodes), p)
+        single = T.hyperedge_to_node(T.hhgn(z_tilde, p), keys, p)
         np.testing.assert_allclose(total, single.value, rtol=1e-12)
-
-    def test_zeroed_second_layer_drops_out(self, float64_mode):
-        # per-layer parameters with the second layer's value map forced to 0:
-        # the sum reduces to the first layer's output
-        rng = np.random.default_rng(11)
-        p1 = make_params(3, 8, 2, rng)
-        p2 = make_params(3, 8, 2, rng)
-        p2.v_map = ad.constant(np.zeros((8, 8)))
-        nodes = rng.normal(size=(5, 8)) * 0.5
-        total, _, _ = T.forward(ad.constant(nodes), [p1, p2], 2)
-        first, _ = T.layer(ad.constant(nodes), p1)
-        np.testing.assert_allclose(total.value, first.value, rtol=1e-12)
 
     def test_three_layers_scripted_oracle(self, float64_mode):
         rng = np.random.default_rng(12)
@@ -230,7 +219,8 @@ class TestPredict:
         rng = np.random.default_rng(17)
         user = rng.normal(size=(8,)).astype(np.float32)
         items = rng.normal(size=(9, 8)).astype(np.float32)
-        batch = T.predict_all_items(user, items)
+        batch = T.predict_scores(ad.constant(np.tile(user, (9, 1))),
+                                 ad.constant(items)).value[:, 0]
         for j in range(9):
             assert abs(batch[j] - float(items[j] @ user)) < 1e-5
 
