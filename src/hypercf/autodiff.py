@@ -5,6 +5,13 @@ a 2-D numpy array, and records how to push gradients back to its inputs.
 The tape is module-global and single-threaded; it is rebuilt on every
 training step and cleared by :func:`backward`.
 
+Gradients are allocated lazily: a leaf (:func:`constant`, :func:`parameter`)
+owns a zero ``grad`` from creation, while a primitive's output has
+``grad = None`` until :func:`backward` first reaches it. The first gradient
+to arrive is adopted as the node's ``grad`` (a copy when the pushing VJP does
+not own it), later arrivals are added in place, and nodes never reached are
+skipped by the backward walk.
+
 Values are float32 by default; switch to float64 (``set_default_dtype``)
 for finite-difference gradient checking.
 """
@@ -88,14 +95,16 @@ class Tensor:
     """A dense matrix participating in a recorded computation.
 
     ``value`` is a 2-D numpy array, immutable by convention after creation.
-    ``grad`` is a same-shaped accumulator filled in by :func:`backward`.
+    ``grad`` is a same-shaped accumulator filled in by :func:`backward`. A
+    leaf's starts as zeros; any other node's is ``None`` until backward
+    reaches it, and stays ``None`` when the loss does not depend on it.
     """
 
     __slots__ = ("value", "grad", "parents", "vjp", "op")
 
     def __init__(self, value: np.ndarray, parents: tuple = (), vjp=None, op: str = "leaf"):
         self.value = value
-        self.grad = np.zeros_like(value)
+        self.grad = np.zeros_like(value) if op == "leaf" else None
         self.parents = parents
         self.vjp = vjp
         self.op = op
@@ -113,7 +122,8 @@ class Tensor:
         return self.value.shape[1]
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        if self.grad is not None:
+            self.grad[...] = 0.0
 
     def __repr__(self):
         return f"Tensor(op={self.op}, shape={self.value.shape})"
@@ -157,6 +167,30 @@ def _make(value: np.ndarray, parents: tuple, vjp, op: str) -> Tensor:
     return out
 
 
+def _accumulate(t: Tensor, g, owned: bool = True) -> None:
+    """Add ``g`` into ``t.grad``, broadcasting like ``+=``.
+
+    A node reached for the first time adopts ``g`` itself when the caller
+    owns it (a freshly computed array of ``t``'s shape and dtype); otherwise
+    it gets a copy, so no two nodes ever share a grad array.
+    """
+    if t.grad is not None:
+        t.grad += g
+    elif owned and g.shape == t.value.shape and g.dtype == t.value.dtype:
+        t.grad = g
+    else:
+        t.grad = np.empty_like(t.value)
+        t.grad[...] = g
+
+
+def _grad_buffer(t: Tensor) -> np.ndarray:
+    """``t.grad``, allocated as zeros first if backward has not reached it,
+    for VJPs that add into part of it."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.value)
+    return t.grad
+
+
 def _shapes(op: str, a: Tensor, b: Tensor) -> str:
     return f"{op}: incompatible shapes {a.value.shape} and {b.value.shape}"
 
@@ -171,8 +205,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatchError(_shapes("matmul", a, b))
 
     def vjp(g):
-        a.grad += g @ b.value.T
-        b.grad += a.value.T @ g
+        _accumulate(a, g @ b.value.T)
+        _accumulate(b, a.value.T @ g)
 
     return _make(a.value @ b.value, (a, b), vjp, "matmul")
 
@@ -190,7 +224,7 @@ def spmm(adj_pair, x: Tensor) -> Tensor:
             f"spmm: incompatible shapes {s.shape} and {x.value.shape}")
 
     def vjp(g):
-        x.grad += st @ g
+        _accumulate(x, st @ g)
 
     value = np.ascontiguousarray(s @ x.value, dtype=x.value.dtype)
     return _make(value, (x,), vjp, "spmm")
@@ -200,7 +234,7 @@ def transpose(a: Tensor) -> Tensor:
     _check_finite("transpose", a)
 
     def vjp(g):
-        a.grad += g.T
+        _accumulate(a, g.T, owned=False)
 
     return _make(np.ascontiguousarray(a.value.T), (a,), vjp, "transpose")
 
@@ -211,8 +245,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatchError(_shapes("add", a, b))
 
     def vjp(g):
-        a.grad += g
-        b.grad += g
+        _accumulate(a, g, owned=False)
+        _accumulate(b, g, owned=False)
 
     return _make(a.value + b.value, (a, b), vjp, "add")
 
@@ -223,18 +257,24 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatchError(_shapes("sub", a, b))
 
     def vjp(g):
-        a.grad += g
-        b.grad -= g
+        _accumulate(a, g, owned=False)
+        _accumulate(b, -g)
 
     return _make(a.value - b.value, (a, b), vjp, "sub")
 
 
-def scale(a: Tensor, c: float) -> Tensor:
+def scale(a: Tensor, c) -> Tensor:
+    """Multiply ``a`` by a constant: a float, or an array of ``a``'s shape
+    (such as a dropout mask), which receives no gradient."""
     _check_finite("scale", a)
-    c = float(c)
+    if np.ndim(c) == 0:
+        c = float(c)
+    elif np.shape(c) != a.value.shape:
+        raise ShapeMismatchError(
+            f"scale: incompatible shapes {a.value.shape} and {np.shape(c)}")
 
     def vjp(g):
-        a.grad += c * g
+        _accumulate(a, c * g)
 
     return _make(c * a.value, (a,), vjp, "scale")
 
@@ -243,7 +283,7 @@ def add_scalar(a: Tensor, c: float) -> Tensor:
     _check_finite("add_scalar", a)
 
     def vjp(g):
-        a.grad += g
+        _accumulate(a, g, owned=False)
 
     return _make(a.value + float(c), (a,), vjp, "add_scalar")
 
@@ -254,8 +294,8 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatchError(_shapes("hadamard", a, b))
 
     def vjp(g):
-        a.grad += g * b.value
-        b.grad += g * a.value
+        _accumulate(a, g * b.value)
+        _accumulate(b, g * a.value)
 
     return _make(a.value * b.value, (a, b), vjp, "hadamard")
 
@@ -267,8 +307,8 @@ def add_bias(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatchError(_shapes("add_bias", a, b))
 
     def vjp(g):
-        a.grad += g
-        b.grad += g.sum(axis=0, keepdims=True)
+        _accumulate(a, g, owned=False)
+        _accumulate(b, g.sum(axis=0, keepdims=True))
 
     return _make(a.value + b.value, (a, b), vjp, "add_bias")
 
@@ -280,8 +320,8 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     nc = a.cols
 
     def vjp(g):
-        a.grad += g[:, :nc]
-        b.grad += g[:, nc:]
+        _accumulate(a, g[:, :nc], owned=False)
+        _accumulate(b, g[:, nc:], owned=False)
 
     return _make(np.concatenate([a.value, b.value], axis=1), (a, b), vjp, "concat_cols")
 
@@ -293,7 +333,7 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
             f"slice_cols: range [{start}, {stop}) invalid for {a.cols} columns")
 
     def vjp(g):
-        a.grad[:, start:stop] += g
+        _grad_buffer(a)[:, start:stop] += g
 
     return _make(np.ascontiguousarray(a.value[:, start:stop]), (a,), vjp, "slice_cols")
 
@@ -309,7 +349,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
             f"gather_rows: index out of range for {a.rows} rows")
 
     def vjp(g):
-        np.add.at(a.grad, idx, g)
+        np.add.at(_grad_buffer(a), idx, g)
 
     return _make(a.value[idx].copy(), (a,), vjp, "gather_rows")
 
@@ -318,7 +358,7 @@ def row_sum(a: Tensor) -> Tensor:
     _check_finite("row_sum", a)
 
     def vjp(g):
-        a.grad += g  # broadcast over columns
+        _accumulate(a, g, owned=False)  # broadcast over columns
 
     return _make(a.value.sum(axis=1, keepdims=True), (a,), vjp, "row_sum")
 
@@ -328,7 +368,7 @@ def mean_all(a: Tensor) -> Tensor:
     n = a.value.size
 
     def vjp(g):
-        a.grad += g[0, 0] / n
+        _accumulate(a, g[0, 0] / n)
 
     return _make(a.value.mean().reshape(1, 1), (a,), vjp, "mean_all")
 
@@ -337,7 +377,7 @@ def sum_all(a: Tensor) -> Tensor:
     _check_finite("sum_all", a)
 
     def vjp(g):
-        a.grad += g[0, 0]
+        _accumulate(a, g[0, 0])
 
     return _make(a.value.sum().reshape(1, 1), (a,), vjp, "sum_all")
 
@@ -347,7 +387,7 @@ def sigmoid(a: Tensor) -> Tensor:
     s = expit(a.value)
 
     def vjp(g):
-        a.grad += g * s * (1.0 - s)
+        _accumulate(a, g * s * (1.0 - s))
 
     return _make(s, (a,), vjp, "sigmoid")
 
@@ -359,7 +399,7 @@ def leaky_relu(a: Tensor, slope: float) -> Tensor:
     mask = np.where(a.value > 0, 1.0, slope).astype(a.value.dtype)
 
     def vjp(g):
-        a.grad += g * mask
+        _accumulate(a, g * mask)
 
     return _make(a.value * mask, (a,), vjp, "leaky_relu")
 
@@ -370,7 +410,7 @@ def hinge(a: Tensor) -> Tensor:
     mask = (a.value > 0).astype(a.value.dtype)
 
     def vjp(g):
-        a.grad += g * mask
+        _accumulate(a, g * mask)
 
     return _make(a.value * mask, (a,), vjp, "hinge")
 
@@ -382,8 +422,8 @@ def dot_rows(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatchError(_shapes("dot_rows", a, b))
 
     def vjp(g):
-        a.grad += g * b.value
-        b.grad += g * a.value
+        _accumulate(a, g * b.value)
+        _accumulate(b, g * a.value)
 
     return _make((a.value * b.value).sum(axis=1, keepdims=True), (a, b), vjp, "dot_rows")
 
@@ -404,11 +444,87 @@ def tensor_contract(t3: Tensor, v: Tensor, out_rows: int) -> Tensor:
 
     def vjp(g):
         gf = g.reshape(t3.rows, 1)
-        t3.grad += gf @ v.value.T
-        v.grad += t3.value.T @ gf
+        _accumulate(t3, gf @ v.value.T)
+        _accumulate(v, t3.value.T @ gf)
 
     value = (t3.value @ v.value).reshape(out_rows, out_cols)
     return _make(value, (t3, v), vjp, "tensor_contract")
+
+
+def _head_products(a: np.ndarray, b: np.ndarray, heads: int) -> np.ndarray:
+    """Every head's a_hᵀ b_h on the diagonal blocks of one d×d matrix, with
+    zeros elsewhere; head h holds columns [h·d/H, (h+1)·d/H).
+
+    The blocks are computed per head, as one batched product; the
+    block-diagonal result lets the row-wise products that use it run as a
+    single matrix product, at H times the FLOPs of per-head ones.
+    """
+    width = a.shape[1] // heads
+    blocks = (a.reshape(-1, heads, width).transpose(1, 2, 0)
+              @ b.reshape(-1, heads, width).transpose(1, 0, 2))
+    out = np.zeros((heads, width, heads, width), dtype=blocks.dtype)
+    h = np.arange(heads)
+    out[h, :, h, :] = blocks
+    return out.reshape(heads * width, heads * width)
+
+
+def linear_attention_value(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                           heads: int):
+    """Forward of :func:`linear_attention` on plain arrays.
+
+    Returns ``(out, summary)``: ``summary`` holds every head's key-value
+    product k_hᵀv_h as the diagonal blocks of one d×d matrix, and
+    ``out = q @ summary`` applies each query slice to its own head's block.
+    """
+    if heads <= 0 or q.shape[1] % heads != 0:
+        raise ShapeMismatchError(
+            f"embedding width {q.shape[1]} not divisible by {heads} heads")
+    summary = _head_products(k, v, heads)
+    return q @ summary, summary
+
+
+def linear_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Softmax-free multi-head attention in factorized order.
+
+    ``q`` is m×d, ``k`` and ``v`` are n×d. Per head h the output columns are
+    q_h (k_hᵀ v_h), one tape node for all heads; gradients flow to all three
+    operands.
+    """
+    _check_finite("linear_attention", q, k, v)
+    if k.value.shape != v.value.shape or q.cols != k.cols:
+        raise ShapeMismatchError(
+            f"linear_attention: incompatible shapes {q.value.shape}, "
+            f"{k.value.shape} and {v.value.shape}")
+    value, summary = linear_attention_value(q.value, k.value, v.value, heads)
+
+    def vjp(g):
+        _accumulate(q, g @ summary.T)
+        d_summary = _head_products(q.value, g, heads)
+        _accumulate(k, v.value @ d_summary.T)
+        _accumulate(v, k.value @ d_summary)
+
+    return _make(value, (q, k, v), vjp, "linear_attention")
+
+
+def sum_squares(tensors: Sequence[Tensor]) -> Tensor:
+    """Sum of the squared entries of every tensor, as one 1×1 node.
+
+    Each tensor's squared Frobenius norm is added in the order given; the
+    VJP adds 2·g·t to each tensor's gradient.
+    """
+    tensors = tuple(tensors)
+    _check_finite("sum_squares", *tensors)
+    total = None
+    for t in tensors:
+        term = (t.value * t.value).sum().reshape(1, 1)
+        total = term if total is None else total + term
+
+    def vjp(g):
+        c = 2.0 * g[0, 0]
+        for t in tensors:
+            _accumulate(t, c * t.value)
+
+    return _make(total, tensors, vjp, "sum_squares")
 
 
 # ---------------------------------------------------------------------------
@@ -418,17 +534,18 @@ def tensor_contract(t3: Tensor, v: Tensor, out_rows: int) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(tensor) into ``.grad`` of every reachable tensor.
 
-    ``loss`` must be 1×1 and the tape nonempty. The tape is cleared afterwards,
-    so each recorded graph can be differentiated once.
+    ``loss`` must be 1×1 and the tape nonempty. Nodes the loss does not
+    reach keep ``grad = None`` and their VJPs do not run. The tape is cleared
+    afterwards, so each recorded graph can be differentiated once.
     """
     if loss.value.shape != (1, 1):
         raise ShapeMismatchError(
             f"backward: loss must be 1x1, got {loss.value.shape}")
     if not _tape:
         raise RuntimeError("backward: tape is empty (was recording enabled?)")
-    loss.grad[...] = 1.0
+    loss.grad = np.ones_like(loss.value)
     for node in reversed(_tape):
-        if node.vjp is not None and np.any(node.grad):
+        if node.vjp is not None and node.grad is not None:
             node.vjp(node.grad)
     clear_tape()
 

@@ -134,9 +134,13 @@ class Model:
         if not training or rate == 0.0 or rng is None:
             return None
 
+        dtype = ad.default_dtype()
+        kept = dtype(1.0) / dtype(1.0 - rate)
+
         def mask(shape):
-            keep = (rng.random(shape) >= rate).astype(ad.default_dtype())
-            return ad.constant(keep / (1.0 - rate))
+            out = (rng.random(shape) >= rate).astype(dtype)
+            out *= kept
+            return out
 
         return mask
 
@@ -234,13 +238,9 @@ class Model:
         return solidity.sa_loss(pred_1, pred_2, label_1, label_2)
 
     def reg_loss(self) -> ad.Tensor:
-        """Squared Frobenius norm summed over every parameter."""
-        total = None
-        for name in sorted(self.params):
-            p = self.params[name]
-            term = ad.sum_all(ad.hadamard(p, p))
-            total = term if total is None else ad.add(total, term)
-        return total
+        """Squared Frobenius norm summed over every parameter, in sorted-name
+        order, as one tape node."""
+        return ad.sum_squares([self.params[n] for n in sorted(self.params)])
 
     def total_loss(self, state: ForwardState, main_batch,
                    sal_batch=None, parts: Optional[dict] = None) -> ad.Tensor:

@@ -55,7 +55,9 @@ class Adam:
     """Adam with bias correction; moments live beside the parameter registry.
 
     Decay rates 0.9/0.999 and epsilon 1e-8; all three are recorded in saved
-    checkpoints so a resumed run reproduces the original bit-for-bit.
+    checkpoints so a resumed run reproduces the original bit-for-bit. Two
+    scratch arrays per parameter hold the update's intermediates, so a step
+    allocates no arrays.
     """
 
     def __init__(self, params: dict = None, lr: float = 1e-3,
@@ -67,6 +69,7 @@ class Adam:
         self.steps = 0
         self.m: dict = {}
         self.v: dict = {}
+        self.scratch: dict = {}
         if params is not None:
             self.register(params)
 
@@ -76,9 +79,16 @@ class Adam:
             if name not in self.m:
                 self.m[name] = np.zeros_like(value)
                 self.v[name] = np.zeros_like(value)
+                self.scratch[name] = (np.empty_like(value),
+                                      np.empty_like(value))
 
     def step(self, params: dict) -> None:
-        """One update over every parameter, in sorted-name order."""
+        """One update over every parameter, in sorted-name order.
+
+        Per parameter: m = b1·m + (1-b1)·g, v = b2·v + (1-b2)·g², then
+        p -= lr·(m/c1) / (sqrt(v/c2) + eps), with c1, c2 the bias
+        corrections; each operation in this order, in the parameter's dtype.
+        """
         self.steps += 1
         c1 = 1.0 - self.beta1 ** self.steps
         c2 = 1.0 - self.beta2 ** self.steps
@@ -86,11 +96,21 @@ class Adam:
             p = params[name]
             g = p.grad if p.grad is not None else 0.0
             m, v = self.m[name], self.v[name]
+            step, denom = self.scratch[name]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=step)
+            m += step
             v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            p.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            np.square(g, out=step)
+            step *= 1.0 - self.beta2
+            v += step
+            np.divide(m, c1, out=step)
+            step *= self.lr
+            np.divide(v, c2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p.value -= step
 
     def moment_tensors(self) -> dict:
         out = {}

@@ -2,9 +2,13 @@
 learnable hyperedges, hierarchical hyperedge mixing, and stacked propagation.
 
 Attention is dot-product without softmax, which permits the factorized
-evaluation order: the (d/H)x(d/H) key-value product is accumulated over nodes
-first, then applied to each query. Naive reference kernels used by tests and
-the benchmark live alongside the real implementation.
+evaluation order of linear attention: each head's (d/H)x(d/H) key-value
+product is accumulated over nodes first, then applied to each query. Both
+directions (nodes to hyperedges and back) record one
+``autodiff.linear_attention`` node per call, and ``_attend_factorized`` runs
+that primitive's numpy forward, so the attention benchmark times the kernel
+training runs. Naive reference kernels used by tests and the benchmark live
+alongside.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ def node_to_hyperedge(nodes: ad.Tensor, p: HyperSideParams):
             f"node_to_hyperedge: key map {p.k_map.shape} vs nodes {nodes.value.shape}")
     keys = apply_map(nodes, p.k_map)
     vals = apply_map(nodes, p.v_map)
-    return _per_head(p.z, keys, vals, p.heads), keys
+    return ad.linear_attention(p.z, keys, vals, p.heads), keys
 
 
 def hhgn(z_tilde: ad.Tensor, p: HyperSideParams,
@@ -98,25 +102,7 @@ def hyperedge_to_node(z_hat: ad.Tensor, keys: ad.Tensor,
     if p.incidence is not None:
         return ad.matmul(ad.transpose(p.incidence), z_hat)
     vals = apply_map(z_hat, p.v_map)
-    return _per_head(keys, p.z, vals, p.heads)
-
-
-def _per_head(queries: ad.Tensor, keys: ad.Tensor, vals: ad.Tensor,
-              heads: int) -> ad.Tensor:
-    """Factorized linear attention per head: for each column slice, the
-    queries times the (d/H) x (d/H) key-value summary, the slices concatenated
-    back in head order."""
-    parts = []
-    for lo, hi in head_slices(queries.cols, heads):
-        q_h = ad.slice_cols(queries, lo, hi)
-        k_h = ad.slice_cols(keys, lo, hi)
-        v_h = ad.slice_cols(vals, lo, hi)
-        summary = ad.matmul(ad.transpose(k_h), v_h)
-        parts.append(ad.matmul(q_h, summary))
-    out = parts[0]
-    for part in parts[1:]:
-        out = ad.concat_cols(out, part)
-    return out
+    return ad.linear_attention(keys, p.z, vals, p.heads)
 
 
 def forward(nodes0: ad.Tensor, p: HyperSideParams, num_layers: int,
@@ -126,8 +112,9 @@ def forward(nodes0: ad.Tensor, p: HyperSideParams, num_layers: int,
     One HyperSideParams is shared by every layer (the recursive formulation
     ties the layers' weights). The layer-0 input itself is excluded from the
     sum. ``dropout_mask(shape)`` may return a premultiplied inverted-dropout
-    mask (or None) applied to each layer output during training. Returns
-    (summed embeddings, first-layer keys, first-layer hyperedge features).
+    mask array (or None), a constant that scales each layer output during
+    training. Returns (summed embeddings, first-layer keys, first-layer
+    hyperedge features).
     """
     if num_layers < 1:
         raise ValueError(f"need at least one layer, got {num_layers}")
@@ -142,7 +129,7 @@ def forward(nodes0: ad.Tensor, p: HyperSideParams, num_layers: int,
         if dropout_mask is not None:
             mask = dropout_mask(out.value.shape)
             if mask is not None:
-                out = ad.hadamard(out, mask)
+                out = ad.scale(out, mask)
         if step == 0:
             first_keys, first_edges = keys, z_tilde
         total = out if total is None else ad.add(total, out)
@@ -199,12 +186,8 @@ def _attend_naive(queries, keys, vals, heads):
 
 
 def _attend_factorized(queries, keys, vals, heads):
-    d = queries.shape[1]
-    out = np.zeros((queries.shape[0], d), dtype=queries.dtype)
-    for lo, hi in head_slices(d, heads):
-        summary = keys[:, lo:hi].T @ vals[:, lo:hi]
-        out[:, lo:hi] = queries[:, lo:hi] @ summary
-    return out
+    """The forward of ``autodiff.linear_attention``, the kernel training runs."""
+    return ad.linear_attention_value(queries, keys, vals, heads)[0]
 
 
 def bench_factorization(num_nodes: int, num_hyperedges: int, d: int, heads: int,

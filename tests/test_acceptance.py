@@ -97,6 +97,8 @@ def _primitive_cases(rng):
                           dtype=np.float64)
     t3 = p((9, 3))
     vec3 = p((3, 1))
+    # query rows differ from key rows; width 4 splits into 1 or 2 heads
+    query, key, val = p((3, 4)), p((5, 4)), p((5, 4))
     sp = np.abs(rng.normal(size=(5, 4))).astype(np.float64)
     adj_pair = (sp, sp.T.copy())
 
@@ -132,6 +134,14 @@ def _primitive_cases(rng):
         "tensor_contract": ({"t3": t3, "vec3": vec3},
                             lambda: ad.sum_all(
                                 ad.tensor_contract(t3, vec3, 3))),
+        "linear_attention_h1": (
+            {"query": query, "key": key, "val": val},
+            lambda: ad.sum_all(ad.linear_attention(query, key, val, 1))),
+        "linear_attention_h2": (
+            {"query": query, "key": key, "val": val},
+            lambda: ad.sum_all(ad.linear_attention(query, key, val, 2))),
+        "sum_squares": ({"a": a, "bias": bias},
+                        lambda: ad.sum_squares([a, bias])),
     }
     return cases
 

@@ -162,6 +162,66 @@ class TestBackward:
         assert np.array_equal(v1, v2) and np.array_equal(g1, g2)
 
 
+class TestLazyGrad:
+    """Non-leaf grads start as None; the first arrival is adopted and fan-in
+    accumulates."""
+
+    def test_node_consumed_twice_gets_summed_grad(self, float64_mode):
+        rng = np.random.default_rng(40)
+        x = ad.constant(rng.normal(size=(2, 3)))
+        c = ad.constant(rng.normal(size=(2, 3)))
+        with ad.recording():
+            y = ad.scale(x, 3.0)
+            doubled = ad.add(y, y)
+            z = ad.sigmoid(x)
+            fanned = ad.add(ad.scale(z, 2.0), ad.hadamard(z, c))
+            loss = ad.sum_all(ad.add(doubled, fanned))
+        ad.backward(loss)
+        np.testing.assert_array_equal(y.grad, np.full((2, 3), 2.0))
+        np.testing.assert_allclose(z.grad, 2.0 + c.value, rtol=1e-15)
+        s = z.value
+        np.testing.assert_allclose(x.grad, 6.0 + (2.0 + c.value) * s * (1 - s),
+                                   rtol=1e-12)
+
+    def test_adopted_grads_are_never_shared(self, float64_mode):
+        rng = np.random.default_rng(41)
+        x = ad.constant(rng.normal(size=(3, 4)))
+        b = ad.constant(rng.normal(size=(1, 4)))
+        with ad.recording():
+            y = ad.sigmoid(x)
+            s = ad.add(y, y)
+            d = ad.sub(s, y)
+            t = ad.add_scalar(d, 1.0)
+            u = ad.add_bias(t, b)
+            w = ad.transpose(u)
+            c = ad.concat_cols(w, w)
+            r = ad.dot_rows(c, c)
+            half = ad.scale(r, 0.5)
+            rs = ad.row_sum(r)  # walked before half: r adopts from row_sum
+            loss = ad.sum_all(ad.add(rs, half))
+        ad.backward(loss)
+        nodes = [x, b, y, s, d, t, u, w, c, r, half, rs]
+        snapshots = [n.grad.copy() for n in nodes]
+        for i, node in enumerate(nodes):
+            node.grad[...] = np.nan
+            for j, other in enumerate(nodes):
+                if j != i:
+                    np.testing.assert_array_equal(other.grad, snapshots[j])
+            node.grad[...] = snapshots[i]
+
+    def test_unreached_nodes_keep_no_grad(self):
+        x = ad.constant(np.ones((2, 2)))
+        with ad.recording():
+            unused = ad.matmul(x, x)
+            loss = ad.mean_all(ad.sigmoid(x))
+        ad.backward(loss)
+        assert unused.grad is None
+        assert ad.tape_size() == 0
+        with ad.recording(False):
+            assert ad.matmul(x, x).grad is None
+        assert x.grad.any()
+
+
 class TestGradCheckPerPrimitive:
     """Every primitive against central differences: eps 1e-3, tol 1e-4."""
 
@@ -273,6 +333,29 @@ class TestGradCheckPerPrimitive:
         a = ad.constant(rng.normal(size=(5, 4)))
         self.check(lambda: ad.mean_all(ad.sigmoid(ad.add_scalar(a, 0.3))), {"a": a})
 
+    def test_scale_by_constant_array(self, float64_mode):
+        rng = np.random.default_rng(26)
+        a = ad.constant(rng.normal(size=(5, 4)))
+        mask = rng.random((5, 4))
+        self.check(lambda: ad.mean_all(ad.sigmoid(ad.scale(a, mask))), {"a": a})
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_linear_attention(self, float64_mode, heads):
+        rng = np.random.default_rng(27)
+        q = ad.constant(rng.normal(size=(3, 8)) * 0.5)
+        k = ad.constant(rng.normal(size=(5, 8)) * 0.5)
+        v = ad.constant(rng.normal(size=(5, 8)) * 0.5)
+        self.check(
+            lambda: ad.mean_all(ad.sigmoid(ad.linear_attention(q, k, v, heads))),
+            {"q": q, "k": k, "v": v})
+
+    def test_sum_squares(self, float64_mode):
+        rng = np.random.default_rng(28)
+        a = ad.constant(rng.normal(size=(5, 4)))
+        b = ad.constant(rng.normal(size=(1, 3)))
+        self.check(lambda: ad.sigmoid(ad.scale(ad.sum_squares([a, b]), 0.1)),
+                   {"a": a, "b": b})
+
     def test_composed_expression(self, float64_mode):
         rng = np.random.default_rng(25)
         e = ad.constant(rng.normal(size=(6, 4)) * 0.5)
@@ -303,6 +386,15 @@ class TestErrors:
             ad.concat_cols(a, ad.constant(np.ones((3, 3))))
         with pytest.raises(ad.ShapeMismatchError, match=r"2, 3"):
             ad.add(a, ad.constant(np.ones((3, 2))))
+
+    def test_linear_attention_shapes(self):
+        q, k = ad.constant(np.ones((2, 6))), ad.constant(np.ones((3, 6)))
+        with pytest.raises(ad.ShapeMismatchError, match="divisible"):
+            ad.linear_attention(q, k, k, 4)
+        with pytest.raises(ad.ShapeMismatchError, match="linear_attention"):
+            ad.linear_attention(q, k, ad.constant(np.ones((4, 6))), 2)
+        with pytest.raises(ad.ShapeMismatchError, match="scale"):
+            ad.scale(q, np.ones((6, 2)))
 
     def test_leaky_relu_slope_precondition(self):
         a = ad.constant(np.ones((2, 2)))

@@ -195,6 +195,18 @@ class TestInference:
         with pytest.raises(RuntimeError, match="ablation"):
             model.solidity_of_edges(adj, np.array([[0, 0]]))
 
+    @pytest.mark.parametrize("rate", [0.25, 0.5, 0.75])
+    def test_dropout_mask_is_a_plain_array(self, rate):
+        # same draw, same float32 values as keep / (1 - rate)
+        model, _, _, _ = toy_setup(dropout=rate)
+        rng, twin = make_rng(5), make_rng(5)
+        mask = model._dropout_fn(True, rng)((7, 8))
+        keep = (twin.random((7, 8)) >= rate).astype(np.float32)
+        expect = keep / (1.0 - rate)
+        assert type(mask) is np.ndarray and mask.dtype == np.float32
+        assert np.array_equal(mask.view(np.uint32), expect.view(np.uint32))
+        assert rng.random() == twin.random()
+
     def test_dropout_training_only(self, float64_mode):
         model, adj, _, _ = toy_setup(dropout=0.5)
         with ad.recording(False):

@@ -104,6 +104,40 @@ class TestAdam:
             opt.step({"x": x})
         assert x.value.item() == pytest.approx(theta, abs=1e-14)
 
+    def test_bit_identical_to_allocating_formula(self):
+        # the update written with temporaries, as before the scratch buffers
+        rng = make_rng(4)
+        shapes = {"a": (4, 3), "b": (1, 7), "c": (60, 5)}
+        params = {n: ad.parameter(rng.normal(size=s).astype(np.float32))
+                  for n, s in shapes.items()}
+        ref = {n: p.value.copy() for n, p in params.items()}
+        m = {n: np.zeros_like(v) for n, v in ref.items()}
+        v = {n: np.zeros_like(val) for n, val in ref.items()}
+        opt = T.Adam(params, lr=3e-3)
+        b1, b2, eps, lr = opt.beta1, opt.beta2, opt.eps, opt.lr
+        for step in range(1, 7):
+            for p in params.values():
+                scale = 10.0 ** rng.integers(-4, 4, size=p.value.shape)
+                p.grad[...] = rng.normal(size=p.value.shape) * scale
+                p.grad[0, 0] = 0.0
+            c1, c2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+            for n in sorted(params):
+                g = params[n].grad
+                m[n] *= b1
+                m[n] += (1.0 - b1) * g
+                v[n] *= b2
+                v[n] += (1.0 - b2) * np.square(g)
+                ref[n] -= lr * (m[n] / c1) / (np.sqrt(v[n] / c2) + eps)
+            opt.step(params)
+            for n, p in params.items():
+                assert p.value.dtype == np.float32
+                assert np.array_equal(p.value.view(np.uint32),
+                                      ref[n].view(np.uint32)), (step, n)
+                assert np.array_equal(opt.m[n].view(np.uint32),
+                                      m[n].view(np.uint32))
+                assert np.array_equal(opt.v[n].view(np.uint32),
+                                      v[n].view(np.uint32))
+
     def test_missing_grad_means_no_motion(self):
         x = ad.parameter(np.ones((2, 2)))
         opt = T.Adam({"x": x}, lr=0.5)
