@@ -30,12 +30,7 @@ class ShapeMismatchError(ValueError):
     """Raised when a primitive receives incompatible operand shapes."""
 
 
-class NonFiniteError(ValueError):
-    """Raised in checked mode when a value contains NaN or Inf."""
-
-
 _default_dtype = np.float32
-_checked = False
 
 # The recording tape. Nodes are appended in creation order, which is a valid
 # topological order for define-by-run graphs.
@@ -52,12 +47,6 @@ def set_default_dtype(dtype) -> None:
 
 def default_dtype():
     return _default_dtype
-
-
-def set_checked(flag: bool) -> None:
-    """Enable/disable finiteness validation of primitive inputs."""
-    global _checked
-    _checked = bool(flag)
 
 
 class recording:
@@ -77,10 +66,6 @@ class recording:
         global _recording
         _recording = self.prev
         return False
-
-
-def is_recording() -> bool:
-    return _recording
 
 
 def tape_size() -> int:
@@ -134,8 +119,6 @@ def matrix(data, dtype=None) -> np.ndarray:
     arr = np.ascontiguousarray(data, dtype=dtype or _default_dtype)
     if arr.ndim != 2:
         raise ShapeMismatchError(f"expected a 2-D matrix, got shape {arr.shape}")
-    if _checked and not np.isfinite(arr).all():
-        raise NonFiniteError("matrix contains NaN or Inf")
     return arr
 
 
@@ -148,17 +131,7 @@ def constant(data, dtype=None) -> Tensor:
 parameter = constant
 
 
-def _check_finite(name: str, *tensors: Tensor) -> None:
-    if not _checked:
-        return
-    for t in tensors:
-        if not np.isfinite(t.value).all():
-            raise NonFiniteError(f"{name}: input contains NaN or Inf")
-
-
 def _make(value: np.ndarray, parents: tuple, vjp, op: str) -> Tensor:
-    if _checked and not np.isfinite(value).all():
-        raise NonFiniteError(f"{op}: produced NaN or Inf")
     if _recording:
         out = Tensor(value, parents, vjp, op)
         _tape.append(out)
@@ -200,7 +173,6 @@ def _shapes(op: str, a: Tensor, b: Tensor) -> str:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _check_finite("matmul", a, b)
     if a.cols != b.rows:
         raise ShapeMismatchError(_shapes("matmul", a, b))
 
@@ -218,7 +190,6 @@ def spmm(adj_pair, x: Tensor) -> Tensor:
     row-efficient format; only ``x`` is differentiable.
     """
     s, st = adj_pair
-    _check_finite("spmm", x)
     if s.shape[1] != x.rows:
         raise ShapeMismatchError(
             f"spmm: incompatible shapes {s.shape} and {x.value.shape}")
@@ -231,8 +202,6 @@ def spmm(adj_pair, x: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    _check_finite("transpose", a)
-
     def vjp(g):
         _accumulate(a, g.T, owned=False)
 
@@ -240,7 +209,6 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_finite("add", a, b)
     if a.value.shape != b.value.shape:
         raise ShapeMismatchError(_shapes("add", a, b))
 
@@ -252,7 +220,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_finite("sub", a, b)
     if a.value.shape != b.value.shape:
         raise ShapeMismatchError(_shapes("sub", a, b))
 
@@ -266,7 +233,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, c) -> Tensor:
     """Multiply ``a`` by a constant: a float, or an array of ``a``'s shape
     (such as a dropout mask), which receives no gradient."""
-    _check_finite("scale", a)
     if np.ndim(c) == 0:
         c = float(c)
     elif np.shape(c) != a.value.shape:
@@ -280,8 +246,6 @@ def scale(a: Tensor, c) -> Tensor:
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
-    _check_finite("add_scalar", a)
-
     def vjp(g):
         _accumulate(a, g, owned=False)
 
@@ -289,7 +253,6 @@ def add_scalar(a: Tensor, c: float) -> Tensor:
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    _check_finite("hadamard", a, b)
     if a.value.shape != b.value.shape:
         raise ShapeMismatchError(_shapes("hadamard", a, b))
 
@@ -302,7 +265,6 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
 
 def add_bias(a: Tensor, b: Tensor) -> Tensor:
     """Row-broadcast add: ``a`` is n×d, ``b`` is 1×d."""
-    _check_finite("add_bias", a, b)
     if b.rows != 1 or a.cols != b.cols:
         raise ShapeMismatchError(_shapes("add_bias", a, b))
 
@@ -314,7 +276,6 @@ def add_bias(a: Tensor, b: Tensor) -> Tensor:
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    _check_finite("concat_cols", a, b)
     if a.rows != b.rows:
         raise ShapeMismatchError(_shapes("concat_cols", a, b))
     nc = a.cols
@@ -326,21 +287,8 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     return _make(np.concatenate([a.value, b.value], axis=1), (a, b), vjp, "concat_cols")
 
 
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    _check_finite("slice_cols", a)
-    if not (0 <= start < stop <= a.cols):
-        raise ShapeMismatchError(
-            f"slice_cols: range [{start}, {stop}) invalid for {a.cols} columns")
-
-    def vjp(g):
-        _grad_buffer(a)[:, start:stop] += g
-
-    return _make(np.ascontiguousarray(a.value[:, start:stop]), (a,), vjp, "slice_cols")
-
-
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows by integer index; duplicate indices accumulate gradient."""
-    _check_finite("gather_rows", a)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeMismatchError(f"gather_rows: indices must be 1-D, got {idx.shape}")
@@ -354,28 +302,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     return _make(a.value[idx].copy(), (a,), vjp, "gather_rows")
 
 
-def row_sum(a: Tensor) -> Tensor:
-    _check_finite("row_sum", a)
-
-    def vjp(g):
-        _accumulate(a, g, owned=False)  # broadcast over columns
-
-    return _make(a.value.sum(axis=1, keepdims=True), (a,), vjp, "row_sum")
-
-
-def mean_all(a: Tensor) -> Tensor:
-    _check_finite("mean_all", a)
-    n = a.value.size
-
-    def vjp(g):
-        _accumulate(a, g[0, 0] / n)
-
-    return _make(a.value.mean().reshape(1, 1), (a,), vjp, "mean_all")
-
-
 def sum_all(a: Tensor) -> Tensor:
-    _check_finite("sum_all", a)
-
     def vjp(g):
         _accumulate(a, g[0, 0])
 
@@ -383,7 +310,6 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    _check_finite("sigmoid", a)
     s = expit(a.value)
 
     def vjp(g):
@@ -393,7 +319,6 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float) -> Tensor:
-    _check_finite("leaky_relu", a)
     if not slope > 0:
         raise ValueError(f"leaky_relu: slope must be positive, got {slope}")
     mask = np.where(a.value > 0, 1.0, slope).astype(a.value.dtype)
@@ -406,7 +331,6 @@ def leaky_relu(a: Tensor, slope: float) -> Tensor:
 
 def hinge(a: Tensor) -> Tensor:
     """Elementwise max(0, x)."""
-    _check_finite("hinge", a)
     mask = (a.value > 0).astype(a.value.dtype)
 
     def vjp(g):
@@ -417,7 +341,6 @@ def hinge(a: Tensor) -> Tensor:
 
 def dot_rows(a: Tensor, b: Tensor) -> Tensor:
     """Row-wise dot products of two equally shaped matrices, as an n×1 column."""
-    _check_finite("dot_rows", a, b)
     if a.value.shape != b.value.shape:
         raise ShapeMismatchError(_shapes("dot_rows", a, b))
 
@@ -434,7 +357,6 @@ def tensor_contract(t3: Tensor, v: Tensor, out_rows: int) -> Tensor:
     Output is p×q with ``out[i, j] = sum_k T[i, j, k] * v[k]``; gradients flow
     to both operands.
     """
-    _check_finite("tensor_contract", t3, v)
     if v.cols != 1 or t3.cols != v.rows:
         raise ShapeMismatchError(_shapes("tensor_contract", t3, v))
     if out_rows <= 0 or t3.rows % out_rows != 0:
@@ -490,7 +412,6 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     q_h (k_hᵀ v_h), one tape node for all heads; gradients flow to all three
     operands.
     """
-    _check_finite("linear_attention", q, k, v)
     if k.value.shape != v.value.shape or q.cols != k.cols:
         raise ShapeMismatchError(
             f"linear_attention: incompatible shapes {q.value.shape}, "
@@ -513,7 +434,6 @@ def sum_squares(tensors: Sequence[Tensor]) -> Tensor:
     VJP adds 2·g·t to each tensor's gradient.
     """
     tensors = tuple(tensors)
-    _check_finite("sum_squares", *tensors)
     total = None
     for t in tensors:
         term = (t.value * t.value).sum().reshape(1, 1)

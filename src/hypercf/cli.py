@@ -91,30 +91,30 @@ def _print_rows(rows: list) -> None:
         print("  ".join(f"{k}={v}" for k, v in row.items()))
 
 
-def _metric_rows(run: experiments.TrainedRun, split_name: str,
-                 cutoffs) -> list:
-    test = getattr(run.splits, split_name)
-    metrics = evaluation.evaluate_model(run.model, run.adj, run.splits.train,
-                                        test, cutoffs)
+def _report(run_dir: str, filename: str, rows: list) -> int:
+    """Write ``rows`` to the run's CSV, then print the run dir and the rows."""
+    evaluation.write_csv(os.path.join(run_dir, filename), rows)
+    print(f"run dir: {run_dir}")
+    _print_rows(rows)
+    return 0
+
+
+def _metric_rows(model, adj, splits, split_name: str, cutoffs) -> list:
+    test = getattr(splits, split_name)
+    metrics = evaluation.evaluate_model(model, adj, splits.train, test,
+                                        cutoffs)
     return [{"split": split_name, "cutoff": c,
              "recall": metrics[f"recall@{c}"], "ndcg": metrics[f"ndcg@{c}"]}
             for c in sorted(set(int(c) for c in cutoffs))]
 
 
-def _parse_int_list(raw: str, flag: str) -> list:
+def _parse_list(raw: str, flag: str, kind=int) -> list:
+    """Comma-separated values of type ``kind`` (int or float)."""
     try:
-        return [int(part) for part in raw.split(",") if part.strip()]
+        return [kind(part) for part in raw.split(",") if part.strip()]
     except ValueError as exc:
-        raise UsageError(f"{flag}: expected comma-separated integers, "
-                         f"got {raw!r}") from exc
-
-
-def _parse_float_list(raw: str, flag: str) -> list:
-    try:
-        return [float(part) for part in raw.split(",") if part.strip()]
-    except ValueError as exc:
-        raise UsageError(f"{flag}: expected comma-separated numbers, "
-                         f"got {raw!r}") from exc
+        raise UsageError(f"{flag}: expected comma-separated "
+                         f"{kind.__name__} values, got {raw!r}") from exc
 
 
 def _parse_palette(raw: str) -> list:
@@ -123,7 +123,7 @@ def _parse_palette(raw: str) -> list:
         part = part.strip()
         if not part:
             continue
-        triple = _parse_float_list(part, "--palette")
+        triple = _parse_list(part, "--palette", float)
         if len(triple) != 3:
             raise UsageError(f"--palette: each color needs 3 components, "
                              f"got {part!r}")
@@ -136,7 +136,7 @@ def _epoch_log(run_dir: str):
 
     def log(row):
         rows.append(row)
-        print("  ".join(f"{k}={v}" for k, v in row.items()))
+        _print_rows([row])
 
     def flush():
         if rows:
@@ -179,15 +179,13 @@ def cmd_train(args) -> int:
                                          log_fn=log)
     finally:
         flush()
-    rows = (_metric_rows(run, "validation", (20, 40)) +
-            _metric_rows(run, "test", (20, 40)))
-    evaluation.write_csv(os.path.join(run_dir, "metrics.csv"), rows)
-    print(f"run dir: {run_dir}")
+    rows = [row for split_name in ("validation", "test")
+            for row in _metric_rows(run.model, run.adj, run.splits,
+                                    split_name, (20, 40))]
     print(f"best epoch {run.result.best_epoch} "
           f"(validation recall@{trainer.SELECTION_CUTOFF} = "
           f"{run.result.best_metric})")
-    _print_rows(rows)
-    return 0
+    return _report(run_dir, "metrics.csv", rows)
 
 
 def cmd_evaluate(args) -> int:
@@ -195,50 +193,34 @@ def cmd_evaluate(args) -> int:
     if args.split not in ("validation", "test"):
         raise UsageError(f"--split must be validation or test, "
                          f"got {args.split!r}")
-    cutoffs = _parse_int_list(args.cutoffs, "--cutoffs")
+    cutoffs = _parse_list(args.cutoffs, "--cutoffs")
     if not cutoffs:
         raise UsageError("--cutoffs: need at least one cutoff")
-    target = getattr(splits, args.split)
-    metrics = evaluation.evaluate_model(model, adj, splits.train, target,
-                                        cutoffs)
-    rows = [{"split": args.split, "cutoff": c,
-             "recall": metrics[f"recall@{c}"], "ndcg": metrics[f"ndcg@{c}"]}
-            for c in sorted(set(cutoffs))]
-    run_dir = _run_dir(cfg, "evaluate")
-    evaluation.write_csv(os.path.join(run_dir, "metrics.csv"), rows)
-    print(f"run dir: {run_dir}")
-    _print_rows(rows)
-    return 0
+    rows = _metric_rows(model, adj, splits, args.split, cutoffs)
+    return _report(_run_dir(cfg, "evaluate"), "metrics.csv", rows)
 
 
 def cmd_noise_test(args) -> int:
     cfg = _effective_config(args)
     dataset = _load_dataset(cfg)
-    ratios = _parse_float_list(args.ratios, "--ratios")
+    ratios = _parse_list(args.ratios, "--ratios", float)
     run_dir = _run_dir(cfg, "noise-test")
     rows = experiments.noise_robustness(dataset, ratios, cfg,
                                         cutoff=args.cutoff)
-    evaluation.write_csv(os.path.join(run_dir, "noise.csv"), rows)
-    print(f"run dir: {run_dir}")
-    _print_rows(rows)
-    return 0
+    return _report(run_dir, "noise.csv", rows)
 
 
 def cmd_sparsity_report(args) -> int:
     model, cfg, dataset, splits, adj = _checkpoint_setup(args)
-    user_bounds = (_parse_int_list(args.user_bounds, "--user-bounds")
+    user_bounds = (_parse_list(args.user_bounds, "--user-bounds")
                    if args.user_bounds else None)
-    item_bounds = (_parse_int_list(args.item_bounds, "--item-bounds")
+    item_bounds = (_parse_list(args.item_bounds, "--item-bounds")
                    if args.item_bounds else None)
     if user_bounds is None and item_bounds is None:
         raise UsageError("need --user-bounds and/or --item-bounds")
     rows = experiments.sparsity_report(model, adj, splits, user_bounds,
                                        item_bounds, n=args.cutoff)
-    run_dir = _run_dir(cfg, "sparsity-report")
-    evaluation.write_csv(os.path.join(run_dir, "sparsity.csv"), rows)
-    print(f"run dir: {run_dir}")
-    _print_rows(rows)
-    return 0
+    return _report(_run_dir(cfg, "sparsity-report"), "sparsity.csv", rows)
 
 
 def cmd_ablate(args) -> int:
@@ -250,23 +232,16 @@ def cmd_ablate(args) -> int:
     run_dir = _run_dir(cfg, "ablate")
     rows = experiments.ablation_study(splits, cfg, flags=flags,
                                       cutoffs=(20, 40))
-    evaluation.write_csv(os.path.join(run_dir, "ablation.csv"), rows)
-    print(f"run dir: {run_dir}")
-    _print_rows(rows)
-    return 0
+    return _report(run_dir, "ablation.csv", rows)
 
 
 def cmd_bench(args) -> int:
     cfg = _effective_config(args)
-    sizes = _parse_int_list(args.nodes, "--nodes")
+    sizes = _parse_list(args.nodes, "--nodes")
     rows = [bench_factorization(n, cfg.hyperedges, cfg.d, cfg.heads,
                                 repeats=args.repeats, seed=cfg.seed)
             for n in sizes]
-    run_dir = _run_dir(cfg, "bench")
-    evaluation.write_csv(os.path.join(run_dir, "bench.csv"), rows)
-    print(f"run dir: {run_dir}")
-    _print_rows(rows)
-    return 0
+    return _report(_run_dir(cfg, "bench"), "bench.csv", rows)
 
 
 def cmd_colorize(args) -> int:
@@ -309,10 +284,7 @@ def cmd_sweep(args) -> int:
     splits = data_mod.split(dataset, cfg.seed)
     run_dir = _run_dir(cfg, "sweep")
     rows = experiments.sweep(splits, cfg, grid, cutoff=args.cutoff)
-    evaluation.write_csv(os.path.join(run_dir, "sweep.csv"), rows)
-    print(f"run dir: {run_dir}")
-    _print_rows(rows)
-    return 0
+    return _report(run_dir, "sweep.csv", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +364,7 @@ def main(argv=None) -> int:
             raise UsageError("missing command; expected one of "
                              + ", ".join(COMMANDS))
         return args.fn(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
+    except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure: one-line diagnostic

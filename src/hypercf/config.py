@@ -62,12 +62,6 @@ class Config:
         return 1 if "highh" in self.ablations else self.layers
 
     @property
-    def effective_lambda1(self) -> float:
-        if self.ablations & {"sal", "hyper"}:
-            return 0.0
-        return self.lambda1
-
-    @property
     def main_pair_count(self) -> int:
         return self.pairs_main or self.batch
 

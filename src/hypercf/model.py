@@ -186,17 +186,21 @@ class Model:
 
     # -- losses -----------------------------------------------------------
 
-    def pair_scores(self, state: ForwardState, users, items) -> ad.Tensor:
-        u_rows = ad.gather_rows(state.final_user, users)
-        v_rows = ad.gather_rows(state.final_item, items)
-        return transformer.predict_scores(u_rows, v_rows)
+    @staticmethod
+    def dot_pairs(user_table: ad.Tensor, item_table: ad.Tensor,
+                  users, items) -> ad.Tensor:
+        """Scores of (user, item) pairs: row dot products of the gathered
+        rows of a user table and an item table."""
+        return ad.dot_rows(ad.gather_rows(user_table, users),
+                           ad.gather_rows(item_table, items))
 
     def main_loss(self, state: ForwardState, batch) -> ad.Tensor:
         """Pairwise margin: sum of max(0, 1 - (positive - negative))."""
-        pos = self.pair_scores(state, batch.u1, batch.v1)
-        neg = self.pair_scores(state, batch.u2, batch.v2)
-        margin = ad.add_scalar(ad.scale(ad.sub(pos, neg), -1.0), 1.0)
-        return ad.sum_all(ad.hinge(margin))
+        pos = self.dot_pairs(state.final_user, state.final_item,
+                             batch.u1, batch.v1)
+        neg = self.dot_pairs(state.final_user, state.final_item,
+                             batch.u2, batch.v2)
+        return solidity.margin_loss(ad.sub(pos, neg))
 
     def _gamma_tables(self, state: ForwardState):
         slope = self.cfg.slope
@@ -210,31 +214,26 @@ class Model:
                 out.append(solidity.meta_transform(key_table, zsrc, p, slope))
         return out
 
-    def solidity_labels(self, state: ForwardState, users, items) -> ad.Tensor:
-        gamma_user, gamma_item = self._gamma_tables(state)
+    def _labels(self, gammas, users, items) -> ad.Tensor:
+        """Solidity labels of (user, item) pairs from the adapted key tables
+        ``gammas`` = (user table, item table)."""
+        gamma_user, gamma_item = gammas
         return solidity.solidity_label(
             ad.gather_rows(gamma_user, users), ad.gather_rows(gamma_item, items),
             self.solidity_head(), self.cfg.slope)
 
-    def pair_scores_fused(self, state: ForwardState, users, items) -> ad.Tensor:
-        """Local solidity estimates: dot products over the fused embeddings."""
-        return solidity.solidity_predict(ad.gather_rows(state.fused_user, users),
-                                         ad.gather_rows(state.fused_item, items))
-
     def sal_loss(self, state: ForwardState, batch) -> ad.Tensor:
-        """Solidity-ranking loss over pairs of observed edges."""
+        """Solidity-ranking loss over pairs of observed edges, scored on the
+        fused embeddings."""
         if not self.supports_solidity:
             raise RuntimeError("solidity branch disabled by ablation")
-        pred_1 = self.pair_scores_fused(state, batch.u1, batch.v1)
-        pred_2 = self.pair_scores_fused(state, batch.u2, batch.v2)
-        gamma_user, gamma_item = self._gamma_tables(state)
-        head = self.solidity_head()
-        label_1 = solidity.solidity_label(
-            ad.gather_rows(gamma_user, batch.u1),
-            ad.gather_rows(gamma_item, batch.v1), head, self.cfg.slope)
-        label_2 = solidity.solidity_label(
-            ad.gather_rows(gamma_user, batch.u2),
-            ad.gather_rows(gamma_item, batch.v2), head, self.cfg.slope)
+        pred_1 = self.dot_pairs(state.fused_user, state.fused_item,
+                                batch.u1, batch.v1)
+        pred_2 = self.dot_pairs(state.fused_user, state.fused_item,
+                                batch.u2, batch.v2)
+        gammas = self._gamma_tables(state)
+        label_1 = self._labels(gammas, batch.u1, batch.v1)
+        label_2 = self._labels(gammas, batch.u2, batch.v2)
         return solidity.sa_loss(pred_1, pred_2, label_1, label_2)
 
     def reg_loss(self) -> ad.Tensor:
@@ -246,11 +245,10 @@ class Model:
                    sal_batch=None, parts: Optional[dict] = None) -> ad.Tensor:
         main = self.main_loss(state, main_batch)
         loss = main
-        lam1 = self.cfg.effective_lambda1
         sal = None
-        if lam1 > 0.0 and sal_batch is not None:
+        if self.supports_solidity and sal_batch is not None:
             sal = self.sal_loss(state, sal_batch)
-            loss = ad.add(loss, ad.scale(sal, lam1))
+            loss = ad.add(loss, ad.scale(sal, self.cfg.lambda1))
         reg = self.reg_loss()
         loss = ad.add(loss, ad.scale(reg, self.cfg.lambda2))
         if parts is not None:
@@ -273,8 +271,6 @@ class Model:
             raise RuntimeError("solidity branch disabled by ablation")
         with ad.recording(False):
             state = self.forward(adj, training=False)
-            s = self.solidity_labels(state, edges[:, 0], edges[:, 1])
+            s = self._labels(self._gamma_tables(state),
+                             edges[:, 0], edges[:, 1])
         return s.value[:, 0].copy()
-
-    def parameter_count(self) -> int:
-        return sum(p.value.size for p in self.params.values())

@@ -1,6 +1,7 @@
 """Edge-solidity estimation: meta-network-adapted key transforms, the
-two-layer scoring head producing labels in (0, 1), local dot-product
-predictions, and the pairwise solidity-ranking loss.
+two-layer scoring head producing labels in (0, 1), and the pairwise margin
+losses: the solidity-ranking loss and the margin it shares with the main
+ranking loss.
 
 Labels come from the hypergraph side (keys and hyperedge features) and stay
 live tape nodes: the label branch trains jointly with the predictions.
@@ -90,9 +91,9 @@ def solidity_label(gamma_u: ad.Tensor, gamma_v: ad.Tensor, head: SolidityHead,
     return ad.sigmoid(ad.matmul(ad.leaky_relu(inner, slope), head.d_vec))
 
 
-def solidity_predict(user_rows: ad.Tensor, item_rows: ad.Tensor) -> ad.Tensor:
-    """Local estimate per edge: dot product of the endpoint embeddings."""
-    return ad.dot_rows(user_rows, item_rows)
+def margin_loss(x: ad.Tensor) -> ad.Tensor:
+    """Sum of max(0, 1 - x) over the entries of ``x``."""
+    return ad.sum_all(ad.hinge(ad.add_scalar(ad.scale(x, -1.0), 1.0)))
 
 
 def sa_loss(pred_1: ad.Tensor, pred_2: ad.Tensor,
@@ -108,5 +109,5 @@ def sa_loss(pred_1: ad.Tensor, pred_2: ad.Tensor,
         if t.cols != 1 or t.rows != pred_1.rows:
             raise ad.ShapeMismatchError(
                 f"sa_loss: {name} must be {pred_1.rows}x1, got {t.value.shape}")
-    product = ad.hadamard(ad.sub(pred_1, pred_2), ad.sub(label_1, label_2))
-    return ad.sum_all(ad.hinge(ad.add_scalar(ad.scale(product, -1.0), 1.0)))
+    return margin_loss(
+        ad.hadamard(ad.sub(pred_1, pred_2), ad.sub(label_1, label_2)))

@@ -146,7 +146,6 @@ def train_epoch(model: Model, adj, train_ds, optimizer: Adam,
     optimizer.lr = learning_rate(cfg.lr, cfg.decay, epoch)
     perm = rng.permutation(model.num_users)
     degrees = train_ds.user_degree()
-    need_sal = model.supports_solidity and cfg.effective_lambda1 > 0.0
 
     sums = {"loss": 0.0, "main": 0.0, "sal": 0.0, "reg": 0.0}
     batches = skipped = 0
@@ -159,7 +158,7 @@ def train_epoch(model: Model, adj, train_ds, optimizer: Adam,
         main = sample_main_pairs(train_ds, cfg.main_pair_count, rng,
                                  users=active)
         sal = (sample_sal_pairs(train_ds, cfg.sal_pair_count, rng)
-               if need_sal else None)
+               if model.supports_solidity else None)
         parts: dict = {}
         with ad.recording():
             state = model.forward(adj, training=True, dropout_rng=rng)

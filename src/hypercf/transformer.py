@@ -7,8 +7,7 @@ product is accumulated over nodes first, then applied to each query. Both
 directions (nodes to hyperedges and back) record one
 ``autodiff.linear_attention`` node per call, and ``_attend_factorized`` runs
 that primitive's numpy forward, so the attention benchmark times the kernel
-training runs. Naive reference kernels used by tests and the benchmark live
-alongside.
+training runs against a naive per-head kernel that lives alongside.
 """
 
 from __future__ import annotations
@@ -48,10 +47,6 @@ class HyperSideParams:
     h2: Optional[ad.Tensor]       # K x K second step (None: single-step mode)
     heads: int = 4
     incidence: Optional[ad.Tensor] = None  # K x N, transformer ablation only
-
-    @property
-    def num_hyperedges(self) -> int:
-        return self.incidence.rows if self.incidence is not None else self.z.rows
 
 
 def apply_map(x: ad.Tensor, w: ad.Tensor) -> ad.Tensor:
@@ -137,42 +132,9 @@ def forward(nodes0: ad.Tensor, p: HyperSideParams, num_layers: int,
     return total, first_keys, first_edges
 
 
-def predict_scores(user_vecs: ad.Tensor, item_vecs: ad.Tensor) -> ad.Tensor:
-    """Edge scores as row-wise dot products of aligned user/item matrices."""
-    return ad.dot_rows(user_vecs, item_vecs)
-
-
 # ---------------------------------------------------------------------------
-# Naive reference kernels (oracles and benchmark baselines)
+# Naive reference kernel (benchmark baseline)
 # ---------------------------------------------------------------------------
-
-def node_to_hyperedge_loops(nodes, z, k_map, v_map, heads):
-    """Per-(hyperedge, node) double loop, the definitional oracle."""
-    n, d = nodes.shape
-    num_k = z.shape[0]
-    keys = nodes @ k_map.T
-    vals = nodes @ v_map.T
-    out = np.zeros((num_k, d))
-    for lo, hi in head_slices(d, heads):
-        for k in range(num_k):
-            q = z[k, lo:hi]
-            for i in range(n):
-                out[k, lo:hi] += vals[i, lo:hi] * float(keys[i, lo:hi] @ q)
-    return out
-
-
-def hyperedge_to_node_loops(z_hat, keys, z, v_map, heads):
-    n, d = keys.shape
-    num_k = z_hat.shape[0]
-    vals = z_hat @ v_map.T
-    out = np.zeros((n, d))
-    for lo, hi in head_slices(d, heads):
-        for i in range(n):
-            q = keys[i, lo:hi]
-            for k in range(num_k):
-                out[i, lo:hi] += vals[k, lo:hi] * float(z[k, lo:hi] @ q)
-    return out
-
 
 def _attend_naive(queries, keys, vals, heads):
     """Materialize the full query-key score matrix per head (numpy-vectorized

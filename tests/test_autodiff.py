@@ -54,8 +54,9 @@ class TestForward:
         a = ad.constant(rng.normal(size=(3, 2)))
         b = ad.constant(rng.normal(size=(3, 4)))
         cat = ad.concat_cols(a, b)
-        np.testing.assert_array_equal(ad.slice_cols(cat, 0, 2).value, a.value)
-        np.testing.assert_array_equal(ad.slice_cols(cat, 2, 6).value, b.value)
+        assert cat.value.shape == (3, 6)
+        np.testing.assert_array_equal(cat.value[:, :2], a.value)
+        np.testing.assert_array_equal(cat.value[:, 2:], b.value)
 
     def test_dot_rows_loop_oracle(self):
         rng = np.random.default_rng(1)
@@ -78,31 +79,31 @@ class TestBackward:
     def test_mean_of_squares_gradient(self, float64_mode):
         x = ad.constant(np.array([[1.0, 2.0, 3.0]]))
         with ad.recording():
-            loss = ad.mean_all(ad.hadamard(x, x))
+            loss = ad.scale(ad.sum_all(ad.hadamard(x, x)), 1.0 / 3)
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, [[2.0 / 3, 4.0 / 3, 6.0 / 3]])
 
     def test_matmul_rowsum_gradient_fd(self, float64_mode):
-        # mean of row sums of x @ W: analytic grad is the broadcast row sums
-        # of W divided by the number of rows of x.
+        # sum of the entries of x @ W: analytic grad is the broadcast row
+        # sums of W.
         rng = np.random.default_rng(3)
         x = ad.constant(rng.normal(size=(4, 3)))
         w = ad.constant(rng.normal(size=(3, 5)))
         with ad.recording():
-            loss = ad.mean_all(ad.row_sum(ad.matmul(x, w)))
+            loss = ad.sum_all(ad.matmul(x, w))
         ad.backward(loss)
-        expect = np.broadcast_to(w.value.sum(axis=1), (4, 3)) / 4.0
+        expect = np.broadcast_to(w.value.sum(axis=1), (4, 3))
         np.testing.assert_allclose(x.grad, expect, rtol=1e-8)
 
         report = ad.grad_check(
-            lambda: ad.mean_all(ad.row_sum(ad.matmul(x, w))), {"x": x}, epsilon=1e-4)
+            lambda: ad.sum_all(ad.matmul(x, w)), {"x": x}, epsilon=1e-4)
         assert report.passed, str(report)
 
     def test_disconnected_parameter_stays_zero(self, float64_mode):
         x = ad.constant(np.ones((2, 2)))
         unused = ad.constant(np.ones((2, 2)))
         with ad.recording():
-            loss = ad.mean_all(x)
+            loss = ad.sum_all(x)
         ad.backward(loss)
         np.testing.assert_array_equal(unused.grad, np.zeros((2, 2)))
 
@@ -121,7 +122,7 @@ class TestBackward:
     def test_tape_cleared_after_backward(self):
         x = ad.constant(np.ones((2, 2)))
         with ad.recording():
-            loss = ad.mean_all(x)
+            loss = ad.sum_all(x)
         assert ad.tape_size() > 0
         ad.backward(loss)
         assert ad.tape_size() == 0
@@ -141,7 +142,7 @@ class TestBackward:
         def run(scaled):
             x = ad.constant(base.copy())
             with ad.recording():
-                f = ad.mean_all(ad.sigmoid(ad.matmul(x, x)))
+                f = ad.sum_all(ad.sigmoid(ad.matmul(x, x)))
                 loss = ad.scale(f, c) if scaled else f
             ad.backward(loss)
             return x.grad.copy()
@@ -153,7 +154,7 @@ class TestBackward:
             rng = np.random.default_rng(5)
             x = ad.constant(rng.normal(size=(4, 4)).astype(np.float32))
             with ad.recording():
-                loss = ad.mean_all(ad.sigmoid(ad.matmul(x, ad.transpose(x))))
+                loss = ad.sum_all(ad.sigmoid(ad.matmul(x, ad.transpose(x))))
             ad.backward(loss)
             return loss.value.copy(), x.grad.copy()
 
@@ -197,7 +198,7 @@ class TestLazyGrad:
             c = ad.concat_cols(w, w)
             r = ad.dot_rows(c, c)
             half = ad.scale(r, 0.5)
-            rs = ad.row_sum(r)  # walked before half: r adopts from row_sum
+            rs = ad.add_scalar(r, 2.0)  # walked before half: r adopts a copy
             loss = ad.sum_all(ad.add(rs, half))
         ad.backward(loss)
         nodes = [x, b, y, s, d, t, u, w, c, r, half, rs]
@@ -213,7 +214,7 @@ class TestLazyGrad:
         x = ad.constant(np.ones((2, 2)))
         with ad.recording():
             unused = ad.matmul(x, x)
-            loss = ad.mean_all(ad.sigmoid(x))
+            loss = ad.sum_all(ad.sigmoid(x))
         ad.backward(loss)
         assert unused.grad is None
         assert ad.tape_size() == 0
@@ -236,49 +237,50 @@ class TestGradCheckPerPrimitive:
         rng = np.random.default_rng(10)
         a = ad.constant(rng.normal(size=(5, 4)))
         b = ad.constant(rng.normal(size=(4, 3)))
-        self.check(lambda: ad.mean_all(ad.sigmoid(ad.matmul(a, b))), {"a": a, "b": b})
+        self.check(lambda: ad.sum_all(ad.sigmoid(ad.matmul(a, b))), {"a": a, "b": b})
 
     def test_spmm(self, float64_mode):
         rng = np.random.default_rng(11)
         s = sp.csr_matrix((rng.random((6, 5)) < 0.5) * 1.0)
         pair = (s, s.T.tocsr())
         x = ad.constant(rng.normal(size=(5, 4)))
-        self.check(lambda: ad.mean_all(ad.sigmoid(ad.spmm(pair, x))), {"x": x})
+        self.check(lambda: ad.sum_all(ad.sigmoid(ad.spmm(pair, x))), {"x": x})
 
     def test_transpose(self, float64_mode):
         rng = np.random.default_rng(12)
         a = ad.constant(rng.normal(size=(5, 4)))
         c = ad.constant(rng.normal(size=(4, 5)))
-        self.check(lambda: ad.mean_all(ad.hadamard(ad.transpose(a), c)), {"a": a})
+        self.check(lambda: ad.sum_all(ad.hadamard(ad.transpose(a), c)), {"a": a})
 
     def test_add_sub_scale(self, float64_mode):
         rng = np.random.default_rng(13)
         a = ad.constant(rng.normal(size=(5, 4)))
         b = ad.constant(rng.normal(size=(5, 4)))
         self.check(
-            lambda: ad.mean_all(ad.sigmoid(ad.scale(ad.sub(ad.add(a, b), b), 1.7))),
+            lambda: ad.sum_all(ad.sigmoid(ad.scale(ad.sub(ad.add(a, b), b), 1.7))),
             {"a": a, "b": b})
 
     def test_hadamard(self, float64_mode):
         rng = np.random.default_rng(14)
         a = ad.constant(rng.normal(size=(5, 4)))
         b = ad.constant(rng.normal(size=(5, 4)))
-        self.check(lambda: ad.mean_all(ad.hadamard(a, b)), {"a": a, "b": b})
+        self.check(lambda: ad.sum_all(ad.hadamard(a, b)), {"a": a, "b": b})
 
     def test_add_bias(self, float64_mode):
         rng = np.random.default_rng(15)
         a = ad.constant(rng.normal(size=(5, 4)))
         b = ad.constant(rng.normal(size=(1, 4)))
-        self.check(lambda: ad.mean_all(ad.sigmoid(ad.add_bias(a, b))), {"a": a, "b": b})
+        self.check(lambda: ad.sum_all(ad.sigmoid(ad.add_bias(a, b))), {"a": a, "b": b})
 
     def test_concat_slice(self, float64_mode):
+        # concat's VJP hands each operand its slice of the output gradient
         rng = np.random.default_rng(16)
         a = ad.constant(rng.normal(size=(5, 4)))
         b = ad.constant(rng.normal(size=(5, 2)))
 
         def build():
             cat = ad.concat_cols(a, b)
-            return ad.mean_all(ad.hadamard(ad.slice_cols(cat, 1, 5), ad.slice_cols(cat, 1, 5)))
+            return ad.sum_all(ad.hadamard(cat, cat))
 
         self.check(build, {"a": a, "b": b})
 
@@ -286,18 +288,21 @@ class TestGradCheckPerPrimitive:
         rng = np.random.default_rng(17)
         a = ad.constant(rng.normal(size=(5, 4)))
         idx = np.array([0, 2, 2, 4])
-        self.check(lambda: ad.mean_all(ad.sigmoid(ad.gather_rows(a, idx))), {"a": a})
+        self.check(lambda: ad.sum_all(ad.sigmoid(ad.gather_rows(a, idx))), {"a": a})
 
     def test_row_sum_mean_sum(self, float64_mode):
+        # row sums as dot products with ones; the mean as a scaled sum
         rng = np.random.default_rng(18)
         a = ad.constant(rng.normal(size=(5, 4)))
-        self.check(lambda: ad.mean_all(ad.row_sum(a)), {"a": a})
+        ones = ad.constant(np.ones((5, 4)))
+        self.check(lambda: ad.scale(ad.sum_all(ad.dot_rows(a, ones)), 1 / 20),
+                   {"a": a})
         self.check(lambda: ad.scale(ad.sum_all(ad.sigmoid(a)), 0.1), {"a": a})
 
     def test_sigmoid(self, float64_mode):
         rng = np.random.default_rng(19)
         a = ad.constant(rng.normal(size=(5, 4)))
-        self.check(lambda: ad.mean_all(ad.sigmoid(a)), {"a": a})
+        self.check(lambda: ad.sum_all(ad.sigmoid(a)), {"a": a})
 
     def test_leaky_relu(self, float64_mode):
         rng = np.random.default_rng(20)
@@ -305,39 +310,39 @@ class TestGradCheckPerPrimitive:
         vals = rng.normal(size=(5, 4))
         vals += np.where(vals >= 0, 0.2, -0.2)
         a = ad.constant(vals)
-        self.check(lambda: ad.mean_all(ad.leaky_relu(a, 0.5)), {"a": a})
+        self.check(lambda: ad.sum_all(ad.leaky_relu(a, 0.5)), {"a": a})
 
     def test_hinge(self, float64_mode):
         rng = np.random.default_rng(21)
         vals = rng.normal(size=(5, 4))
         vals += np.where(vals >= 0, 0.2, -0.2)
         a = ad.constant(vals)
-        self.check(lambda: ad.mean_all(ad.hinge(a)), {"a": a})
+        self.check(lambda: ad.sum_all(ad.hinge(a)), {"a": a})
 
     def test_dot_rows(self, float64_mode):
         rng = np.random.default_rng(22)
         a = ad.constant(rng.normal(size=(5, 4)))
         b = ad.constant(rng.normal(size=(5, 4)))
-        self.check(lambda: ad.mean_all(ad.sigmoid(ad.dot_rows(a, b))), {"a": a, "b": b})
+        self.check(lambda: ad.sum_all(ad.sigmoid(ad.dot_rows(a, b))), {"a": a, "b": b})
 
     def test_tensor_contract(self, float64_mode):
         rng = np.random.default_rng(23)
         t3 = ad.constant(rng.normal(size=(20, 3)))
         v = ad.constant(rng.normal(size=(3, 1)))
         self.check(
-            lambda: ad.mean_all(ad.sigmoid(ad.tensor_contract(t3, v, out_rows=5))),
+            lambda: ad.sum_all(ad.sigmoid(ad.tensor_contract(t3, v, out_rows=5))),
             {"t3": t3, "v": v})
 
     def test_add_scalar(self, float64_mode):
         rng = np.random.default_rng(24)
         a = ad.constant(rng.normal(size=(5, 4)))
-        self.check(lambda: ad.mean_all(ad.sigmoid(ad.add_scalar(a, 0.3))), {"a": a})
+        self.check(lambda: ad.sum_all(ad.sigmoid(ad.add_scalar(a, 0.3))), {"a": a})
 
     def test_scale_by_constant_array(self, float64_mode):
         rng = np.random.default_rng(26)
         a = ad.constant(rng.normal(size=(5, 4)))
         mask = rng.random((5, 4))
-        self.check(lambda: ad.mean_all(ad.sigmoid(ad.scale(a, mask))), {"a": a})
+        self.check(lambda: ad.sum_all(ad.sigmoid(ad.scale(a, mask))), {"a": a})
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_linear_attention(self, float64_mode, heads):
@@ -346,7 +351,7 @@ class TestGradCheckPerPrimitive:
         k = ad.constant(rng.normal(size=(5, 8)) * 0.5)
         v = ad.constant(rng.normal(size=(5, 8)) * 0.5)
         self.check(
-            lambda: ad.mean_all(ad.sigmoid(ad.linear_attention(q, k, v, heads))),
+            lambda: ad.sum_all(ad.sigmoid(ad.linear_attention(q, k, v, heads))),
             {"q": q, "k": k, "v": v})
 
     def test_sum_squares(self, float64_mode):
@@ -365,7 +370,7 @@ class TestGradCheckPerPrimitive:
         def build():
             h = ad.leaky_relu(ad.add_bias(ad.matmul(e, w), b), 0.5)
             scores = ad.dot_rows(h, e)
-            return ad.mean_all(ad.hinge(ad.add_scalar(ad.scale(scores, -1.0), 1.0)))
+            return ad.sum_all(ad.hinge(ad.add_scalar(ad.scale(scores, -1.0), 1.0)))
 
         self.check(build, {"e": e, "w": w, "b": b})
 
@@ -401,19 +406,7 @@ class TestErrors:
         with pytest.raises(ValueError, match="slope"):
             ad.leaky_relu(a, 0.0)
 
-    def test_checked_mode_rejects_nonfinite(self):
-        ad.set_checked(True)
-        try:
-            with pytest.raises(ad.NonFiniteError):
-                ad.constant(np.array([[np.nan, 1.0]]))
-            a = ad.constant(np.ones((2, 2)))
-            a.value[0, 0] = np.inf
-            with pytest.raises(ad.NonFiniteError):
-                ad.add(a, a)
-        finally:
-            ad.set_checked(False)
-
     def test_grad_check_requires_float64(self):
         a = ad.constant(np.ones((2, 2), dtype=np.float32))
         with pytest.raises(ValueError, match="float64"):
-            ad.grad_check(lambda: ad.mean_all(a), {"a": a})
+            ad.grad_check(lambda: ad.sum_all(a), {"a": a})

@@ -109,8 +109,8 @@ class TestTopoEmbed:
         def build():
             t_u, t_v = encoder.topo_embed(e_u, e_v, adj)
             f_u, f_v = encoder.fuse_inputs(e_u, e_v, t_u, t_v)
-            return ad.add(ad.mean_all(ad.sigmoid(f_u)),
-                          ad.mean_all(ad.sigmoid(f_v)))
+            return ad.add(ad.sum_all(ad.sigmoid(f_u)),
+                          ad.sum_all(ad.sigmoid(f_v)))
 
         report = ad.grad_check(build, {"e_u": e_u, "e_v": e_v}, epsilon=1e-4)
         assert report.passed, str(report)

@@ -1,5 +1,7 @@
 """Model assembly: full-loss gradients, ablation wiring, loss arithmetic."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,36 @@ class TestFullLossGradient:
         ad.backward(loss)
         decay_only = 2 * model.cfg.lambda2 * model.params["sal.T"].value
         assert not np.allclose(model.params["sal.T"].grad, decay_only)
+
+
+# public autodiff functions that record no tape node
+NON_RECORDING = frozenset({
+    "constant", "parameter", "matrix", "linear_attention_value", "grad_check",
+    "backward", "set_default_dtype", "default_dtype", "tape_size",
+    "clear_tape"})
+
+
+class TestPrimitiveCoverage:
+    def test_one_step_records_every_primitive(self, float64_mode):
+        # a primitive no model step records is dead code in the autodiff
+        model, adj, main, sal = toy_setup()
+        with ad.recording():
+            loss = model.total_loss(model.forward(adj), main, sal)
+        recorded, seen, stack = set(), set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if node.op != "leaf":
+                recorded.add(node.op)
+            stack.extend(node.parents)
+        public = {name for name, value in vars(ad).items()
+                  if inspect.isfunction(value) and not name.startswith("_")
+                  and value.__module__ == ad.__name__}
+        assert NON_RECORDING <= public
+        assert recorded == public - NON_RECORDING
+        assert len(recorded) == 19
 
 
 class TestLossComponents:
@@ -140,7 +172,7 @@ class TestAblations:
         names = self.names(ablate=("sal",))
         assert not any(n.startswith("sal.") or ".meta." in n for n in names)
         model, _, _, _ = toy_setup(ablate=("sal",))
-        assert model.cfg.effective_lambda1 == 0.0
+        assert not model.supports_solidity
 
     def test_meta_uses_plain_perceptron(self, float64_mode):
         names = self.names(ablate=("meta",))

@@ -128,20 +128,6 @@ class TestSolidityLabel:
 
 
 class TestPredictAndLoss:
-    def test_predict_trivial_values(self):
-        e1 = ad.constant([[1.0, 0.0], [0.0, 1.0]])
-        e2 = ad.constant([[0.0, 1.0], [0.0, 1.0]])
-        out = S.solidity_predict(e1, e2)
-        np.testing.assert_array_equal(out.value, [[0.0], [1.0]])
-
-    def test_predict_batch_vs_loop(self):
-        rng = np.random.default_rng(12)
-        a = rng.normal(size=(7, 5)).astype(np.float32)
-        b = rng.normal(size=(7, 5)).astype(np.float32)
-        out = S.solidity_predict(ad.constant(a), ad.constant(b))
-        for r in range(7):
-            assert abs(out.value[r, 0] - a[r] @ b[r]) < 1e-5
-
     def col(self, *vals):
         return ad.constant(np.array(vals, dtype=np.float64).reshape(-1, 1))
 
@@ -215,10 +201,10 @@ class TestPredictAndLoss:
                                     ad.gather_rows(gamma_v, vv), head)
             lab2 = S.solidity_label(ad.gather_rows(gamma_u, uu2),
                                     ad.gather_rows(gamma_v, vv2), head)
-            pr1 = S.solidity_predict(ad.gather_rows(embed_u, uu),
-                                     ad.gather_rows(embed_v, vv))
-            pr2 = S.solidity_predict(ad.gather_rows(embed_u, uu2),
-                                     ad.gather_rows(embed_v, vv2))
+            pr1 = ad.dot_rows(ad.gather_rows(embed_u, uu),
+                              ad.gather_rows(embed_v, vv))
+            pr2 = ad.dot_rows(ad.gather_rows(embed_u, uu2),
+                              ad.gather_rows(embed_v, vv2))
             return S.sa_loss(pr1, pr2, lab1, lab2)
 
         params = {"keys_u": keys_u, "keys_v": keys_v, "z_u": z_u,

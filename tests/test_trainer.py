@@ -161,7 +161,8 @@ class TestAdam:
 class TestComponentGradients:
     def test_total_grad_is_sum_of_parts(self, float64_mode):
         model, adj, main, sal = tiny_graph()
-        lam1 = model.cfg.effective_lambda1
+        assert model.supports_solidity
+        lam1 = model.cfg.lambda1
         lam2 = model.cfg.lambda2
 
         def grads_of(build):
