@@ -12,10 +12,11 @@ import tempfile
 
 from hypercf import (Config, build_normalized_adjacency, evaluate_model,
                      load_checkpoint, split, synthetic_blocks, train_on_split)
-from hypercf.trainer import build_model, save_checkpoint
+from hypercf.trainer import Progress, build_model, save_checkpoint
 
 dataset = synthetic_blocks(seed=0)
-print("dataset:", dataset.summary_text())
+print(f"dataset: {dataset.num_users} users x {dataset.num_items} items, "
+      f"{dataset.num_edges} interactions")
 
 splits = split(dataset, seed=0)
 print(f"split edges: train {splits.train.num_edges} / "
@@ -40,12 +41,16 @@ metrics = run.test_metrics((20, 40))
 for key in sorted(metrics):
     print(f"  test {key} = {metrics[key]:.4f}")
 
-# Checkpoint round trip: the restored model scores identically.
+# Checkpoint round trip: the restored model scores identically. Saved
+# without optimizer and rng state, the file can be scored but not resumed.
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "model.ckpt")
-    save_checkpoint(path, run.model, epoch=run.result.best_epoch)
-    print(f"checkpoint: {os.path.getsize(path)} bytes")
-    restored = build_model(load_checkpoint(path))
+    save_checkpoint(path, run.model, Progress(
+        epoch=run.result.best_epoch, best_epoch=run.result.best_epoch,
+        best_metric=run.result.best_metric))
+    ckpt = load_checkpoint(path)
+    print(f"checkpoint: {os.path.getsize(path)} bytes, {ckpt.progress}")
+    restored = build_model(ckpt)
     again = evaluate_model(restored, run.adj, splits.train, splits.test,
                            cutoffs=(20,))
     same = again["recall@20"] == metrics["recall@20"]

@@ -92,6 +92,13 @@ class Config:
         if self.slope <= 0:
             raise ConfigError("activation slope must be positive")
         self.ablations  # raises on unknown flags
+        for f in fields(self):
+            text = getattr(self, f.name)
+            # values the `key = value` text format could not read back
+            if isinstance(text, str) and (text != text.strip() or "#" in text
+                                          or len(text.splitlines()) > 1):
+                raise ConfigError(f"{f.name}: {text!r} has a '#', a line "
+                                  f"break, or leading or trailing whitespace")
         return self
 
 
@@ -124,8 +131,7 @@ def config_from_mapping(mapping: dict, base: Config = None) -> Config:
     for key, raw in mapping.items():
         if key not in types:
             raise ConfigError(f"unknown configuration key {key!r}")
-        updates[key] = (_parse_value(types[key], raw, key)
-                        if isinstance(raw, str) else raw)
+        updates[key] = _parse_value(types[key], raw, key)
     return replace(base, **updates)
 
 
@@ -158,17 +164,3 @@ def format_config(cfg: Config) -> str:
             value = ",".join(str(v) for v in value)
         lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"
-
-
-def config_to_mapping(cfg: Config) -> dict:
-    out = {}
-    for f in fields(Config):
-        value = getattr(cfg, f.name)
-        out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out
-
-
-def config_from_snapshot(mapping: dict) -> Config:
-    fixed = {k: tuple(v) if isinstance(v, list) else v
-             for k, v in mapping.items()}
-    return config_from_mapping(fixed)

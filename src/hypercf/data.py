@@ -64,10 +64,6 @@ class InteractionDataset:
         return len(self.edges)
 
     @property
-    def density(self) -> float:
-        return self.num_edges / (self.num_users * self.num_items)
-
-    @property
     def packed(self) -> np.ndarray:
         if self._packed is None:
             self._packed = pack_edges(self.edges, self.num_items)
@@ -103,19 +99,6 @@ class InteractionDataset:
         if not len(self.packed):
             return np.zeros(len(keys), dtype=bool)
         return self.packed[idx] == keys
-
-    def summary(self) -> dict:
-        return {
-            "users": self.num_users,
-            "items": self.num_items,
-            "interactions": self.num_edges,
-            "density": self.density,
-        }
-
-    def summary_text(self) -> str:
-        s = self.summary()
-        return (f"users={s['users']} items={s['items']} "
-                f"interactions={s['interactions']} density={s['density']:.6g}")
 
 
 def load_interactions(path: str) -> InteractionDataset:
@@ -311,8 +294,7 @@ def sample_sal_pairs(train: InteractionDataset, count: int,
     return EdgePairBatch("self-augmented", e1[:, 0], e1[:, 1], e2[:, 0], e2[:, 1])
 
 
-def inject_noise(dataset: InteractionDataset, ratio: float, rng=None,
-                 seed: int = None):
+def inject_noise(dataset: InteractionDataset, ratio: float, seed: int = 0):
     """Replace floor(ratio * E) random edges with random non-edges.
 
     Returns (noisy dataset, fake mask aligned with its edge array). The
@@ -321,15 +303,8 @@ def inject_noise(dataset: InteractionDataset, ratio: float, rng=None,
     """
     if not 0.0 <= ratio < 0.5:
         raise ValueError(f"noise ratio must be in [0, 0.5), got {ratio}")
-    if rng is None:
-        rng = spawn_rng(0 if seed is None else seed, STREAM_NOISE)
+    rng = spawn_rng(seed, STREAM_NOISE)
     n_fake = int(np.floor(ratio * dataset.num_edges))
-    if n_fake == 0:
-        out = InteractionDataset.from_edges(
-            dataset.edges.copy(), dataset.num_users, dataset.num_items,
-            dataset.user_ids, dataset.item_ids)
-        return out, np.zeros(out.num_edges, dtype=bool)
-
     drop = rng.choice(dataset.num_edges, size=n_fake, replace=False)
     keep = np.ones(dataset.num_edges, dtype=bool)
     keep[drop] = False

@@ -246,7 +246,3 @@ def write_csv(path: str, rows: list, fieldnames=None) -> None:
         writer.writeheader()
         writer.writerows(rows)
 
-
-def read_csv(path: str) -> list:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))

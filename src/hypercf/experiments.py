@@ -44,13 +44,13 @@ class TrainedRun:
 
 
 def train_on_split(splits: SplitDataset, cfg: Config, out_dir: str = None,
-                   restore_best: bool = True, log_fn=None) -> TrainedRun:
-    """Fit a fresh model on the split; optionally restore the best epoch."""
+                   log_fn=None) -> TrainedRun:
+    """Fit a fresh model on the split and restore its best epoch."""
     cfg = cfg.validate()
     adj = build_normalized_adjacency(splits.train)
     model = Model(cfg, splits.num_users, splits.num_items)
     result = fit(model, adj, splits, out_dir=out_dir, log_fn=log_fn)
-    if restore_best and result.best_values is not None:
+    if result.best_values is not None:
         load_values(model, result.best_values)
     return TrainedRun(model, adj, splits, result)
 

@@ -144,12 +144,12 @@ class Model:
 
         return mask
 
-    def forward(self, adj: Optional[NormalizedAdjacency],
+    def forward(self, adj: NormalizedAdjacency,
                 training: bool = False, dropout_rng=None) -> ForwardState:
         cfg = self.cfg
         e_user, e_item = self.params["user.embed"], self.params["item.embed"]
 
-        if "pos" in self.ablations or adj is None:
+        if "pos" in self.ablations:
             fused_user, fused_item = e_user, e_item
         else:
             topo_u, topo_v = encoder.topo_embed(e_user, e_item, adj)

@@ -1,18 +1,15 @@
-"""Seeded random number generation with portable, serializable state.
+"""Seeded random number generation.
 
-All randomness in the package flows through generators created here so that
-runs are reproducible from a single 64-bit seed. Independent consumers
+All randomness in the package flows through PCG64 generators created here so
+that runs are reproducible from a single 64-bit seed. Independent consumers
 (splitting, noise injection, training, visualization) get their own streams
 derived from the seed, so adding draws to one consumer never shifts another.
+A checkpoint stores the training stream's ``bit_generator.state``.
 """
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
-
-ALGORITHM = "pcg64"
 
 # Fixed stream ids per consumer; part of the reproducibility contract.
 STREAM_SPLIT = 0
@@ -31,17 +28,3 @@ def spawn_rng(seed: int, stream: int) -> np.random.Generator:
     """Independent generator for (seed, stream); deterministic per pair."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def state_to_json(rng: np.random.Generator) -> str:
-    state = rng.bit_generator.state
-    if state["bit_generator"] != "PCG64":
-        raise ValueError(f"unsupported generator {state['bit_generator']!r}")
-    return json.dumps(state, sort_keys=True)
-
-
-def rng_from_json(text: str) -> np.random.Generator:
-    state = json.loads(text)
-    rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = state
-    return rng

@@ -2,6 +2,10 @@
 pair sampling, per-epoch validation with best-model retention, and a binary
 checkpoint format that restores training bit-for-bit.
 
+A run's position is one ``Progress`` record: ``fit`` continues from it and
+updates it, every checkpoint stores it, and ``resume`` hands it back to
+``fit``.
+
 One optimizer, one tape, one thread. Parameter iteration order is sorted by
 name everywhere so update order (and therefore the trained result) is
 deterministic.
@@ -12,19 +16,23 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from . import evaluation
-from .config import config_from_snapshot, config_to_mapping
+from .config import format_config, parse_config_text
 from .data import sample_main_pairs, sample_sal_pairs
 from .model import Model
-from .rng import STREAM_TRAIN, rng_from_json, spawn_rng, state_to_json
+from .rng import STREAM_TRAIN, spawn_rng
 
 SELECTION_CUTOFF = 20  # validation metric used to pick the best epoch
+
+# Adam's decay rates and epsilon; fixed, so a checkpoint need not store them
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+MOMENT_PREFIX = "adam."
 
 
 class TrainingError(RuntimeError):
@@ -54,33 +62,22 @@ def learning_rate(lr0: float, decay: float, epoch: int) -> float:
 class Adam:
     """Adam with bias correction; moments live beside the parameter registry.
 
-    Decay rates 0.9/0.999 and epsilon 1e-8; all three are recorded in saved
-    checkpoints so a resumed run reproduces the original bit-for-bit. Two
-    scratch arrays per parameter hold the update's intermediates, so a step
-    allocates no arrays.
+    Decay rates BETA1/BETA2 and epsilon EPS. Two scratch arrays per
+    parameter hold the update's intermediates, so a step allocates no
+    arrays.
     """
 
-    def __init__(self, params: dict = None, lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.steps = 0
         self.m: dict = {}
         self.v: dict = {}
         self.scratch: dict = {}
-        if params is not None:
-            self.register(params)
-
-    def register(self, params: dict) -> None:
         for name in sorted(params):
             value = params[name].value
-            if name not in self.m:
-                self.m[name] = np.zeros_like(value)
-                self.v[name] = np.zeros_like(value)
-                self.scratch[name] = (np.empty_like(value),
-                                      np.empty_like(value))
+            self.m[name] = np.zeros_like(value)
+            self.v[name] = np.zeros_like(value)
+            self.scratch[name] = (np.empty_like(value), np.empty_like(value))
 
     def step(self, params: dict) -> None:
         """One update over every parameter, in sorted-name order.
@@ -90,48 +87,41 @@ class Adam:
         corrections; each operation in this order, in the parameter's dtype.
         """
         self.steps += 1
-        c1 = 1.0 - self.beta1 ** self.steps
-        c2 = 1.0 - self.beta2 ** self.steps
+        c1 = 1.0 - BETA1 ** self.steps
+        c2 = 1.0 - BETA2 ** self.steps
         for name in sorted(params):
             p = params[name]
             g = p.grad if p.grad is not None else 0.0
             m, v = self.m[name], self.v[name]
             step, denom = self.scratch[name]
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=step)
+            m *= BETA1
+            np.multiply(g, 1.0 - BETA1, out=step)
             m += step
-            v *= self.beta2
+            v *= BETA2
             np.square(g, out=step)
-            step *= 1.0 - self.beta2
+            step *= 1.0 - BETA2
             v += step
             np.divide(m, c1, out=step)
             step *= self.lr
             np.divide(v, c2, out=denom)
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += EPS
             step /= denom
             p.value -= step
 
     def moment_tensors(self) -> dict:
         out = {}
         for name in sorted(self.m):
-            out["adam.m." + name] = self.m[name]
-            out["adam.v." + name] = self.v[name]
+            out[MOMENT_PREFIX + "m." + name] = self.m[name]
+            out[MOMENT_PREFIX + "v." + name] = self.v[name]
         return out
 
-    def load_moments(self, tensors: dict, params: dict) -> None:
-        self.register(params)
-        for name in sorted(self.m):
-            for prefix, store in (("adam.m.", self.m), ("adam.v.", self.v)):
-                key = prefix + name
-                if key not in tensors:
-                    raise CheckpointError(f"checkpoint missing tensor {key!r}")
-                arr = tensors[key]
-                if arr.shape != store[name].shape:
-                    raise CheckpointError(
-                        f"shape mismatch for {key!r}: checkpoint "
-                        f"{arr.shape}, optimizer {store[name].shape}")
-                store[name][...] = arr.astype(store[name].dtype)
+    def load_moments(self, tensors: dict) -> None:
+        """Strict copy of the moment tensors among ``tensors`` (named as
+        ``moment_tensors`` names them) into this optimizer."""
+        _copy_strict(self.moment_tensors(),
+                    {name: arr for name, arr in tensors.items()
+                     if name.startswith(MOMENT_PREFIX)})
 
 
 def train_epoch(model: Model, adj, train_ds, optimizer: Adam,
@@ -186,6 +176,18 @@ def train_epoch(model: Model, adj, train_ds, optimizer: Adam,
 
 
 @dataclass
+class Progress:
+    """Where a run stands: its last finished epoch (-1 before the first),
+    the best validation epoch and metric so far, and the validations since
+    that best without improvement."""
+
+    epoch: int = -1
+    best_epoch: int = -1
+    best_metric: float = float("-inf")
+    stale: int = 0
+
+
+@dataclass
 class TrainResult:
     history: list = field(default_factory=list)
     best_epoch: int = -1
@@ -194,127 +196,129 @@ class TrainResult:
     stopped_early: bool = False
 
 
-def fit(model: Model, adj, splits, out_dir: str = None, start_epoch: int = 0,
+def fit(model: Model, adj, splits, out_dir: str = None,
         optimizer: Adam = None, rng: np.random.Generator = None,
-        best: dict = None, stale: int = 0, stop_after: int = None,
+        progress: Progress = None, stop_after: int = None,
         log_fn=None) -> TrainResult:
     """Run epochs, validate, retain the best-validation-recall parameters.
 
-    With ``out_dir`` set, writes last.ckpt every epoch (resume point) and
-    best.ckpt on improvement. ``stop_after`` caps the epoch index exclusive
-    of cfg.epochs, which lets tests interrupt and resume a run.
+    Starts after ``progress.epoch`` and updates ``progress`` as epochs
+    finish. With ``out_dir`` set, writes last.ckpt every epoch (resume
+    point) and best.ckpt on improvement. ``stop_after`` caps the epoch
+    index exclusive of cfg.epochs, which lets tests interrupt and resume a
+    run; it does not change which epochs validate.
     """
     cfg = model.cfg
     if optimizer is None:
-        optimizer = Adam(model.params, lr=cfg.lr)
+        optimizer = Adam(model.params, cfg.lr)
     if rng is None:
         rng = spawn_rng(cfg.seed, STREAM_TRAIN)
-    best = dict(best or {})
-    best.setdefault("epoch", -1)
-    best.setdefault("metric", float("-inf"))
-    best.setdefault("values", None)
+    if progress is None:
+        progress = Progress()
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
     history = []
+    best_values = None
     stopped = False
     end_epoch = cfg.epochs if stop_after is None else min(cfg.epochs,
                                                           stop_after)
-    for epoch in range(start_epoch, end_epoch):
+    for epoch in range(progress.epoch + 1, end_epoch):
         row = train_epoch(model, adj, splits.train, optimizer, rng, epoch)
         row["val_recall"] = row["val_ndcg"] = float("nan")
-        validate = (epoch % cfg.eval_every == 0 or epoch == end_epoch - 1)
+        progress.epoch = epoch
+        validate = (epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1)
         if validate and splits.validation.num_edges > 0:
             metrics = evaluation.evaluate_model(
                 model, adj, splits.train, splits.validation,
                 cutoffs=(SELECTION_CUTOFF,))
             row["val_recall"] = metrics[f"recall@{SELECTION_CUTOFF}"]
             row["val_ndcg"] = metrics[f"ndcg@{SELECTION_CUTOFF}"]
-            if row["val_recall"] > best["metric"]:
-                best = {"epoch": epoch, "metric": row["val_recall"],
-                        "values": {name: p.value.copy()
-                                   for name, p in model.params.items()}}
-                stale = 0
+            if row["val_recall"] > progress.best_metric:
+                progress.best_epoch = epoch
+                progress.best_metric = row["val_recall"]
+                progress.stale = 0
+                best_values = {name: p.value.copy()
+                               for name, p in model.params.items()}
                 if out_dir:
                     save_checkpoint(os.path.join(out_dir, "best.ckpt"),
-                                    model, optimizer=optimizer, epoch=epoch,
-                                    rng=rng, extra=_best_extra(best, stale))
+                                    model, progress, optimizer, rng)
             else:
-                stale += 1
+                progress.stale += 1
         history.append(row)
         if log_fn is not None:
             log_fn(row)
         if out_dir:
             save_checkpoint(os.path.join(out_dir, "last.ckpt"), model,
-                            optimizer=optimizer, epoch=epoch, rng=rng,
-                            extra=_best_extra(best, stale))
-        if cfg.patience > 0 and stale > cfg.patience:
+                            progress, optimizer, rng)
+        if cfg.patience > 0 and progress.stale > cfg.patience:
             stopped = True
             break
-    return TrainResult(history, best["epoch"], best["metric"],
-                       best.get("values"), stopped)
+    return TrainResult(history, progress.best_epoch, progress.best_metric,
+                       best_values, stopped)
 
 
-def _best_extra(best: dict, stale: int) -> dict:
-    return {"best_epoch": best["epoch"], "best_metric": best["metric"],
-            "stale": stale}
+def _copy_strict(targets: dict, values: dict) -> None:
+    """Strict copy of plain arrays into the same-named target arrays; any
+    missing, unexpected, or reshaped array is an error."""
+    for name, target in targets.items():
+        if name not in values:
+            raise CheckpointError(f"missing value for {name!r}")
+        arr = np.asarray(values[name])
+        if arr.shape != target.shape:
+            raise CheckpointError(
+                f"shape mismatch for {name!r}: value {arr.shape}, "
+                f"target {target.shape}")
+        target[...] = arr.astype(target.dtype)
+    unexpected = sorted(set(values) - set(targets))
+    if unexpected:
+        raise CheckpointError(
+            f"values for tensors the target does not hold: {unexpected[:3]}")
 
 
 def load_values(model: Model, values: dict) -> None:
-    """Strict copy of plain arrays (a checkpoint's parameters or a retained
-    best epoch) into a model; any missing, unexpected, or reshaped tensor is
-    an error."""
-    for name, p in model.params.items():
-        if name not in values:
-            raise CheckpointError(f"missing value for parameter {name!r}")
-        arr = np.asarray(values[name])
-        if arr.shape != p.value.shape:
-            raise CheckpointError(
-                f"shape mismatch for {name!r}: value {arr.shape}, "
-                f"model {p.value.shape}")
-        p.value[...] = arr.astype(p.value.dtype)
-    unexpected = sorted(set(values) - set(model.params))
-    if unexpected:
-        raise CheckpointError(
-            f"values for tensors the model does not hold: {unexpected[:3]}")
+    """Strict copy of a checkpoint's parameters or a retained best epoch
+    into a model."""
+    _copy_strict({name: p.value for name, p in model.params.items()}, values)
 
 
 # ---------------------------------------------------------------------------
 # Checkpoint format
 #
-# magic "SHTCKPT1", uint32 tensor count, then per tensor: uint16 name length,
+# magic "SHTCKPT2", uint32 tensor count, then per tensor: uint16 name length,
 # utf-8 name, uint8 rank, uint32 per-dim sizes, float32 row-major data; then
-# a length-prefixed utf-8 config snapshot (JSON) and a length-prefixed rng
-# state block. All integers little-endian.
+# one length-prefixed utf-8 JSON record: the `format_config` text, users,
+# items, the Progress fields, Adam's step count and the rng's
+# `bit_generator.state` (the last two null when not saved). All integers
+# little-endian. Files of any other magic, SHTCKPT1 included, are refused.
 # ---------------------------------------------------------------------------
 
-MAGIC = b"SHTCKPT1"
+MAGIC = b"SHTCKPT2"
 
 
 @dataclass
 class Checkpoint:
     tensors: dict
-    snapshot: dict
-    rng_json: str
+    record: dict
 
     @property
     def config(self):
-        return config_from_snapshot(self.snapshot["config"])
+        return parse_config_text(self.record["config"])
 
     @property
-    def epoch(self) -> int:
-        return int(self.snapshot["epoch"])
-
-    @property
-    def extra(self) -> dict:
-        return self.snapshot.get("extra", {})
+    def progress(self) -> Progress:
+        return Progress(**self.record["progress"])
 
     def parameters(self) -> dict:
         return {name: arr for name, arr in self.tensors.items()
-                if not name.startswith("adam.")}
+                if not name.startswith(MOMENT_PREFIX)}
 
     def rng(self):
-        return rng_from_json(self.rng_json) if self.rng_json else None
+        if self.record["rng"] is None:
+            return None
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = self.record["rng"]
+        return rng
 
 
 def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
@@ -328,30 +332,27 @@ def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
     return header + arr.tobytes()
 
 
-def save_checkpoint(path: str, model: Model, optimizer: Adam = None,
-                    epoch: int = 0, rng=None, extra: dict = None) -> None:
+def save_checkpoint(path: str, model: Model, progress: Progress = None,
+                    optimizer: Adam = None, rng=None) -> None:
+    """Write the model's parameters and the run state; a file saved with
+    an optimizer and an rng can be resumed."""
     tensors = {name: p.value for name, p in model.params.items()}
     if optimizer is not None:
         tensors.update(optimizer.moment_tensors())
-    snapshot = {
-        "config": config_to_mapping(model.cfg),
+    record = {
+        "config": format_config(model.cfg),
         "users": model.num_users,
         "items": model.num_items,
-        "epoch": int(epoch),
-        "optimizer": None if optimizer is None else {
-            "steps": optimizer.steps, "lr": optimizer.lr,
-            "beta1": optimizer.beta1, "beta2": optimizer.beta2,
-            "eps": optimizer.eps},
-        "extra": extra or {},
+        "progress": asdict(progress or Progress()),
+        "adam_steps": None if optimizer is None else optimizer.steps,
+        "rng": None if rng is None else rng.bit_generator.state,
     }
     blob = bytearray(MAGIC)
     blob += struct.pack("<I", len(tensors))
     for name in sorted(tensors):
         blob += _pack_tensor(name, tensors[name])
-    config_block = json.dumps(snapshot, sort_keys=True).encode("utf-8")
-    blob += struct.pack("<I", len(config_block)) + config_block
-    rng_block = (state_to_json(rng) if rng is not None else "").encode("utf-8")
-    blob += struct.pack("<I", len(rng_block)) + rng_block
+    record_block = json.dumps(record, sort_keys=True).encode("utf-8")
+    blob += struct.pack("<I", len(record_block)) + record_block
 
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
@@ -380,7 +381,8 @@ def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "rb") as fh:
         reader = _Reader(fh.read(), path)
     if reader.take(len(MAGIC)) != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+        raise CheckpointError(f"{path}: not a {MAGIC.decode()} checkpoint "
+                              f"file (bad magic)")
     (count,) = reader.unpack("<I")
     tensors = {}
     for _ in range(count):
@@ -391,18 +393,16 @@ def load_checkpoint(path: str) -> Checkpoint:
         size = int(np.prod(dims, dtype=np.int64)) if rank else 1
         raw = reader.take(4 * size)
         tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
-    (config_len,) = reader.unpack("<I")
-    snapshot = json.loads(reader.take(config_len).decode("utf-8"))
-    (rng_len,) = reader.unpack("<I")
-    rng_json = reader.take(rng_len).decode("utf-8")
+    (record_len,) = reader.unpack("<I")
+    record = json.loads(reader.take(record_len).decode("utf-8"))
     if reader.off != len(reader.data):
         raise CheckpointError(f"{path}: trailing bytes after checkpoint")
-    return Checkpoint(tensors, snapshot, rng_json)
+    return Checkpoint(tensors, record)
 
 
 def build_model(ckpt: Checkpoint) -> Model:
-    model = Model(ckpt.config, int(ckpt.snapshot["users"]),
-                  int(ckpt.snapshot["items"]))
+    model = Model(ckpt.config, int(ckpt.record["users"]),
+                  int(ckpt.record["items"]))
     load_values(model, ckpt.parameters())
     return model
 
@@ -411,28 +411,20 @@ def resume(source, adj, splits, out_dir: str = None, stop_after: int = None,
            log_fn=None):
     """Continue a run from a checkpoint; returns (model, TrainResult).
 
-    Bit-identical to the uninterrupted run: parameters, Adam moments, the
-    epoch counter, the rng stream, and the early-stop bookkeeping all come
-    from the file.
+    Bit-identical to the uninterrupted run: parameters, Adam moments and
+    step count, the rng stream and the run's Progress all come from the
+    file. The learning rate follows from the schedule.
     """
     ckpt = load_checkpoint(source) if isinstance(source, str) else source
-    model = build_model(ckpt)
-    opt_snap = ckpt.snapshot.get("optimizer")
-    if opt_snap is None:
-        raise CheckpointError("checkpoint has no optimizer state to resume")
-    optimizer = Adam(model.params, lr=opt_snap["lr"], beta1=opt_snap["beta1"],
-                     beta2=opt_snap["beta2"], eps=opt_snap["eps"])
-    optimizer.steps = int(opt_snap["steps"])
-    optimizer.load_moments(ckpt.tensors, model.params)
     rng = ckpt.rng()
-    if rng is None:
-        raise CheckpointError("checkpoint has no rng state to resume")
-    extra = ckpt.extra
-    best = {"epoch": int(extra.get("best_epoch", -1)),
-            "metric": float(extra.get("best_metric", float("-inf"))),
-            "values": None}
-    result = fit(model, adj, splits, out_dir=out_dir,
-                 start_epoch=ckpt.epoch + 1, optimizer=optimizer, rng=rng,
-                 best=best, stale=int(extra.get("stale", 0)),
-                 stop_after=stop_after, log_fn=log_fn)
+    if ckpt.record["adam_steps"] is None or rng is None:
+        raise CheckpointError(
+            "checkpoint has no optimizer and rng state to resume")
+    model = build_model(ckpt)
+    optimizer = Adam(model.params, model.cfg.lr)
+    optimizer.steps = int(ckpt.record["adam_steps"])
+    optimizer.load_moments(ckpt.tensors)
+    result = fit(model, adj, splits, out_dir=out_dir, optimizer=optimizer,
+                 rng=rng, progress=ckpt.progress, stop_after=stop_after,
+                 log_fn=log_fn)
     return model, result

@@ -1,6 +1,7 @@
 """Command-line tests: exit codes, override precedence, artifact layout,
 and the cross-command reproduction contracts."""
 
+import csv
 import os
 import re
 
@@ -9,11 +10,15 @@ import pytest
 
 from hypercf import data as D
 from hypercf.cli import main
-from hypercf.evaluation import read_csv
 
 FAST = ["--d", "8", "--hyperedges", "4", "--heads", "2", "--batch", "32",
         "--epochs", "2", "--lambda1", "1e-2", "--lambda2", "1e-4",
         "--seed", "0"]
+
+
+def read_csv(path: str) -> list:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def run_dir_of(out: str) -> str:

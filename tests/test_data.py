@@ -17,7 +17,6 @@ class TestLoad:
         p = write_lines(tmp_path / "x.tsv", ["a\tx", "a\ty", "b\tx"])
         ds = D.load_interactions(p)
         assert (ds.num_users, ds.num_items, ds.num_edges) == (2, 2, 3)
-        assert ds.density == 0.75
         assert ds.user_ids == ["a", "b"] and ds.item_ids == ["x", "y"]
 
     def test_duplicate_line_deduplicated(self, tmp_path):
@@ -37,11 +36,6 @@ class TestLoad:
         p = write_lines(tmp_path / "x.tsv", ["# nothing"])
         with pytest.raises(D.DataError, match="no interactions"):
             D.load_interactions(p)
-
-    def test_summary_shape(self, tmp_path):
-        p = write_lines(tmp_path / "x.tsv", ["a\tx", "a\ty", "b\tx"])
-        s = D.load_interactions(p).summary()
-        assert set(s) == {"users", "items", "interactions", "density"}
 
 
 class TestSplit:

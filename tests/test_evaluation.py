@@ -1,5 +1,6 @@
 """Ranking metrics against a brute-force reference and hand-worked values."""
 
+import csv
 import math
 
 import numpy as np
@@ -315,7 +316,8 @@ class TestReports:
                 {"epoch": 1, "recall": 0.25, "ndcg": 0.5}]
         path = str(tmp_path / "metrics.csv")
         E.write_csv(path, rows)
-        back = E.read_csv(path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            back = list(csv.DictReader(fh))
         assert [float(r["recall"]) for r in back] == [0.125, 0.25]
         with open(path, "rb") as fh:
             raw = fh.read()

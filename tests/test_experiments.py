@@ -9,6 +9,8 @@ from hypercf.config import ABLATIONS, Config
 from hypercf.experiments import (ablation_study, ablation_variants,
                                  noise_robustness, sparsity_report, sweep,
                                  train_on_split)
+from hypercf.model import Model
+from hypercf.trainer import fit
 
 
 def tiny_config(**overrides):
@@ -35,14 +37,16 @@ class TestTrainOnSplit:
 
     def test_restore_best_changes_parameters(self, tiny_splits):
         cfg = tiny_config(epochs=3)
-        kept = train_on_split(tiny_splits, cfg, restore_best=True)
-        last = train_on_split(tiny_splits, cfg, restore_best=False)
-        assert kept.result.best_epoch == last.result.best_epoch
+        kept = train_on_split(tiny_splits, cfg)
+        last = Model(cfg, tiny_splits.num_users, tiny_splits.num_items)
+        result = fit(last, D.build_normalized_adjacency(tiny_splits.train),
+                     tiny_splits)
+        assert kept.result.best_epoch == result.best_epoch
         name = "user.embed"
         best = kept.result.best_values[name]
         assert np.array_equal(kept.model.params[name].value, best)
         if kept.result.best_epoch < 2:
-            assert not np.array_equal(last.model.params[name].value, best)
+            assert not np.array_equal(last.params[name].value, best)
 
 
 class TestNoiseRobustness:

@@ -114,7 +114,7 @@ class TestAdam:
         m = {n: np.zeros_like(v) for n, v in ref.items()}
         v = {n: np.zeros_like(val) for n, val in ref.items()}
         opt = T.Adam(params, lr=3e-3)
-        b1, b2, eps, lr = opt.beta1, opt.beta2, opt.eps, opt.lr
+        b1, b2, eps, lr = T.BETA1, T.BETA2, T.EPS, opt.lr
         for step in range(1, 7):
             for p in params.values():
                 scale = 10.0 ** rng.integers(-4, 4, size=p.value.shape)
@@ -153,7 +153,7 @@ class TestAdam:
         stored = opt.moment_tensors()
         assert set(stored) == {"adam.m.x", "adam.v.x"}
         opt2 = T.Adam({"x": x}, lr=0.1)
-        opt2.load_moments(stored, {"x": x})
+        opt2.load_moments(stored)
         assert np.array_equal(opt2.m["x"], opt.m["x"])
         assert np.array_equal(opt2.v["x"], opt.v["x"])
 
@@ -272,16 +272,18 @@ class TestCheckpointFormat:
         rng = spawn_rng(0, STREAM_TRAIN)
         T.train_epoch(model, adj, splits.train, opt, rng, epoch=0)
         path = str(tmp_path / "model.ckpt")
-        T.save_checkpoint(path, model, optimizer=opt, epoch=0, rng=rng,
-                          extra={"note": 1})
+        T.save_checkpoint(path, model, self.PROGRESS, opt, rng)
         return model, opt, rng, path
+
+    PROGRESS = T.Progress(epoch=0, best_epoch=0, best_metric=0.25, stale=1)
 
     def test_round_trip_values(self, tmp_path):
         model, opt, rng, path = self.trained(tmp_path)
         ckpt = T.load_checkpoint(path)
-        assert ckpt.epoch == 0
+        assert ckpt.progress == self.PROGRESS
         assert ckpt.config == model.cfg
-        assert ckpt.snapshot["users"] == model.num_users
+        assert ckpt.record["users"] == model.num_users
+        assert ckpt.record["adam_steps"] == opt.steps
         for name, p in model.params.items():
             assert np.array_equal(ckpt.tensors[name], p.value)
         for name, arr in opt.moment_tensors().items():
@@ -296,11 +298,10 @@ class TestCheckpointFormat:
         ckpt = T.load_checkpoint(path)
         model2 = T.build_model(ckpt)
         opt2 = T.Adam(model2.params, lr=opt.lr)
-        opt2.steps = ckpt.snapshot["optimizer"]["steps"]
-        opt2.load_moments(ckpt.tensors, model2.params)
+        opt2.steps = ckpt.record["adam_steps"]
+        opt2.load_moments(ckpt.tensors)
         path2 = str(tmp_path / "again.ckpt")
-        T.save_checkpoint(path2, model2, optimizer=opt2, epoch=ckpt.epoch,
-                          rng=ckpt.rng(), extra=ckpt.extra)
+        T.save_checkpoint(path2, model2, ckpt.progress, opt2, ckpt.rng())
         with open(path, "rb") as fh:
             first = fh.read()
         with open(path2, "rb") as fh:
@@ -311,6 +312,16 @@ class TestCheckpointFormat:
         path = str(tmp_path / "junk.ckpt")
         with open(path, "wb") as fh:
             fh.write(b"NOTACKPTjunkjunkjunk")
+        with pytest.raises(T.CheckpointError, match="magic"):
+            T.load_checkpoint(path)
+
+    def test_first_format_magic_rejected(self, tmp_path):
+        # SHTCKPT1 files stored the run state in three places; none is read
+        _, _, _, path = self.trained(tmp_path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(b"SHTCKPT1" + data[len(T.MAGIC):])
         with pytest.raises(T.CheckpointError, match="magic"):
             T.load_checkpoint(path)
 
@@ -329,6 +340,18 @@ class TestCheckpointFormat:
         other, _, _ = small_setup(d=16)
         with pytest.raises(T.CheckpointError, match="shape mismatch"):
             T.load_values(other, ckpt.parameters())
+
+    def test_moment_shape_mismatch_names_tensor(self, tmp_path):
+        _, opt, _, path = self.trained(tmp_path)
+        tensors = T.load_checkpoint(path).tensors
+        tensors["adam.v.user.embed"] = tensors["adam.v.user.embed"][:-1]
+        with pytest.raises(T.CheckpointError,
+                           match="shape mismatch for 'adam.v.user.embed'"):
+            opt.load_moments(tensors)
+        del tensors["adam.v.user.embed"]
+        with pytest.raises(T.CheckpointError,
+                           match="missing value for 'adam.v.user.embed'"):
+            opt.load_moments(tensors)
 
     def test_missing_and_unexpected_tensors(self, tmp_path):
         _, _, _, path = self.trained(tmp_path, ablate=("sal",))
@@ -395,9 +418,36 @@ class TestFitAndResume:
     def test_resume_requires_optimizer_state(self, tmp_path):
         model, adj, splits = small_setup()
         path = str(tmp_path / "bare.ckpt")
-        T.save_checkpoint(path, model, epoch=0, rng=None)
+        T.save_checkpoint(path, model)
         with pytest.raises(T.CheckpointError, match="optimizer"):
             T.resume(path, adj, splits)
+
+    def test_resume_equals_uninterrupted_with_sparse_validation(self,
+                                                                tmp_path):
+        # validation runs on every third epoch and on the schedule's last
+        # epoch, wherever a run was interrupted
+        def validated(history):
+            return {r["epoch"]: r["val_recall"] for r in history
+                    if not math.isnan(r["val_recall"])}
+
+        overrides = dict(epochs=6, eval_every=3, patience=1)
+        model_a, adj, splits = small_setup(**overrides)
+        result_a = T.fit(model_a, adj, splits)
+
+        model_b, adj_b, splits_b = small_setup(**overrides)
+        out = str(tmp_path / "interrupted")
+        part1 = T.fit(model_b, adj_b, splits_b, out_dir=out, stop_after=2)
+        model_b2, part2 = T.resume(os.path.join(out, "last.ckpt"),
+                                   adj_b, splits_b)
+
+        history = part1.history + part2.history
+        assert [r["epoch"] for r in history] == \
+            [r["epoch"] for r in result_a.history]
+        assert validated(history) == validated(result_a.history)
+        assert part2.best_epoch == result_a.best_epoch
+        assert part2.stopped_early == result_a.stopped_early
+        for name, p in model_a.params.items():
+            assert np.array_equal(p.value, model_b2.params[name].value), name
 
     def test_load_values_restores_best(self):
         model, adj, splits = small_setup(epochs=2)
