@@ -321,7 +321,9 @@ def sigmoid(a: Tensor) -> Tensor:
 def leaky_relu(a: Tensor, slope: float) -> Tensor:
     if not slope > 0:
         raise ValueError(f"leaky_relu: slope must be positive, got {slope}")
-    mask = np.where(a.value > 0, 1.0, slope).astype(a.value.dtype)
+    # two-entry lookup on the sign test: (slope, 1) indexed by x > 0
+    mask = np.array([slope, 1.0], dtype=a.value.dtype).take(
+        (a.value > 0).view(np.uint8))
 
     def vjp(g):
         _accumulate(a, g * mask)

@@ -243,20 +243,25 @@ def sample_main_pairs(train: InteractionDataset, count: int,
     """
     if count < 1:
         raise ValueError(f"pair count must be >= 1, got {count}")
+    ptr = train._ptr()
     if users is not None:
-        mask = np.isin(train.edges[:, 0], users)
-        pool = np.flatnonzero(mask)
-        if not len(pool):
+        # the batch's edges, in edge order: each distinct user's CSR range
+        batch = np.unique(users)
+        starts, lengths = ptr[batch], ptr[batch + 1] - ptr[batch]
+        if not lengths.sum():
             raise SamplingError("no training edges for the sampled user batch")
+        ends = np.cumsum(lengths)
+        pool = np.arange(ends[-1]) + np.repeat(starts - (ends - lengths),
+                                               lengths)
         rows = pool[rng.integers(0, len(pool), size=count)]
     else:
         rows = rng.integers(0, train.num_edges, size=count)
     u = train.edges[rows, 0]
     v_pos = train.edges[rows, 1]
 
-    degrees = train.user_degree()
-    if np.any(degrees[u] >= train.num_items):
-        full = int(u[degrees[u] >= train.num_items][0])
+    degrees = ptr[u + 1] - ptr[u]
+    if np.any(degrees >= train.num_items):
+        full = int(u[degrees >= train.num_items][0])
         raise SamplingError(
             f"user {full} interacted with every item; no negative exists")
 

@@ -22,16 +22,28 @@ from .rng import STREAM_INIT, spawn_rng
 
 @dataclass
 class ForwardState:
-    """Tensors produced by one recorded forward pass over the whole graph."""
+    """The whole-graph part of one recorded forward pass.
+
+    Prediction embeddings are not tables here: ``Model.final_rows`` reads
+    out the rows a loss needs from each side's transformer tail, and the
+    label branch adapts only the key rows it scores.
+    """
 
     fused_user: ad.Tensor          # local embeddings (id + topology)
     fused_item: ad.Tensor
-    final_user: ad.Tensor          # prediction embeddings
-    final_item: ad.Tensor
+    tail_user: Optional[transformer.Tail]   # None: graph-only ablation
+    tail_item: Optional[transformer.Tail]
     keys_user: Optional[ad.Tensor]     # label-branch inputs (None: no SAL)
     keys_item: Optional[ad.Tensor]
     zsrc_user: Optional[ad.Tensor]     # hyperedge summary source per side
     zsrc_item: Optional[ad.Tensor]
+
+
+def _compact(*indices):
+    """The sorted distinct values of the index arrays ``indices`` and, per
+    array, the position of each entry among them."""
+    rows, inverse = np.unique(np.concatenate(indices), return_inverse=True)
+    return rows, np.split(inverse, np.cumsum([len(a) for a in indices[:-1]]))
 
 
 class Model:
@@ -157,32 +169,46 @@ class Model:
                 e_user, e_item, topo_u, topo_v)
 
         if "hyper" in self.ablations:
-            return ForwardState(fused_user, fused_item, fused_user, fused_item,
+            return ForwardState(fused_user, fused_item, None, None,
                                 None, None, None, None)
 
         drop = self._dropout_fn(training, dropout_rng)
-        finals, keys, zfeats = {}, {}, {}
-        for side, fused in (("user", fused_user), ("item", fused_item)):
-            total, first_keys, first_edges = transformer.forward(
-                fused, self.transformer_params(side), cfg.effective_layers,
-                cfg.slope, dropout_mask=drop)
-            if cfg.include_input_in_sum:
-                total = ad.add(total, fused)
-            finals[side] = total
-            keys[side] = first_keys
-            zfeats[side] = first_edges
+        tail_user, tail_item = (
+            transformer.forward(fused, self.transformer_params(side),
+                                cfg.effective_layers, cfg.slope,
+                                dropout_mask=drop)
+            for side, fused in (("user", fused_user), ("item", fused_item)))
 
         if "trans" in self.ablations:
             # no key transform exists; labels read the fused embeddings and
             # summarize the computed first-layer hyperedge features instead
             key_user, key_item = fused_user, fused_item
-            zsrc_user, zsrc_item = zfeats["user"], zfeats["item"]
+            zsrc_user, zsrc_item = tail_user.first_edges, tail_item.first_edges
         else:
-            key_user, key_item = keys["user"], keys["item"]
+            key_user, key_item = tail_user.first_keys, tail_item.first_keys
             zsrc_user = self.params["user.hyper.Z"]
             zsrc_item = self.params["item.hyper.Z"]
-        return ForwardState(fused_user, fused_item, finals["user"], finals["item"],
+        return ForwardState(fused_user, fused_item, tail_user, tail_item,
                             key_user, key_item, zsrc_user, zsrc_item)
+
+    def final_rows(self, state: ForwardState, side: str,
+                   rows=None) -> ad.Tensor:
+        """Prediction embeddings of one side's nodes ``rows`` (every node
+        when None), read out of that side's transformer tail."""
+        if side == "user":
+            fused, tail = state.fused_user, state.tail_user
+        else:
+            fused, tail = state.fused_item, state.tail_item
+
+        def pick(t: ad.Tensor) -> ad.Tensor:
+            return t if rows is None else ad.gather_rows(t, rows)
+
+        if tail is None:
+            return pick(fused)
+        out = transformer.readout(tail, self.transformer_params(side), rows)
+        if self.cfg.include_input_in_sum:
+            out = ad.add(out, pick(fused))
+        return out
 
     # -- losses -----------------------------------------------------------
 
@@ -195,28 +221,38 @@ class Model:
                            ad.gather_rows(item_table, items))
 
     def main_loss(self, state: ForwardState, batch) -> ad.Tensor:
-        """Pairwise margin: sum of max(0, 1 - (positive - negative))."""
-        pos = self.dot_pairs(state.final_user, state.final_item,
-                             batch.u1, batch.v1)
-        neg = self.dot_pairs(state.final_user, state.final_item,
-                             batch.u2, batch.v2)
+        """Pairwise margin: sum of max(0, 1 - (positive - negative)).
+
+        Final embeddings are read out only for the distinct users and items
+        of the batch; pair scores gather from those rows.
+        """
+        users, (u1, u2) = _compact(batch.u1, batch.u2)
+        items, (v1, v2) = _compact(batch.v1, batch.v2)
+        final_user = self.final_rows(state, "user", users)
+        final_item = self.final_rows(state, "item", items)
+        pos = self.dot_pairs(final_user, final_item, u1, v1)
+        neg = self.dot_pairs(final_user, final_item, u2, v2)
         return solidity.margin_loss(ad.sub(pos, neg))
 
-    def _gamma_tables(self, state: ForwardState):
+    def _gamma_rows(self, state: ForwardState, users, items):
+        """Adapted keys of the nodes ``users`` and ``items``, one table per
+        side, each row transformed once."""
         slope = self.cfg.slope
         out = []
-        for side, key_table, zsrc in (("user", state.keys_user, state.zsrc_user),
-                                      ("item", state.keys_item, state.zsrc_item)):
+        for side, key_table, zsrc, rows in (
+                ("user", state.keys_user, state.zsrc_user, users),
+                ("item", state.keys_item, state.zsrc_item, items)):
             p = self.meta_params(side)
+            keys = ad.gather_rows(key_table, rows)
             if "meta" in self.ablations:
-                out.append(solidity.plain_transform(key_table, p, slope))
+                out.append(solidity.plain_transform(keys, p, slope))
             else:
-                out.append(solidity.meta_transform(key_table, zsrc, p, slope))
+                out.append(solidity.meta_transform(keys, zsrc, p, slope))
         return out
 
     def _labels(self, gammas, users, items) -> ad.Tensor:
-        """Solidity labels of (user, item) pairs from the adapted key tables
-        ``gammas`` = (user table, item table)."""
+        """Solidity labels of (user, item) pairs, given as row positions in
+        the adapted key tables ``gammas`` = (user table, item table)."""
         gamma_user, gamma_item = gammas
         return solidity.solidity_label(
             ad.gather_rows(gamma_user, users), ad.gather_rows(gamma_item, items),
@@ -224,16 +260,19 @@ class Model:
 
     def sal_loss(self, state: ForwardState, batch) -> ad.Tensor:
         """Solidity-ranking loss over pairs of observed edges, scored on the
-        fused embeddings."""
+        fused embeddings. Labels adapt only the distinct key rows of the
+        batch's users and items."""
         if not self.supports_solidity:
             raise RuntimeError("solidity branch disabled by ablation")
         pred_1 = self.dot_pairs(state.fused_user, state.fused_item,
                                 batch.u1, batch.v1)
         pred_2 = self.dot_pairs(state.fused_user, state.fused_item,
                                 batch.u2, batch.v2)
-        gammas = self._gamma_tables(state)
-        label_1 = self._labels(gammas, batch.u1, batch.v1)
-        label_2 = self._labels(gammas, batch.u2, batch.v2)
+        users, (u1, u2) = _compact(batch.u1, batch.u2)
+        items, (v1, v2) = _compact(batch.v1, batch.v2)
+        gammas = self._gamma_rows(state, users, items)
+        label_1 = self._labels(gammas, u1, v1)
+        label_2 = self._labels(gammas, u2, v2)
         return solidity.sa_loss(pred_1, pred_2, label_1, label_2)
 
     def reg_loss(self) -> ad.Tensor:
@@ -263,7 +302,9 @@ class Model:
         """Prediction embeddings as plain arrays, recording disabled."""
         with ad.recording(False):
             state = self.forward(adj, training=False)
-        return state.final_user.value.copy(), state.final_item.value.copy()
+            user = self.final_rows(state, "user")
+            item = self.final_rows(state, "item")
+        return user.value.copy(), item.value.copy()
 
     def solidity_of_edges(self, adj, edges: np.ndarray) -> np.ndarray:
         """Label-branch scores for given (user, item) rows, tape-free."""
@@ -271,6 +312,7 @@ class Model:
             raise RuntimeError("solidity branch disabled by ablation")
         with ad.recording(False):
             state = self.forward(adj, training=False)
-            s = self._labels(self._gamma_tables(state),
-                             edges[:, 0], edges[:, 1])
+            users, (u,) = _compact(edges[:, 0])
+            items, (v,) = _compact(edges[:, 1])
+            s = self._labels(self._gamma_rows(state, users, items), u, v)
         return s.value[:, 0].copy()

@@ -1,6 +1,12 @@
 """Hypergraph transformer: linear multi-head attention between nodes and
 learnable hyperedges, hierarchical hyperedge mixing, and stacked propagation.
 
+The stack is split in two. :func:`forward` needs the whole graph: it runs
+every layer but the last in full, and the last only up to its hyperedge
+features. :func:`readout` then forms final embeddings for just the rows a
+caller asks for, since in softmax-free attention an output row depends only
+on its own query row and a shared summary.
+
 Attention is dot-product without softmax, which permits the factorized
 evaluation order of linear attention: each head's (d/H)x(d/H) key-value
 product is accumulated over nodes first, then applied to each query. Both
@@ -60,14 +66,15 @@ def node_to_hyperedge(nodes: ad.Tensor, p: HyperSideParams):
     Per head, each hyperedge query (a slice of its embedding) is applied to
     the key-value summary accumulated over all nodes. Returns the K x d
     hyperedge features and the N x d key matrix (reused by the reverse pass
-    and by the self-augmentation module).
+    and by the self-augmentation module). In the transformer ablation the
+    N x K incidence columns take the keys' place.
     """
     if p.incidence is not None:
         if p.incidence.cols != nodes.rows:
             raise ad.ShapeMismatchError(
                 f"node_to_hyperedge: incidence {p.incidence.shape} vs "
                 f"nodes {nodes.value.shape}")
-        return ad.matmul(p.incidence, nodes), nodes
+        return ad.matmul(p.incidence, nodes), ad.transpose(p.incidence)
     if p.k_map.rows != nodes.cols:
         raise ad.ShapeMismatchError(
             f"node_to_hyperedge: key map {p.k_map.shape} vs nodes {nodes.value.shape}")
@@ -92,44 +99,83 @@ def hyperedge_to_node(z_hat: ad.Tensor, keys: ad.Tensor,
 
     Roles swap relative to the forward direction: the node keys become
     queries, the hyperedge embedding slices become keys, and values are the
-    value-transformed hyperedge features.
+    value-transformed hyperedge features. Output row n reads only row n of
+    ``keys``.
     """
     if p.incidence is not None:
-        return ad.matmul(ad.transpose(p.incidence), z_hat)
+        return ad.matmul(keys, z_hat)
     vals = apply_map(z_hat, p.v_map)
     return ad.linear_attention(keys, p.z, vals, p.heads)
 
 
+@dataclass
+class Tail:
+    """What a forward pass leaves for :func:`readout`.
+
+    Layers 1..L-1 are complete in ``partial``; the last layer stops after
+    its hyperedge mixing. Its output row n depends only on row n of ``keys``
+    and the shared K x d ``z_hat``, so any subset of final rows can be read
+    out without the rest.
+    """
+
+    partial: Optional[ad.Tensor]   # N x d sum of layers 1..L-1 (None: L = 1)
+    keys: ad.Tensor                # N x d last-layer keys (N x K incidence
+                                   # columns in the transformer ablation)
+    z_hat: ad.Tensor               # K x d last-layer hyperedge features
+    mask: Optional[np.ndarray]     # N x d last-layer dropout mask, or None
+    first_keys: ad.Tensor          # first-layer keys, shaped like ``keys``
+    first_edges: ad.Tensor         # K x d first-layer hyperedge features
+
+
 def forward(nodes0: ad.Tensor, p: HyperSideParams, num_layers: int,
-            slope: float = DEFAULT_SLOPE, dropout_mask=None):
-    """Stack ``num_layers`` propagations and sum their outputs.
+            slope: float = DEFAULT_SLOPE, dropout_mask=None) -> Tail:
+    """Run the whole-graph part of ``num_layers`` stacked propagations.
 
     One HyperSideParams is shared by every layer (the recursive formulation
-    ties the layers' weights). The layer-0 input itself is excluded from the
-    sum. ``dropout_mask(shape)`` may return a premultiplied inverted-dropout
-    mask array (or None), a constant that scales each layer output during
-    training. Returns (summed embeddings, first-layer keys, first-layer
-    hyperedge features).
+    ties the layers' weights). The summed output excludes the layer-0 input.
+    ``dropout_mask(shape)`` may return a premultiplied inverted-dropout mask
+    array (or None), a constant that scales each layer output during
+    training; the last layer's mask is drawn here too, so the rng advances
+    by the full N x d draws whichever rows are read out. Returns the
+    :class:`Tail` that :func:`readout` turns into final embeddings.
     """
     if num_layers < 1:
         raise ValueError(f"need at least one layer, got {num_layers}")
     current = nodes0
-    total = None
-    first_keys = None
-    first_edges = None
+    partial = None
+    first = None
     for step in range(num_layers):
         z_tilde, keys = node_to_hyperedge(current, p)
         z_hat = hhgn(z_tilde, p, slope)
+        if first is None:
+            first = (keys, z_tilde)
+        mask = (None if dropout_mask is None
+                else dropout_mask(current.value.shape))
+        if step == num_layers - 1:
+            return Tail(partial, keys, z_hat, mask, *first)
         out = hyperedge_to_node(z_hat, keys, p)
-        if dropout_mask is not None:
-            mask = dropout_mask(out.value.shape)
-            if mask is not None:
-                out = ad.scale(out, mask)
-        if step == 0:
-            first_keys, first_edges = keys, z_tilde
-        total = out if total is None else ad.add(total, out)
+        if mask is not None:
+            out = ad.scale(out, mask)
+        partial = out if partial is None else ad.add(partial, out)
         current = out
-    return total, first_keys, first_edges
+
+
+def readout(tail: Tail, p: HyperSideParams, rows=None) -> ad.Tensor:
+    """Final embeddings of the nodes ``rows`` (every node when None): the
+    last layer's output for those rows, masked, plus their partial sum.
+
+    The last layer runs on the gathered key rows only, so a loss that reads
+    m rows pays for m rows.
+    """
+    def pick(t: ad.Tensor) -> ad.Tensor:
+        return t if rows is None else ad.gather_rows(t, rows)
+
+    out = hyperedge_to_node(tail.z_hat, pick(tail.keys), p)
+    if tail.mask is not None:
+        out = ad.scale(out, tail.mask if rows is None else tail.mask[rows])
+    if tail.partial is not None:
+        out = ad.add(pick(tail.partial), out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,24 @@ class TestForward:
         np.testing.assert_array_equal(ad.hinge(x).value, [[0.0, 0.0, 3.0]])
         np.testing.assert_allclose(ad.leaky_relu(x, 0.5).value, [[-1.0, 0.0, 3.0]])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [0.5, 0.1, 2.0])
+    def test_leaky_relu_bits_match_where_formula(self, dtype, slope):
+        # values and gradients equal x * where(x > 0, 1, slope) bit for bit
+        rng = np.random.default_rng(11)
+        raw = np.concatenate([rng.normal(size=40), [0.0, -0.0, 1e-310,
+                                                    -1e-310, np.inf, -np.inf]])
+        x = ad.constant(raw.reshape(2, -1), dtype=dtype)
+        w = ad.constant(rng.normal(size=x.shape), dtype=dtype)
+        mask = np.where(x.value > 0, 1.0, slope).astype(dtype)
+        with ad.recording():
+            out = ad.leaky_relu(x, slope)
+            loss = ad.sum_all(ad.hadamard(out, w))
+        ad.backward(loss)
+        bits = np.uint32 if dtype == np.float32 else np.uint64
+        assert np.array_equal(out.value.view(bits), (x.value * mask).view(bits))
+        assert np.array_equal(x.grad.view(bits), (w.value * mask).view(bits))
+
     def test_concat_slice_roundtrip(self):
         rng = np.random.default_rng(0)
         a = ad.constant(rng.normal(size=(3, 2)))

@@ -156,6 +156,24 @@ class TestMainPairs:
         batch = D.sample_main_pairs(ds, 64, make_rng(1), users=np.array([3, 7]))
         assert set(batch.u1.tolist()) <= {3, 7}
 
+    def test_user_pool_matches_membership_formula(self):
+        # positives are drawn from the edges whose user is in the batch, in
+        # edge order: the same draws as an np.isin mask over every edge
+        # users 0, 4, 7 and 9 have no edges; batches repeat users, unsorted
+        edges = [(u, v) for u in (1, 2, 3, 5, 6, 8) for v in range(u % 4, 9, 3)]
+        ds = D.InteractionDataset.from_edges(edges, 10, 9)
+        for seed, users in enumerate(([5, 1, 5, 0, 8, 1], [9, 3, 3, 7],
+                                      [2, 4, 6, 2, 6, 0, 9, 8, 1])):
+            users = np.array(users)
+            rng, twin = make_rng(seed), make_rng(seed)
+            batch = D.sample_main_pairs(ds, 40, rng, users=users)
+            pool = np.flatnonzero(np.isin(ds.edges[:, 0], users))
+            rows = pool[twin.integers(0, len(pool), size=40)]
+            assert np.array_equal(batch.u1, ds.edges[rows, 0])
+            assert np.array_equal(batch.v1, ds.edges[rows, 1])
+        with pytest.raises(D.SamplingError, match="no training edges"):
+            D.sample_main_pairs(ds, 4, make_rng(0), users=np.array([0, 7, 0]))
+
 
 class TestSalPairs:
     def test_two_edge_graph_only_pair(self):

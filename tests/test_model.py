@@ -7,6 +7,8 @@ import pytest
 
 from hypercf import autodiff as ad
 from hypercf import data as D
+from hypercf import solidity
+from hypercf import transformer as T
 from hypercf.config import Config
 from hypercf.model import Model
 from hypercf.rng import make_rng
@@ -245,7 +247,119 @@ class TestInference:
             eval_a = model.forward(adj, training=False)
             eval_b = model.forward(adj, training=False)
             train = model.forward(adj, training=True, dropout_rng=make_rng(3))
-        np.testing.assert_array_equal(eval_a.final_user.value,
-                                      eval_b.final_user.value)
-        assert not np.array_equal(train.final_user.value,
-                                  eval_a.final_user.value)
+            finals = [model.final_rows(s, "user").value
+                      for s in (eval_a, eval_b, train)]
+        np.testing.assert_array_equal(finals[0], finals[1])
+        assert not np.array_equal(finals[2], finals[0])
+
+
+# batches that touch some rows of each side, some of them twice
+SUBSET_MAIN = D.EdgePairBatch("main", np.array([0, 2, 2, 5]),
+                              np.array([0, 0, 3, 1]), np.array([0, 2, 2, 5]),
+                              np.array([2, 1, 1, 0]))
+SUBSET_SAL = D.EdgePairBatch("self-augmented", np.array([1, 3, 3]),
+                             np.array([1, 4, 2]), np.array([4, 1, 2]),
+                             np.array([3, 2, 4]))
+
+
+def full_table_loss(model, state, main, sal):
+    """Total loss with every final and adapted-key row computed first and
+    the pairs gathered from those whole tables."""
+    user, item = model.final_rows(state, "user"), model.final_rows(state, "item")
+    loss = solidity.margin_loss(ad.sub(
+        model.dot_pairs(user, item, main.u1, main.v1),
+        model.dot_pairs(user, item, main.u2, main.v2)))
+    if model.supports_solidity:
+        slope = model.cfg.slope
+        gammas = []
+        for side, keys, zsrc in (("user", state.keys_user, state.zsrc_user),
+                                 ("item", state.keys_item, state.zsrc_item)):
+            p = model.meta_params(side)
+            gammas.append(solidity.plain_transform(keys, p, slope)
+                          if "meta" in model.ablations else
+                          solidity.meta_transform(keys, zsrc, p, slope))
+        labels = [solidity.solidity_label(
+            ad.gather_rows(gammas[0], u), ad.gather_rows(gammas[1], v),
+            model.solidity_head(), slope)
+            for u, v in ((sal.u1, sal.v1), (sal.u2, sal.v2))]
+        preds = [model.dot_pairs(state.fused_user, state.fused_item, u, v)
+                 for u, v in ((sal.u1, sal.v1), (sal.u2, sal.v2))]
+        sal_loss = solidity.sa_loss(*preds, *labels)
+        loss = ad.add(loss, ad.scale(sal_loss, model.cfg.lambda1))
+    return ad.add(loss, ad.scale(model.reg_loss(), model.cfg.lambda2))
+
+
+class TestGatheredReadout:
+    CASES = {"default": {}, "input_in_sum": {"include_input_in_sum": True},
+             "layers=1": {"layers": 1}, "layers=3": {"layers": 3},
+             **{flag: {"ablate": (flag,)} for flag in
+                ("pos", "trans", "deeph", "highh", "hyper", "meta", "sal")}}
+
+    @staticmethod
+    def loss_and_grads(model, adj, training, seed, build):
+        for p in model.params.values():
+            p.zero_grad()
+        rng = make_rng(seed) if training else None
+        with ad.recording():
+            state = model.forward(adj, training=training, dropout_rng=rng)
+            loss = build(state)
+        ad.backward(loss)
+        return loss.value[0, 0], {n: p.grad.copy()
+                                  for n, p in model.params.items()}
+
+    @pytest.mark.parametrize("training", [False, True],
+                             ids=["eval", "dropout"])
+    @pytest.mark.parametrize("overrides", CASES.values(), ids=CASES)
+    def test_matches_full_table_path(self, float64_mode, overrides, training):
+        model, adj, _, _ = toy_setup(**overrides)
+        sal = SUBSET_SAL if model.supports_solidity else None
+        v_rows, g_rows = self.loss_and_grads(
+            model, adj, training, 3,
+            lambda state: model.total_loss(state, SUBSET_MAIN, sal))
+        v_full, g_full = self.loss_and_grads(
+            model, adj, training, 3,
+            lambda state: full_table_loss(model, state, SUBSET_MAIN, sal))
+        assert v_rows == pytest.approx(v_full, rel=1e-12)
+        for name in model.params:
+            np.testing.assert_allclose(g_rows[name], g_full[name],
+                                       rtol=1e-10, atol=1e-14, err_msg=name)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_rng_advances_by_full_mask_draws(self, float64_mode, layers):
+        model, adj, _, _ = toy_setup(dropout=0.25, layers=layers)
+        rng, twin = make_rng(9), make_rng(9)
+        with ad.recording():
+            state = model.forward(adj, training=True, dropout_rng=rng)
+            model.total_loss(state, SUBSET_MAIN, SUBSET_SAL)
+        for rows in (6, 5):
+            for _ in range(layers):
+                twin.random((rows, model.cfg.d))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_no_full_side_rows_after_last_hhgn(self, float64_mode,
+                                               monkeypatch):
+        # after the last hyperedge mixing, a training step works on the
+        # batch's rows only; a full-side activation here means the last
+        # layer or the key adaptation ran over the whole table again
+        model, adj, _, _ = toy_setup()
+        events = []
+
+        def logged(name, fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                events.append((name, out.rows))
+                return out
+            return wrapper
+
+        monkeypatch.setattr(T, "hhgn", logged("hhgn", T.hhgn))
+        for name in ("leaky_relu", "scale", "linear_attention"):
+            monkeypatch.setattr(ad, name, logged(name, getattr(ad, name)))
+        with ad.recording():
+            state = model.forward(adj, training=True, dropout_rng=make_rng(2))
+            loss = model.total_loss(state, SUBSET_MAIN, SUBSET_SAL)
+        ad.backward(loss)
+        last = max(i for i, (name, _) in enumerate(events) if name == "hhgn")
+        tail = events[last + 1:]
+        assert [n for n, _ in tail].count("linear_attention") == 2
+        full = {model.num_users, model.num_items}
+        assert not [event for event in tail if event[1] in full], tail

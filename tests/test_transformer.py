@@ -157,8 +157,9 @@ class TestHyperedgeToNode:
 
 class TestForward:
     def run_layers(self, nodes, p, n, slope=0.5):
-        total, keys, edges = T.forward(ad.constant(nodes), p, n, slope)
-        return total.value, keys.value, edges.value
+        tail = T.forward(ad.constant(nodes), p, n, slope)
+        return (T.readout(tail, p).value, tail.first_keys.value,
+                tail.first_edges.value)
 
     def test_one_layer_is_single_output(self, float64_mode):
         rng = np.random.default_rng(10)
@@ -228,7 +229,7 @@ class TestForward:
                   "v_map": p.v_map, "h1": p.h1, "h2": p.h2}
 
         def build():
-            total, _, _ = T.forward(nodes, p, 2)
+            total = T.readout(T.forward(nodes, p, 2), p)
             return ad.sum_all(ad.sigmoid(total))
 
         report = ad.grad_check(build, params, epsilon=1e-4)
