@@ -54,7 +54,6 @@ x.zero_grad()
 from hypercf.config import Config
 from hypercf.model import Model
 from hypercf import data as D
-from hypercf.rng import make_rng
 
 ad.set_default_dtype(np.float64)
 cfg = Config(d=8, hyperedges=3, heads=2, layers=2, lambda1=1e-2,
@@ -64,8 +63,8 @@ edges = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 3), (3, 4), (3, 2),
 ds = D.InteractionDataset.from_edges(edges, 6, 5)
 adj = D.build_normalized_adjacency(ds, dtype=np.float64)
 model = Model(cfg, 6, 5)
-rng = make_rng(100)
-main = D.sample_main_pairs(ds, 6, rng)
+rng = np.random.default_rng(100)
+main = D.sample_main_pairs(ds, 6, rng, users=np.arange(6))
 sal = D.sample_sal_pairs(ds, 6, rng)
 
 report = ad.grad_check(lambda: model.total_loss(model.forward(adj), main, sal),

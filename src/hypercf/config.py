@@ -91,6 +91,11 @@ class Config:
             raise ConfigError("epochs must be >= 1")
         if self.slope <= 0:
             raise ConfigError("activation slope must be positive")
+        for key, low in (("eval_every", 1), ("pairs_main", 0),
+                         ("pairs_sal", 0), ("patience", 0), ("init_scale", 0)):
+            if getattr(self, key) < low:
+                raise ConfigError(
+                    f"{key} must be >= {low}, got {getattr(self, key)}")
         self.ablations  # raises on unknown flags
         for f in fields(self):
             text = getattr(self, f.name)
@@ -112,10 +117,12 @@ def _parse_value(field_type, raw: str, key: str):
         if raw.lower() not in _BOOL:
             raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
         return _BOOL[raw.lower()]
-    if field_type is int:
-        return int(raw)
-    if field_type is float:
-        return float(raw)
+    if field_type in (int, float):
+        try:
+            return field_type(raw)
+        except ValueError:
+            raise ConfigError(f"{key}: expected {field_type.__name__}, "
+                              f"got {raw!r}") from None
     if field_type is tuple:
         if not raw:
             return ()

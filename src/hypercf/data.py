@@ -184,8 +184,6 @@ class NormalizedAdjacency:
 
     matrix: sp.csr_matrix       # I x J
     matrix_t: sp.csr_matrix     # J x I
-    user_degree: np.ndarray
-    item_degree: np.ndarray
 
     @property
     def pair(self):
@@ -206,7 +204,7 @@ def build_normalized_adjacency(train: InteractionDataset,
     w = 1.0 / (np.sqrt(du[u]) * np.sqrt(dv[v]))
     mat = sp.csr_matrix((w.astype(dtype), (u, v)),
                         shape=(train.num_users, train.num_items))
-    return NormalizedAdjacency(mat, mat.T.tocsr(), du, dv)
+    return NormalizedAdjacency(mat, mat.T.tocsr())
 
 
 @dataclass
@@ -223,39 +221,31 @@ class EdgePairBatch:
     u2: np.ndarray
     v2: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return len(self.u1)
-
 
 _MAX_RESAMPLE = 200
 
 
 def sample_main_pairs(train: InteractionDataset, count: int,
                       rng: np.random.Generator,
-                      users: np.ndarray = None) -> EdgePairBatch:
+                      users: np.ndarray) -> EdgePairBatch:
     """Positive/negative item pairs for the pairwise ranking loss.
 
-    Each pair shares a user; the positive is an observed training edge and the
-    negative is uniform over that user's non-interacted items. When ``users``
-    is given, positives are drawn from that subset's edges only (mini-batch
-    user sampling); users without training edges are ignored.
+    Each pair shares a user; the positive is an observed training edge of
+    one of ``users`` (mini-batch user sampling; users without training
+    edges are ignored) and the negative is uniform over that user's
+    non-interacted items.
     """
     if count < 1:
         raise ValueError(f"pair count must be >= 1, got {count}")
     ptr = train._ptr()
-    if users is not None:
-        # the batch's edges, in edge order: each distinct user's CSR range
-        batch = np.unique(users)
-        starts, lengths = ptr[batch], ptr[batch + 1] - ptr[batch]
-        if not lengths.sum():
-            raise SamplingError("no training edges for the sampled user batch")
-        ends = np.cumsum(lengths)
-        pool = np.arange(ends[-1]) + np.repeat(starts - (ends - lengths),
-                                               lengths)
-        rows = pool[rng.integers(0, len(pool), size=count)]
-    else:
-        rows = rng.integers(0, train.num_edges, size=count)
+    # the batch's edges, in edge order: each distinct user's CSR range
+    batch = np.unique(users)
+    starts, lengths = ptr[batch], ptr[batch + 1] - ptr[batch]
+    if not lengths.sum():
+        raise SamplingError("no training edges for the sampled user batch")
+    ends = np.cumsum(lengths)
+    pool = np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
+    rows = pool[rng.integers(0, len(pool), size=count)]
     u = train.edges[rows, 0]
     v_pos = train.edges[rows, 1]
 

@@ -10,15 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import data as data_mod
 from .config import ABLATIONS, Config
 from .data import InteractionDataset, SplitDataset, build_normalized_adjacency
-from .evaluation import (evaluate_model, group_metrics, rank_embeddings,
-                         score_matrix)
-# not called here; kept because perfbench's patch tests read this binding
-from .evaluation import evaluate_scores  # noqa: F401
+from .evaluation import evaluate_model, group_metrics, rank_embeddings
+# not called here; kept because perfbench's patch tests read these bindings
+from .evaluation import evaluate_scores, score_matrix  # noqa: F401
 from .model import Model
 from .trainer import TrainResult, fit, load_values
 
@@ -31,12 +28,6 @@ class TrainedRun:
     adj: object
     splits: SplitDataset
     result: TrainResult
-
-    def scores(self) -> np.ndarray:
-        """The dense users x items score matrix, for small interactive use;
-        evaluation ranks from the embeddings without building it."""
-        user_emb, item_emb = self.model.embedding_tables(self.adj)
-        return score_matrix(user_emb, item_emb)
 
     def test_metrics(self, cutoffs=(20,)) -> dict:
         return evaluate_model(self.model, self.adj, self.splits.train,

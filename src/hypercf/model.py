@@ -20,23 +20,23 @@ from .data import NormalizedAdjacency
 from .rng import STREAM_INIT, spawn_rng
 
 
+SIDES = ("user", "item")  # every per-side loop runs user first
+
+
 @dataclass
-class ForwardState:
-    """The whole-graph part of one recorded forward pass.
+class Side:
+    """One side's whole-graph part of a recorded forward pass.
 
     Prediction embeddings are not tables here: ``Model.final_rows`` reads
-    out the rows a loss needs from each side's transformer tail, and the
-    label branch adapts only the key rows it scores.
+    out the rows a loss needs from the transformer tail, and the label
+    branch adapts only the key rows it scores. Under the graph-only
+    ablation only ``fused`` is set.
     """
 
-    fused_user: ad.Tensor          # local embeddings (id + topology)
-    fused_item: ad.Tensor
-    tail_user: Optional[transformer.Tail]   # None: graph-only ablation
-    tail_item: Optional[transformer.Tail]
-    keys_user: Optional[ad.Tensor]     # label-branch inputs (None: no SAL)
-    keys_item: Optional[ad.Tensor]
-    zsrc_user: Optional[ad.Tensor]     # hyperedge summary source per side
-    zsrc_item: Optional[ad.Tensor]
+    fused: ad.Tensor                           # id + topology embeddings
+    tail: Optional[transformer.Tail] = None
+    keys: Optional[ad.Tensor] = None           # label-branch key table
+    zsrc: Optional[ad.Tensor] = None           # its hyperedge summary source
 
 
 def _compact(*indices):
@@ -57,6 +57,20 @@ class Model:
         self.ablations = cfg.ablations
         self.params: dict = {}
         self._init_params()
+        # views over the registry: loading copies values into its tensors in
+        # place, so these stay current; a name the ablations drop reads None
+        get = self.params.get
+        self.hyper = {side: transformer.HyperSideParams(
+            z=get(f"{side}.hyper.Z"), k_map=get(f"{side}.hyper.K"),
+            v_map=get(f"{side}.hyper.V"), h1=get(f"{side}.hyper.H1"),
+            h2=get(f"{side}.hyper.H2"), heads=cfg.heads,
+            incidence=get(f"{side}.hyper.incidence")) for side in SIDES}
+        self.meta = {side: solidity.MetaNetParams(
+            v1=get(f"{side}.meta.V1"), w0=get(f"{side}.meta.W0"),
+            v2=get(f"{side}.meta.V2"), b0=get(f"{side}.meta.b0"))
+            for side in SIDES}
+        self.head = solidity.SolidityHead(d_vec=get("sal.d"), t=get("sal.T"),
+                                          c=get("sal.c"))
 
     # -- parameter construction ------------------------------------------
 
@@ -81,8 +95,7 @@ class Model:
 
         map_scale = 1.0 / np.sqrt(d)
         mix_scale = 1.0 / np.sqrt(k)
-        side_nodes = {"user": self.num_users, "item": self.num_items}
-        for side, n_nodes in side_nodes.items():
+        for side, n_nodes in zip(SIDES, (self.num_users, self.num_items)):
             base = f"{side}.hyper."
             if "trans" in self.ablations:
                 self._add(base + "incidence",
@@ -97,7 +110,7 @@ class Model:
 
         if "sal" in self.ablations:
             return
-        for side in ("user", "item"):
+        for side in SIDES:
             base = f"{side}.meta."
             if "meta" not in self.ablations:
                 self._add(base + "V1", normal((d * d, d), 1.0 / d))
@@ -107,33 +120,6 @@ class Model:
         self._add("sal.d", normal((d, 1), map_scale))
         self._add("sal.T", normal((d, 2 * d), 1.0 / np.sqrt(2 * d)))
         self._add("sal.c", np.zeros((1, d)))
-
-    # -- assembled views over the registry -------------------------------
-
-    def transformer_params(self, side: str) -> transformer.HyperSideParams:
-        """One side's transformer parameters, shared by every layer."""
-        base = f"{side}.hyper."
-        get = self.params.get
-        return transformer.HyperSideParams(
-            z=get(base + "Z"),
-            k_map=get(base + "K"),
-            v_map=get(base + "V"),
-            h1=get(base + "H1"),
-            h2=get(base + "H2"),
-            heads=self.cfg.heads,
-            incidence=get(base + "incidence"),
-        )
-
-    def meta_params(self, side: str) -> solidity.MetaNetParams:
-        base = f"{side}.meta."
-        get = self.params.get
-        return solidity.MetaNetParams(v1=get(base + "V1"), w0=get(base + "W0"),
-                                      v2=get(base + "V2"), b0=get(base + "b0"))
-
-    def solidity_head(self) -> solidity.SolidityHead:
-        return solidity.SolidityHead(d_vec=self.params["sal.d"],
-                                     t=self.params["sal.T"],
-                                     c=self.params["sal.c"])
 
     @property
     def supports_solidity(self) -> bool:
@@ -157,57 +143,45 @@ class Model:
         return mask
 
     def forward(self, adj: NormalizedAdjacency,
-                training: bool = False, dropout_rng=None) -> ForwardState:
+                training: bool = False, dropout_rng=None) -> dict:
+        """Record the whole-graph part of a forward pass: {side: Side}."""
         cfg = self.cfg
-        e_user, e_item = self.params["user.embed"], self.params["item.embed"]
-
+        embed = [self.params[f"{side}.embed"] for side in SIDES]
         if "pos" in self.ablations:
-            fused_user, fused_item = e_user, e_item
+            fused = embed
         else:
-            topo_u, topo_v = encoder.topo_embed(e_user, e_item, adj)
-            fused_user, fused_item = encoder.fuse_inputs(
-                e_user, e_item, topo_u, topo_v)
-
+            fused = encoder.fuse_inputs(
+                *embed, *encoder.topo_embed(*embed, adj))
         if "hyper" in self.ablations:
-            return ForwardState(fused_user, fused_item, None, None,
-                                None, None, None, None)
+            return {side: Side(f) for side, f in zip(SIDES, fused)}
 
         drop = self._dropout_fn(training, dropout_rng)
-        tail_user, tail_item = (
-            transformer.forward(fused, self.transformer_params(side),
-                                cfg.effective_layers, cfg.slope,
-                                dropout_mask=drop)
-            for side, fused in (("user", fused_user), ("item", fused_item)))
+        state = {}
+        for side, f in zip(SIDES, fused):
+            p = self.hyper[side]
+            tail = transformer.forward(f, p, cfg.effective_layers, cfg.slope,
+                                       dropout_mask=drop)
+            if "trans" in self.ablations:
+                # no key transform exists; labels read the fused embeddings
+                # and summarize the computed first-layer hyperedge features
+                state[side] = Side(f, tail, f, tail.first_edges)
+            else:
+                state[side] = Side(f, tail, tail.first_keys, p.z)
+        return state
 
-        if "trans" in self.ablations:
-            # no key transform exists; labels read the fused embeddings and
-            # summarize the computed first-layer hyperedge features instead
-            key_user, key_item = fused_user, fused_item
-            zsrc_user, zsrc_item = tail_user.first_edges, tail_item.first_edges
-        else:
-            key_user, key_item = tail_user.first_keys, tail_item.first_keys
-            zsrc_user = self.params["user.hyper.Z"]
-            zsrc_item = self.params["item.hyper.Z"]
-        return ForwardState(fused_user, fused_item, tail_user, tail_item,
-                            key_user, key_item, zsrc_user, zsrc_item)
-
-    def final_rows(self, state: ForwardState, side: str,
-                   rows=None) -> ad.Tensor:
+    def final_rows(self, state: dict, side: str, rows=None) -> ad.Tensor:
         """Prediction embeddings of one side's nodes ``rows`` (every node
         when None), read out of that side's transformer tail."""
-        if side == "user":
-            fused, tail = state.fused_user, state.tail_user
-        else:
-            fused, tail = state.fused_item, state.tail_item
+        s = state[side]
 
         def pick(t: ad.Tensor) -> ad.Tensor:
             return t if rows is None else ad.gather_rows(t, rows)
 
-        if tail is None:
-            return pick(fused)
-        out = transformer.readout(tail, self.transformer_params(side), rows)
+        if s.tail is None:
+            return pick(s.fused)
+        out = transformer.readout(s.tail, self.hyper[side], rows)
         if self.cfg.include_input_in_sum:
-            out = ad.add(out, pick(fused))
+            out = ad.add(out, pick(s.fused))
         return out
 
     # -- losses -----------------------------------------------------------
@@ -220,7 +194,7 @@ class Model:
         return ad.dot_rows(ad.gather_rows(user_table, users),
                            ad.gather_rows(item_table, items))
 
-    def main_loss(self, state: ForwardState, batch) -> ad.Tensor:
+    def main_loss(self, state: dict, batch) -> ad.Tensor:
         """Pairwise margin: sum of max(0, 1 - (positive - negative)).
 
         Final embeddings are read out only for the distinct users and items
@@ -234,20 +208,18 @@ class Model:
         neg = self.dot_pairs(final_user, final_item, u2, v2)
         return solidity.margin_loss(ad.sub(pos, neg))
 
-    def _gamma_rows(self, state: ForwardState, users, items):
+    def _gamma_rows(self, state: dict, users, items):
         """Adapted keys of the nodes ``users`` and ``items``, one table per
         side, each row transformed once."""
         slope = self.cfg.slope
         out = []
-        for side, key_table, zsrc, rows in (
-                ("user", state.keys_user, state.zsrc_user, users),
-                ("item", state.keys_item, state.zsrc_item, items)):
-            p = self.meta_params(side)
-            keys = ad.gather_rows(key_table, rows)
+        for side, rows in zip(SIDES, (users, items)):
+            s, p = state[side], self.meta[side]
+            keys = ad.gather_rows(s.keys, rows)
             if "meta" in self.ablations:
                 out.append(solidity.plain_transform(keys, p, slope))
             else:
-                out.append(solidity.meta_transform(keys, zsrc, p, slope))
+                out.append(solidity.meta_transform(keys, s.zsrc, p, slope))
         return out
 
     def _labels(self, gammas, users, items) -> ad.Tensor:
@@ -256,18 +228,17 @@ class Model:
         gamma_user, gamma_item = gammas
         return solidity.solidity_label(
             ad.gather_rows(gamma_user, users), ad.gather_rows(gamma_item, items),
-            self.solidity_head(), self.cfg.slope)
+            self.head, self.cfg.slope)
 
-    def sal_loss(self, state: ForwardState, batch) -> ad.Tensor:
+    def sal_loss(self, state: dict, batch) -> ad.Tensor:
         """Solidity-ranking loss over pairs of observed edges, scored on the
         fused embeddings. Labels adapt only the distinct key rows of the
         batch's users and items."""
         if not self.supports_solidity:
             raise RuntimeError("solidity branch disabled by ablation")
-        pred_1 = self.dot_pairs(state.fused_user, state.fused_item,
-                                batch.u1, batch.v1)
-        pred_2 = self.dot_pairs(state.fused_user, state.fused_item,
-                                batch.u2, batch.v2)
+        user, item = state["user"].fused, state["item"].fused
+        pred_1 = self.dot_pairs(user, item, batch.u1, batch.v1)
+        pred_2 = self.dot_pairs(user, item, batch.u2, batch.v2)
         users, (u1, u2) = _compact(batch.u1, batch.u2)
         items, (v1, v2) = _compact(batch.v1, batch.v2)
         gammas = self._gamma_rows(state, users, items)
@@ -280,7 +251,7 @@ class Model:
         order, as one tape node."""
         return ad.sum_squares([self.params[n] for n in sorted(self.params)])
 
-    def total_loss(self, state: ForwardState, main_batch,
+    def total_loss(self, state: dict, main_batch,
                    sal_batch=None, parts: Optional[dict] = None) -> ad.Tensor:
         main = self.main_loss(state, main_batch)
         loss = main
@@ -302,8 +273,7 @@ class Model:
         """Prediction embeddings as plain arrays, recording disabled."""
         with ad.recording(False):
             state = self.forward(adj, training=False)
-            user = self.final_rows(state, "user")
-            item = self.final_rows(state, "item")
+            user, item = (self.final_rows(state, side) for side in SIDES)
         return user.value.copy(), item.value.copy()
 
     def solidity_of_edges(self, adj, edges: np.ndarray) -> np.ndarray:

@@ -19,11 +19,6 @@ STREAM_INIT = 3
 STREAM_COLOR = 4
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Generator for the given seed; same seed gives the same draw sequence."""
-    return np.random.Generator(np.random.PCG64(seed))
-
-
 def spawn_rng(seed: int, stream: int) -> np.random.Generator:
     """Independent generator for (seed, stream); deterministic per pair."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))

@@ -21,7 +21,6 @@ from hypercf import trainer as T
 from hypercf import transformer as TR
 from hypercf.config import Config
 from hypercf.model import Model
-from hypercf.rng import make_rng
 
 SEEDS = (0, 1, 2)
 
@@ -154,8 +153,8 @@ def toy_objective():
     ds = D.InteractionDataset.from_edges(edges, 6, 5)
     adj = D.build_normalized_adjacency(ds, dtype=np.float64)
     model = Model(cfg, 6, 5)
-    rng = make_rng(100)
-    main = D.sample_main_pairs(ds, 6, rng)
+    rng = np.random.default_rng(100)
+    main = D.sample_main_pairs(ds, 6, rng, users=np.arange(6))
     sal = D.sample_sal_pairs(ds, 6, rng)
     return model, adj, main, sal
 

@@ -80,6 +80,28 @@ class TestUsageErrors:
         assert rc == 1
         assert "batch" in capsys.readouterr().err
 
+    def test_validation_interval_below_one(self, tmp_path, data_path,
+                                           capsys):
+        rc = main(["train", "--data", data_path, "--out", str(tmp_path),
+                   "--eval_every", "0"] + FAST)
+        assert rc == 1
+        assert "eval_every" in capsys.readouterr().err
+
+    def test_non_numeric_flag_names_key(self, tmp_path, data_path, capsys):
+        rc = main(["train", "--data", data_path, "--out", str(tmp_path)]
+                  + FAST + ["--d", "abc"])
+        assert rc == 1
+        assert "d: expected int, got 'abc'" in capsys.readouterr().err
+
+    def test_non_numeric_file_line_names_key(self, tmp_path, data_path,
+                                             capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lr = fast\n")
+        rc = main(["train", "--config", str(cfg), "--data", data_path,
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "lr: expected float, got 'fast'" in capsys.readouterr().err
+
     def test_bad_ratio_list(self, data_path, capsys):
         rc = main(["noise-test", "--data", data_path, "--ratios", "abc"]
                   + FAST)

@@ -46,3 +46,18 @@ def test_value_the_text_format_cannot_hold_is_rejected_by_name(key, value):
     # parse_config_text cuts at '#', splits lines and strips values
     with pytest.raises(ConfigError, match=key):
         Config(**{key: value}).validate()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("eval_every", 0), ("eval_every", -2), ("pairs_main", -3),
+    ("pairs_sal", -1), ("patience", -1), ("init_scale", -0.1)])
+def test_out_of_range_count_or_scale_is_rejected_by_name(key, value):
+    with pytest.raises(ConfigError, match=key):
+        Config(**{key: value}).validate()
+
+
+@pytest.mark.parametrize("line", ["d = abc", "lr = fast", "epochs = 2.5"])
+def test_non_numeric_value_is_rejected_by_name(line):
+    key = line.split()[0]
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        parse_config_text(line + "\n")

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
+from numpy.random import default_rng
 
 from hypercf import data as D
-from hypercf.rng import make_rng
 
 
 def write_lines(path, lines):
@@ -93,7 +93,7 @@ class TestAdjacency:
         np.testing.assert_allclose(adj.matrix.toarray(), np.full((1, 4), 0.5))
 
     def test_exhaustive_weight_formula(self):
-        rng = make_rng(11)
+        rng = default_rng(11)
         edges = {(int(rng.integers(0, 6)), int(rng.integers(0, 7)))
                  for _ in range(20)}
         ds = D.InteractionDataset.from_edges(sorted(edges), 6, 7)
@@ -119,31 +119,33 @@ class TestMainPairs:
         # user 0 saw every item except item 3
         ds = D.InteractionDataset.from_edges(
             [(0, j) for j in range(5) if j != 3], 1, 5)
-        batch = D.sample_main_pairs(ds, 32, make_rng(0))
+        batch = D.sample_main_pairs(ds, 32, default_rng(0), users=np.arange(1))
         assert batch.kind == "main"
         assert (batch.v2 == 3).all() and (batch.u1 == batch.u2).all()
 
     def test_count_precondition(self):
         ds = D.InteractionDataset.from_edges([(0, 0)], 1, 2)
         with pytest.raises(ValueError):
-            D.sample_main_pairs(ds, 0, make_rng(0))
+            D.sample_main_pairs(ds, 0, default_rng(0), users=np.arange(1))
 
     def test_saturated_user_rejected(self):
         ds = D.InteractionDataset.from_edges([(0, j) for j in range(4)], 1, 4)
         with pytest.raises(D.SamplingError, match="every item"):
-            D.sample_main_pairs(ds, 4, make_rng(0))
+            D.sample_main_pairs(ds, 4, default_rng(0), users=np.arange(1))
 
     def test_positives_observed_negatives_not(self):
         ds = D.synthetic_blocks(num_users=20, num_items=15, num_blocks=3,
                                 edges_per_user=5, seed=2)
-        batch = D.sample_main_pairs(ds, 500, make_rng(3))
+        batch = D.sample_main_pairs(ds, 500, default_rng(3),
+                                     users=np.arange(20))
         assert ds.contains(np.stack([batch.u1, batch.v1], 1)).all()
         assert not ds.contains(np.stack([batch.u2, batch.v2], 1)).any()
 
     def test_negative_frequency_uniform(self):
         # one user, positives {0, 1}: negatives uniform over the other 4 items
         ds = D.InteractionDataset.from_edges([(0, 0), (0, 1)], 1, 6)
-        batch = D.sample_main_pairs(ds, 100_000, make_rng(42))
+        batch = D.sample_main_pairs(ds, 100_000, default_rng(42),
+                                     users=np.arange(1))
         counts = np.bincount(batch.v2, minlength=6)
         assert counts[0] == counts[1] == 0
         n, p = 100_000, 0.25
@@ -153,7 +155,8 @@ class TestMainPairs:
     def test_user_restriction(self):
         ds = D.synthetic_blocks(num_users=12, num_items=10, num_blocks=2,
                                 edges_per_user=4, seed=5)
-        batch = D.sample_main_pairs(ds, 64, make_rng(1), users=np.array([3, 7]))
+        batch = D.sample_main_pairs(ds, 64, default_rng(1),
+                                    users=np.array([3, 7]))
         assert set(batch.u1.tolist()) <= {3, 7}
 
     def test_user_pool_matches_membership_formula(self):
@@ -165,20 +168,21 @@ class TestMainPairs:
         for seed, users in enumerate(([5, 1, 5, 0, 8, 1], [9, 3, 3, 7],
                                       [2, 4, 6, 2, 6, 0, 9, 8, 1])):
             users = np.array(users)
-            rng, twin = make_rng(seed), make_rng(seed)
+            rng, twin = default_rng(seed), default_rng(seed)
             batch = D.sample_main_pairs(ds, 40, rng, users=users)
             pool = np.flatnonzero(np.isin(ds.edges[:, 0], users))
             rows = pool[twin.integers(0, len(pool), size=40)]
             assert np.array_equal(batch.u1, ds.edges[rows, 0])
             assert np.array_equal(batch.v1, ds.edges[rows, 1])
         with pytest.raises(D.SamplingError, match="no training edges"):
-            D.sample_main_pairs(ds, 4, make_rng(0), users=np.array([0, 7, 0]))
+            D.sample_main_pairs(ds, 4, default_rng(0),
+                                users=np.array([0, 7, 0]))
 
 
 class TestSalPairs:
     def test_two_edge_graph_only_pair(self):
         ds = D.InteractionDataset.from_edges([(0, 0), (1, 1)], 2, 2)
-        batch = D.sample_sal_pairs(ds, 50, make_rng(0))
+        batch = D.sample_sal_pairs(ds, 50, default_rng(0))
         assert batch.kind == "self-augmented"
         for u1, v1, u2, v2 in zip(batch.u1, batch.v1, batch.u2, batch.v2):
             assert {(int(u1), int(v1)), (int(u2), int(v2))} == {(0, 0), (1, 1)}
@@ -186,7 +190,7 @@ class TestSalPairs:
     def test_all_edges_observed(self):
         ds = D.synthetic_blocks(num_users=15, num_items=12, num_blocks=3,
                                 edges_per_user=4, seed=7)
-        batch = D.sample_sal_pairs(ds, 300, make_rng(2))
+        batch = D.sample_sal_pairs(ds, 300, default_rng(2))
         assert ds.contains(np.stack([batch.u1, batch.v1], 1)).all()
         assert ds.contains(np.stack([batch.u2, batch.v2], 1)).all()
         # members of a pair are distinct edges
@@ -196,7 +200,7 @@ class TestSalPairs:
     def test_pair_frequency_uniform(self):
         # 4 edges -> 12 ordered pairs, each with probability 1/12
         ds = D.InteractionDataset.from_edges([(0, 0), (0, 1), (1, 0), (1, 1)], 2, 2)
-        batch = D.sample_sal_pairs(ds, 12_000, make_rng(8))
+        batch = D.sample_sal_pairs(ds, 12_000, default_rng(8))
         key1 = batch.u1 * 2 + batch.v1
         key2 = batch.u2 * 2 + batch.v2
         counts = np.bincount(key1 * 4 + key2, minlength=16)

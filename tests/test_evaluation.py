@@ -5,10 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import default_rng
 
 from hypercf import evaluation as E
 from hypercf.data import InteractionDataset
-from hypercf.rng import make_rng
 
 
 def dataset(edges, users, items):
@@ -95,7 +95,7 @@ class TestRankAll:
             E.rank_all(np.array([[np.nan, 0.0]]), train, 2)
 
     def test_masking_exhaustive_random(self):
-        rng = make_rng(5)
+        rng = default_rng(5)
         for _ in range(20):
             users, items = rng.integers(2, 12, size=2)
             edges = np.stack([rng.integers(0, users, 30),
@@ -114,7 +114,7 @@ class TestChunkedRanking:
     def test_matches_loops_across_chunk_edges(self, chunk, monkeypatch):
         if chunk is not None:
             monkeypatch.setattr(E, "ROW_CHUNK", chunk)
-        rng = make_rng(17)
+        rng = default_rng(17)
         users, items = 2 * E.ROW_CHUNK + 5, 9
         edges = np.stack([rng.integers(0, users, 3 * users),
                           rng.integers(0, items, 3 * users)], axis=1)
@@ -136,7 +136,7 @@ class TestChunkedRanking:
                 assert (result.items[u] == -1).all()
 
     def test_scores_left_unmodified(self):
-        rng = make_rng(4)
+        rng = default_rng(4)
         users, items = E.ROW_CHUNK + 3, 6
         train = dataset(np.stack([rng.integers(0, users, 50),
                                   rng.integers(0, items, 50)], 1),
@@ -148,7 +148,7 @@ class TestChunkedRanking:
 
     @pytest.mark.parametrize("quantized", [False, True])
     def test_embeddings_path_bit_identical(self, quantized):
-        rng = make_rng(8)
+        rng = default_rng(8)
         users, items, d = 2 * E.ROW_CHUNK + 1, 40, 5
         user_emb, item_emb = (rng.normal(size=(users, d)),
                               rng.normal(size=(items, d)))
@@ -231,7 +231,7 @@ class TestMetricValues:
             E.recall_at_n(result, dataset([[0, 1]], 1, 5), 4)
 
     def test_permuting_below_cutoff_is_invisible(self):
-        rng = make_rng(11)
+        rng = default_rng(11)
         scores = rng.normal(size=(6, 30))
         train = dataset([[u, u] for u in range(6)], 6, 30)
         test = dataset([[u, (u + 3) % 30] for u in range(6)], 6, 30)
@@ -251,7 +251,7 @@ class TestMetricValues:
 
 class TestBruteForceEquivalence:
     def test_200_random_instances(self):
-        rng = make_rng(99)
+        rng = default_rng(99)
         for trial in range(200):
             users = int(rng.integers(1, 51))
             items = int(rng.integers(2, 101))
@@ -282,14 +282,14 @@ class TestReports:
     def test_evaluate_scores_multiple_cutoffs(self):
         train = dataset([[0, 0]], 2, 40)
         test = dataset([[0, 1], [1, 2]], 2, 40)
-        scores = make_rng(3).normal(size=(2, 40))
+        scores = default_rng(3).normal(size=(2, 40))
         out = E.evaluate_scores(scores, train, test, cutoffs=(20, 40))
         assert set(out) == {"recall@20", "ndcg@20", "recall@40", "ndcg@40"}
         assert out["recall@40"] >= out["recall@20"]
         assert all(0.0 <= v <= 1.0 for v in out.values())
 
     def test_group_weighted_average_matches_global(self):
-        rng = make_rng(21)
+        rng = default_rng(21)
         users, items = 30, 50
         train = dataset(np.stack([rng.integers(0, users, 60),
                                   rng.integers(0, items, 60)], 1), users, items)

@@ -4,6 +4,7 @@ import inspect
 
 import numpy as np
 import pytest
+from numpy.random import default_rng
 
 from hypercf import autodiff as ad
 from hypercf import data as D
@@ -11,7 +12,6 @@ from hypercf import solidity
 from hypercf import transformer as T
 from hypercf.config import Config
 from hypercf.model import Model
-from hypercf.rng import make_rng
 
 
 def toy_setup(**overrides):
@@ -26,8 +26,8 @@ def toy_setup(**overrides):
     ds = D.InteractionDataset.from_edges(edges, 6, 5)
     adj = D.build_normalized_adjacency(ds, dtype=ad.default_dtype())
     model = Model(cfg, 6, 5)
-    rng = make_rng(cfg.seed + 100)
-    main = D.sample_main_pairs(ds, 6, rng)
+    rng = default_rng(cfg.seed + 100)
+    main = D.sample_main_pairs(ds, 6, rng, users=np.arange(6))
     sal = D.sample_sal_pairs(ds, 6, rng)
     return model, adj, main, sal
 
@@ -184,7 +184,7 @@ class TestAblations:
         model, adj, _, _ = toy_setup(ablate=("pos",))
         with ad.recording(False):
             state = model.forward(adj)
-        np.testing.assert_array_equal(state.fused_user.value,
+        np.testing.assert_array_equal(state["user"].fused.value,
                                       model.params["user.embed"].value)
 
     def test_ablated_variants_train_one_step(self, float64_mode):
@@ -210,6 +210,38 @@ class TestAblations:
         assert report.passed, str(report)
 
 
+# registry name suffix -> field of the view that holds it
+VIEW_FIELDS = {"hyper": {"Z": "z", "K": "k_map", "V": "v_map", "H1": "h1",
+                         "H2": "h2", "incidence": "incidence"},
+               "meta": {"V1": "v1", "W0": "w0", "V2": "v2", "b0": "b0"}}
+
+
+class TestParameterViews:
+    @staticmethod
+    def views_of(model):
+        out = {}
+        for side in ("user", "item"):
+            for group, names in VIEW_FIELDS.items():
+                view = getattr(model, group)[side]
+                for name, attr in names.items():
+                    out[f"{side}.{group}.{name}"] = getattr(view, attr)
+        for name, attr in (("d", "d_vec"), ("T", "t"), ("c", "c")):
+            out[f"sal.{name}"] = getattr(model.head, attr)
+        return out
+
+    @pytest.mark.parametrize("flags", [(), ("trans",), ("deeph",), ("meta",),
+                                       ("sal",), ("hyper",)],
+                             ids=lambda flags: ",".join(flags) or "default")
+    def test_views_are_the_registry_tensors(self, flags):
+        model, _, _, _ = toy_setup(ablate=flags)
+        views = self.views_of(model)
+        for name, tensor in model.params.items():
+            if not name.endswith(".embed"):
+                assert views[name] is tensor, name
+        assert all(views[name] is None for name in views
+                   if name not in model.params)
+
+
 class TestInference:
     def test_tables_are_tape_free(self, float64_mode):
         model, adj, _, _ = toy_setup()
@@ -233,7 +265,7 @@ class TestInference:
     def test_dropout_mask_is_a_plain_array(self, rate):
         # same draw, same float32 values as keep / (1 - rate)
         model, _, _, _ = toy_setup(dropout=rate)
-        rng, twin = make_rng(5), make_rng(5)
+        rng, twin = default_rng(5), default_rng(5)
         mask = model._dropout_fn(True, rng)((7, 8))
         keep = (twin.random((7, 8)) >= rate).astype(np.float32)
         expect = keep / (1.0 - rate)
@@ -246,7 +278,8 @@ class TestInference:
         with ad.recording(False):
             eval_a = model.forward(adj, training=False)
             eval_b = model.forward(adj, training=False)
-            train = model.forward(adj, training=True, dropout_rng=make_rng(3))
+            train = model.forward(adj, training=True,
+                                  dropout_rng=default_rng(3))
             finals = [model.final_rows(s, "user").value
                       for s in (eval_a, eval_b, train)]
         np.testing.assert_array_equal(finals[0], finals[1])
@@ -272,17 +305,17 @@ def full_table_loss(model, state, main, sal):
     if model.supports_solidity:
         slope = model.cfg.slope
         gammas = []
-        for side, keys, zsrc in (("user", state.keys_user, state.zsrc_user),
-                                 ("item", state.keys_item, state.zsrc_item)):
-            p = model.meta_params(side)
-            gammas.append(solidity.plain_transform(keys, p, slope)
+        for side in ("user", "item"):
+            s, p = state[side], model.meta[side]
+            gammas.append(solidity.plain_transform(s.keys, p, slope)
                           if "meta" in model.ablations else
-                          solidity.meta_transform(keys, zsrc, p, slope))
+                          solidity.meta_transform(s.keys, s.zsrc, p, slope))
         labels = [solidity.solidity_label(
             ad.gather_rows(gammas[0], u), ad.gather_rows(gammas[1], v),
-            model.solidity_head(), slope)
+            model.head, slope)
             for u, v in ((sal.u1, sal.v1), (sal.u2, sal.v2))]
-        preds = [model.dot_pairs(state.fused_user, state.fused_item, u, v)
+        preds = [model.dot_pairs(state["user"].fused, state["item"].fused,
+                                 u, v)
                  for u, v in ((sal.u1, sal.v1), (sal.u2, sal.v2))]
         sal_loss = solidity.sa_loss(*preds, *labels)
         loss = ad.add(loss, ad.scale(sal_loss, model.cfg.lambda1))
@@ -299,7 +332,7 @@ class TestGatheredReadout:
     def loss_and_grads(model, adj, training, seed, build):
         for p in model.params.values():
             p.zero_grad()
-        rng = make_rng(seed) if training else None
+        rng = default_rng(seed) if training else None
         with ad.recording():
             state = model.forward(adj, training=training, dropout_rng=rng)
             loss = build(state)
@@ -327,7 +360,7 @@ class TestGatheredReadout:
     @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_rng_advances_by_full_mask_draws(self, float64_mode, layers):
         model, adj, _, _ = toy_setup(dropout=0.25, layers=layers)
-        rng, twin = make_rng(9), make_rng(9)
+        rng, twin = default_rng(9), default_rng(9)
         with ad.recording():
             state = model.forward(adj, training=True, dropout_rng=rng)
             model.total_loss(state, SUBSET_MAIN, SUBSET_SAL)
@@ -355,7 +388,8 @@ class TestGatheredReadout:
         for name in ("leaky_relu", "scale", "linear_attention"):
             monkeypatch.setattr(ad, name, logged(name, getattr(ad, name)))
         with ad.recording():
-            state = model.forward(adj, training=True, dropout_rng=make_rng(2))
+            state = model.forward(adj, training=True,
+                                  dropout_rng=default_rng(2))
             loss = model.total_loss(state, SUBSET_MAIN, SUBSET_SAL)
         ad.backward(loss)
         last = max(i for i, (name, _) in enumerate(events) if name == "hhgn")

@@ -2,9 +2,11 @@
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.random import default_rng
 
 from hypercf import autodiff as ad
 from hypercf import data as D
@@ -12,7 +14,7 @@ from hypercf import evaluation as E
 from hypercf import trainer as T
 from hypercf.config import Config
 from hypercf.model import Model
-from hypercf.rng import STREAM_TRAIN, make_rng, spawn_rng
+from hypercf.rng import STREAM_TRAIN, spawn_rng
 
 
 def small_setup(seed=0, **overrides):
@@ -39,8 +41,8 @@ def tiny_graph(**overrides):
     ds = D.InteractionDataset.from_edges(edges, 6, 5)
     adj = D.build_normalized_adjacency(ds, dtype=ad.default_dtype())
     model = Model(cfg, 6, 5)
-    rng = make_rng(17)
-    main = D.sample_main_pairs(ds, 6, rng)
+    rng = default_rng(17)
+    main = D.sample_main_pairs(ds, 6, rng, users=np.arange(6))
     sal = D.sample_sal_pairs(ds, 6, rng)
     return model, adj, main, sal
 
@@ -63,7 +65,7 @@ class TestLearningRate:
 class TestAdam:
     def test_first_step_bound_on_quadratic_bowl(self, float64_mode):
         # f(x) = 0.5 ||x - c||^2, gradient x - c
-        rng = make_rng(0)
+        rng = default_rng(0)
         x = ad.parameter(rng.normal(0, 2, size=(3, 4)).astype(np.float64))
         c = rng.normal(0, 2, size=(3, 4))
         lr = 0.01
@@ -106,7 +108,7 @@ class TestAdam:
 
     def test_bit_identical_to_allocating_formula(self):
         # the update written with temporaries, as before the scratch buffers
-        rng = make_rng(4)
+        rng = default_rng(4)
         shapes = {"a": (4, 3), "b": (1, 7), "c": (60, 5)}
         params = {n: ad.parameter(rng.normal(size=s).astype(np.float32))
                   for n, s in shapes.items()}
@@ -448,6 +450,29 @@ class TestFitAndResume:
         assert part2.stopped_early == result_a.stopped_early
         for name, p in model_a.params.items():
             assert np.array_equal(p.value, model_b2.params[name].value), name
+
+    def test_loaded_and_resumed_models_read_their_values(self, tmp_path):
+        # the per-side views are built once; a model that was loaded or
+        # resumed must embed like one built from its values alone (the
+        # reference starts from another seed's initial values)
+        def tables_match_fresh(model):
+            values = {name: p.value.copy() for name, p in model.params.items()}
+            fresh = Model(replace(model.cfg, seed=model.cfg.seed + 1),
+                          model.num_users, model.num_items)
+            before = fresh.embedding_tables(adj)[0]
+            T.load_values(fresh, values)
+            want = fresh.embedding_tables(adj)
+            assert not np.array_equal(before, want[0])
+            return all(np.array_equal(got, expect) for got, expect
+                       in zip(model.embedding_tables(adj), want))
+
+        model, adj, splits = small_setup(epochs=3)
+        out = str(tmp_path / "run")
+        result = T.fit(model, adj, splits, out_dir=out, stop_after=2)
+        T.load_values(model, result.best_values)
+        assert tables_match_fresh(model)
+        resumed, _ = T.resume(os.path.join(out, "last.ckpt"), adj, splits)
+        assert tables_match_fresh(resumed)
 
     def test_load_values_restores_best(self):
         model, adj, splits = small_setup(epochs=2)
