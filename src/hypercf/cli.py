@@ -117,6 +117,29 @@ def _parse_list(raw: str, flag: str, kind=int) -> list:
                          f"{kind.__name__} values, got {raw!r}") from exc
 
 
+def _check(flag: str, raw, ok: bool, rule: str) -> None:
+    """Usage error naming ``flag`` unless its value ``raw`` keeps ``rule``."""
+    if not ok:
+        raise UsageError(f"{flag}: {rule}, got {raw!r}")
+
+
+def _check_variant(cfg: Config, flag: str, **change) -> None:
+    """Usage error naming ``flag`` unless ``cfg`` with ``change`` is valid."""
+    try:
+        replace(cfg, **change).validate()
+    except ConfigError as exc:
+        raise UsageError(f"{flag}: {exc}") from exc
+
+
+def _parse_bounds(raw, flag: str):
+    if raw is None:
+        return None
+    bounds = _parse_list(raw, flag)
+    _check(flag, raw, bounds and bounds == sorted(set(bounds)),
+           "need strictly increasing bounds")
+    return bounds
+
+
 def _parse_palette(raw: str) -> list:
     colors = []
     for part in raw.split(";"):
@@ -124,9 +147,8 @@ def _parse_palette(raw: str) -> list:
         if not part:
             continue
         triple = _parse_list(part, "--palette", float)
-        if len(triple) != 3:
-            raise UsageError(f"--palette: each color needs 3 components, "
-                             f"got {part!r}")
+        _check("--palette", part, len(triple) == 3,
+               "each color needs 3 components")
         colors.append(triple)
     return colors
 
@@ -189,13 +211,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    model, cfg, dataset, splits, adj = _checkpoint_setup(args)
-    if args.split not in ("validation", "test"):
-        raise UsageError(f"--split must be validation or test, "
-                         f"got {args.split!r}")
+    _check("--split", args.split, args.split in ("validation", "test"),
+           "must be validation or test")
     cutoffs = _parse_list(args.cutoffs, "--cutoffs")
-    if not cutoffs:
-        raise UsageError("--cutoffs: need at least one cutoff")
+    _check("--cutoffs", args.cutoffs, cutoffs and min(cutoffs) >= 1,
+           "need one or more cutoffs >= 1")
+    model, cfg, dataset, splits, adj = _checkpoint_setup(args)
     rows = _metric_rows(model, adj, splits, args.split, cutoffs)
     return _report(_run_dir(cfg, "evaluate"), "metrics.csv", rows)
 
@@ -204,6 +225,10 @@ def cmd_noise_test(args) -> int:
     cfg = _effective_config(args)
     dataset = _load_dataset(cfg)
     ratios = _parse_list(args.ratios, "--ratios", float)
+    _check("--ratios", args.ratios,
+           all(0.0 <= r < data_mod.MAX_NOISE_RATIO for r in ratios),
+           f"each ratio must be in [0, {data_mod.MAX_NOISE_RATIO})")
+    _check("--cutoff", args.cutoff, args.cutoff >= 1, "need a cutoff >= 1")
     run_dir = _run_dir(cfg, "noise-test")
     rows = experiments.noise_robustness(dataset, ratios, cfg,
                                         cutoff=args.cutoff)
@@ -211,13 +236,12 @@ def cmd_noise_test(args) -> int:
 
 
 def cmd_sparsity_report(args) -> int:
-    model, cfg, dataset, splits, adj = _checkpoint_setup(args)
-    user_bounds = (_parse_list(args.user_bounds, "--user-bounds")
-                   if args.user_bounds else None)
-    item_bounds = (_parse_list(args.item_bounds, "--item-bounds")
-                   if args.item_bounds else None)
+    user_bounds = _parse_bounds(args.user_bounds, "--user-bounds")
+    item_bounds = _parse_bounds(args.item_bounds, "--item-bounds")
     if user_bounds is None and item_bounds is None:
         raise UsageError("need --user-bounds and/or --item-bounds")
+    _check("--cutoff", args.cutoff, args.cutoff >= 1, "need a cutoff >= 1")
+    model, cfg, dataset, splits, adj = _checkpoint_setup(args)
     rows = experiments.sparsity_report(model, adj, splits, user_bounds,
                                        item_bounds, n=args.cutoff)
     return _report(_run_dir(cfg, "sparsity-report"), "sparsity.csv", rows)
@@ -228,6 +252,8 @@ def cmd_ablate(args) -> int:
     dataset = _load_dataset(cfg)
     flags = ([f.strip() for f in args.flags.split(",") if f.strip()]
              if args.flags else None)
+    for flag in flags or ():
+        _check_variant(cfg, "--flags", ablate=(flag,))
     splits = data_mod.split(dataset, cfg.seed)
     run_dir = _run_dir(cfg, "ablate")
     rows = experiments.ablation_study(splits, cfg, flags=flags,
@@ -262,12 +288,10 @@ def cmd_colorize(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _effective_config(args)
     dataset = _load_dataset(cfg)
-    if not args.vary:
-        raise UsageError("need at least one --vary param=v1,v2,...")
+    _check("--vary", args.vary, args.vary, "need one or more param=v1,v2,...")
     grid = {}
     for spec in args.vary:
-        if "=" not in spec:
-            raise UsageError(f"--vary: expected param=v1,v2,..., got {spec!r}")
+        _check("--vary", spec, "=" in spec, "expected param=v1,v2,...")
         param, raw = spec.split("=", 1)
         param = param.strip()
         values = []
@@ -276,11 +300,12 @@ def cmd_sweep(args) -> int:
             if not part:
                 continue
             # reuse the config parser so each value gets the field's type
-            values.append(getattr(config_from_mapping({param: part}, cfg),
-                                  param))
-        if not values:
-            raise UsageError(f"--vary: no values for {param!r}")
+            value = getattr(config_from_mapping({param: part}, cfg), param)
+            _check_variant(cfg, f"--vary {param}", **{param: value})
+            values.append(value)
+        _check(f"--vary {param}", raw, values, "no values")
         grid[param] = values
+    _check("--cutoff", args.cutoff, args.cutoff >= 1, "need a cutoff >= 1")
     splits = data_mod.split(dataset, cfg.seed)
     run_dir = _run_dir(cfg, "sweep")
     rows = experiments.sweep(splits, cfg, grid, cutoff=args.cutoff)

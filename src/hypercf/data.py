@@ -16,6 +16,7 @@ import scipy.sparse as sp
 from .rng import STREAM_NOISE, STREAM_SPLIT, spawn_rng
 
 TRAIN_RATIO, VALID_RATIO, TEST_RATIO = 0.7, 0.2, 0.1
+MAX_NOISE_RATIO = 0.5  # exclusive bound: most training edges stay real
 
 
 class DataError(ValueError):
@@ -41,9 +42,15 @@ class InteractionDataset:
     user_ids: list = None  # dense index -> external id (None for synthetic)
     item_ids: list = None
 
-    # derived lookup structures, built lazily
-    _packed: np.ndarray = field(default=None, repr=False)
-    _user_ptr: np.ndarray = field(default=None, repr=False)
+    # derived once: the sorted edge keys u * J + v, and the CSR row pointer
+    # (user u's edges are edges[ptr[u]:ptr[u + 1]])
+    packed: np.ndarray = field(init=False, repr=False)
+    ptr: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.packed = pack_edges(self.edges, self.num_items)
+        counts = np.bincount(self.edges[:, 0], minlength=self.num_users)
+        self.ptr = np.concatenate([[0], np.cumsum(counts)])
 
     @classmethod
     def from_edges(cls, edges, num_users: int, num_items: int,
@@ -54,8 +61,7 @@ class InteractionDataset:
                 raise DataError("user index out of range")
             if arr[:, 1].min() < 0 or arr[:, 1].max() >= num_items:
                 raise DataError("item index out of range")
-        keys = arr[:, 0] * num_items + arr[:, 1]
-        keys = np.unique(keys)
+        keys = np.unique(pack_edges(arr, num_items))
         arr = np.stack([keys // num_items, keys % num_items], axis=1)
         return cls(num_users, num_items, arr, user_ids, item_ids)
 
@@ -63,42 +69,26 @@ class InteractionDataset:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    @property
-    def packed(self) -> np.ndarray:
-        if self._packed is None:
-            self._packed = pack_edges(self.edges, self.num_items)
-        return self._packed
-
-    def _ptr(self) -> np.ndarray:
-        if self._user_ptr is None:
-            counts = np.bincount(self.edges[:, 0], minlength=self.num_users)
-            self._user_ptr = np.concatenate([[0], np.cumsum(counts)])
-        return self._user_ptr
-
     def items_of(self, user: int) -> np.ndarray:
         """Items this user interacted with (sorted); relies on edge ordering."""
-        ptr = self._ptr()
-        return self.edges[ptr[user]:ptr[user + 1], 1]
+        return self.edges[self.ptr[user]:self.ptr[user + 1], 1]
 
     def user_degree(self) -> np.ndarray:
-        return np.bincount(self.edges[:, 0], minlength=self.num_users)
+        return np.diff(self.ptr)
 
     def item_degree(self) -> np.ndarray:
         return np.bincount(self.edges[:, 1], minlength=self.num_items)
 
     def has_edge(self, user: int, item: int) -> bool:
-        key = np.int64(user) * self.num_items + item
-        i = np.searchsorted(self.packed, key)
-        return i < len(self.packed) and self.packed[i] == key
+        return bool(self.contains([(user, item)])[0])
 
     def contains(self, edges: np.ndarray) -> np.ndarray:
         """Vectorized membership test for an (n, 2) edge array."""
         keys = pack_edges(np.asarray(edges, dtype=np.int64), self.num_items)
         idx = np.searchsorted(self.packed, keys)
-        idx = np.minimum(idx, len(self.packed) - 1) if len(self.packed) else idx
-        if not len(self.packed):
-            return np.zeros(len(keys), dtype=bool)
-        return self.packed[idx] == keys
+        hit = idx < len(self.packed)
+        hit[hit] = self.packed[idx[hit]] == keys[hit]
+        return hit
 
 
 def load_interactions(path: str) -> InteractionDataset:
@@ -209,13 +199,12 @@ def build_normalized_adjacency(train: InteractionDataset,
 
 @dataclass
 class EdgePairBatch:
-    """Paired edges for ranking losses.
+    """Paired edges for ranking losses: (u1, v1) against (u2, v2).
 
-    kind "main": (u, pos-item) observed, (u, neg-item) unobserved, same user.
-    kind "self-augmented": two distinct observed edges.
+    Main pairs: (u, pos-item) observed, (u, neg-item) unobserved, same user.
+    Self-augmented pairs: two distinct observed edges.
     """
 
-    kind: str
     u1: np.ndarray
     v1: np.ndarray
     u2: np.ndarray
@@ -237,7 +226,7 @@ def sample_main_pairs(train: InteractionDataset, count: int,
     """
     if count < 1:
         raise ValueError(f"pair count must be >= 1, got {count}")
-    ptr = train._ptr()
+    ptr = train.ptr
     # the batch's edges, in edge order: each distinct user's CSR range
     batch = np.unique(users)
     starts, lengths = ptr[batch], ptr[batch + 1] - ptr[batch]
@@ -266,7 +255,7 @@ def sample_main_pairs(train: InteractionDataset, count: int,
         v_neg[idx] = rng.integers(0, train.num_items, size=len(idx))
         pending[idx] = train.contains(
             np.stack([u[idx], v_neg[idx]], axis=1))
-    return EdgePairBatch("main", u, v_pos, u.copy(), v_neg)
+    return EdgePairBatch(u, v_pos, u.copy(), v_neg)
 
 
 def sample_sal_pairs(train: InteractionDataset, count: int,
@@ -286,7 +275,7 @@ def sample_sal_pairs(train: InteractionDataset, count: int,
         clash = first == second
         second[clash] = rng.integers(0, train.num_edges, size=clash.sum())
     e1, e2 = train.edges[first], train.edges[second]
-    return EdgePairBatch("self-augmented", e1[:, 0], e1[:, 1], e2[:, 0], e2[:, 1])
+    return EdgePairBatch(e1[:, 0], e1[:, 1], e2[:, 0], e2[:, 1])
 
 
 def inject_noise(dataset: InteractionDataset, ratio: float, seed: int = 0):
@@ -296,8 +285,8 @@ def inject_noise(dataset: InteractionDataset, ratio: float, seed: int = 0):
     replacements avoid every original edge and each other, so the edge count
     is preserved exactly and surviving real edges never collide with fakes.
     """
-    if not 0.0 <= ratio < 0.5:
-        raise ValueError(f"noise ratio must be in [0, 0.5), got {ratio}")
+    if not 0.0 <= ratio < MAX_NOISE_RATIO:
+        raise ValueError(f"noise ratio {ratio} outside [0, {MAX_NOISE_RATIO})")
     rng = spawn_rng(seed, STREAM_NOISE)
     n_fake = int(np.floor(ratio * dataset.num_edges))
     drop = rng.choice(dataset.num_edges, size=n_fake, replace=False)
@@ -313,7 +302,8 @@ def inject_noise(dataset: InteractionDataset, ratio: float, seed: int = 0):
         need = n_fake - len(fakes)
         cand_u = rng.integers(0, dataset.num_users, size=need)
         cand_v = rng.integers(0, dataset.num_items, size=need)
-        keys = cand_u * dataset.num_items + cand_v
+        keys = pack_edges(np.stack([cand_u, cand_v], axis=1),
+                          dataset.num_items)
         ok = ~np.isin(keys, dataset.packed) & ~np.isin(keys, fakes)
         keys = np.unique(keys[ok])
         fakes = np.union1d(fakes, keys)

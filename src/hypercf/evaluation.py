@@ -70,8 +70,7 @@ def _rank_rows(block: np.ndarray, train: InteractionDataset, lo: int,
     # negated in place: ascending order now ranks best first, and a stable
     # sort keeps ties in ascending item order
     np.negative(block, out=block)
-    start, stop = np.searchsorted(train.edges[:, 0], [lo, lo + rows])
-    seen = train.edges[start:stop]
+    seen = train.edges[train.ptr[lo]:train.ptr[lo + rows]]
     block[seen[:, 0] - lo, seen[:, 1]] = np.inf
 
     k = min(n, items)

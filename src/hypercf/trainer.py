@@ -14,8 +14,8 @@ deterministic.
 from __future__ import annotations
 
 import json
+import math
 import os
-import struct
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -285,15 +285,16 @@ def load_values(model: Model, values: dict) -> None:
 # ---------------------------------------------------------------------------
 # Checkpoint format
 #
-# magic "SHTCKPT2", uint32 tensor count, then per tensor: uint16 name length,
-# utf-8 name, uint8 rank, uint32 per-dim sizes, float32 row-major data; then
-# one length-prefixed utf-8 JSON record: the `format_config` text, users,
-# items, the Progress fields, Adam's step count and the rng's
-# `bit_generator.state` (the last two null when not saved). All integers
-# little-endian. Files of any other magic, SHTCKPT1 included, are refused.
+# magic "SHTCKPT3", a uint32 byte length, then one utf-8 JSON record of that
+# length, then each tensor's float32 row-major data, back to back in
+# sorted-name order. All integers and floats little-endian. The record holds
+# `tensors` (the [name, shape] pairs in data order), the `format_config`
+# text, users, items, the Progress fields, Adam's step count and the rng's
+# `bit_generator.state` (the last two null when not saved). Files of any
+# other magic, SHTCKPT1 and SHTCKPT2 included, are refused.
 # ---------------------------------------------------------------------------
 
-MAGIC = b"SHTCKPT2"
+MAGIC = b"SHTCKPT3"
 
 
 @dataclass
@@ -321,17 +322,6 @@ class Checkpoint:
         return rng
 
 
-def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
-    encoded = name.encode("utf-8")
-    if len(encoded) > 0xFFFF:
-        raise CheckpointError(f"tensor name too long: {name[:40]!r}...")
-    arr = np.ascontiguousarray(arr, dtype="<f4")
-    header = struct.pack("<H", len(encoded)) + encoded
-    header += struct.pack("<B", arr.ndim)
-    header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return header + arr.tobytes()
-
-
 def save_checkpoint(path: str, model: Model, progress: Progress = None,
                     optimizer: Adam = None, rng=None) -> None:
     """Write the model's parameters and the run state; a file saved with
@@ -339,7 +329,10 @@ def save_checkpoint(path: str, model: Model, progress: Progress = None,
     tensors = {name: p.value for name, p in model.params.items()}
     if optimizer is not None:
         tensors.update(optimizer.moment_tensors())
+    arrays = [(name, np.ascontiguousarray(tensors[name], dtype="<f4"))
+              for name in sorted(tensors)]
     record = {
+        "tensors": [[name, list(arr.shape)] for name, arr in arrays],
         "config": format_config(model.cfg),
         "users": model.num_users,
         "items": model.num_items,
@@ -347,56 +340,46 @@ def save_checkpoint(path: str, model: Model, progress: Progress = None,
         "adam_steps": None if optimizer is None else optimizer.steps,
         "rng": None if rng is None else rng.bit_generator.state,
     }
-    blob = bytearray(MAGIC)
-    blob += struct.pack("<I", len(tensors))
-    for name in sorted(tensors):
-        blob += _pack_tensor(name, tensors[name])
-    record_block = json.dumps(record, sort_keys=True).encode("utf-8")
-    blob += struct.pack("<I", len(record_block)) + record_block
+    header = json.dumps(record, sort_keys=True).encode("utf-8")
 
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(blob)
+        fh.write(MAGIC + len(header).to_bytes(4, "little") + header)
+        fh.writelines(arr.tobytes() for _, arr in arrays)
     os.replace(tmp, path)
-
-
-class _Reader:
-    def __init__(self, data: bytes, path: str):
-        self.data = data
-        self.off = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
-            raise CheckpointError(f"{self.path}: truncated checkpoint")
-        chunk = self.data[self.off:self.off + n]
-        self.off += n
-        return chunk
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read(), path)
-    if reader.take(len(MAGIC)) != MAGIC:
+        data = fh.read()
+    if data[:len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a {MAGIC.decode()} checkpoint "
                               f"file (bad magic)")
-    (count,) = reader.unpack("<I")
+    start = len(MAGIC) + 4
+    off = start + int.from_bytes(data[len(MAGIC):start], "little")
+    if len(data) < off:
+        raise CheckpointError(f"{path}: truncated checkpoint")
+    try:  # the header is outside input: check every shape before using it
+        record = json.loads(data[start:off])
+        layout = [(name, tuple(dims)) for name, dims in record.pop("tensors")]
+        if not all(isinstance(name, str) and all(
+                type(dim) is int and dim >= 0 for dim in shape)
+                for name, shape in layout):
+            raise ValueError("shapes must list non-negative integers")
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise CheckpointError(
+            f"{path}: malformed checkpoint header ({exc!r})") from exc
+    end = off + 4 * sum(math.prod(shape) for _, shape in layout)
+    if len(data) != end:
+        raise CheckpointError(
+            f"{path}: " + ("truncated checkpoint" if len(data) < end
+                           else "trailing bytes after checkpoint"))
     tensors = {}
-    for _ in range(count):
-        (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode("utf-8")
-        (rank,) = reader.unpack("<B")
-        dims = reader.unpack(f"<{rank}I") if rank else ()
-        size = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        raw = reader.take(4 * size)
-        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
-    (record_len,) = reader.unpack("<I")
-    record = json.loads(reader.take(record_len).decode("utf-8"))
-    if reader.off != len(reader.data):
-        raise CheckpointError(f"{path}: trailing bytes after checkpoint")
+    for name, shape in layout:
+        size = math.prod(shape)
+        tensors[name] = np.frombuffer(data, "<f4", size, off).reshape(
+            shape).copy()
+        off += 4 * size
     return Checkpoint(tensors, record)
 
 

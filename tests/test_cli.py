@@ -116,6 +116,30 @@ class TestUsageErrors:
         assert rc == 2
 
 
+class TestBadFlagValues:
+    """A bad value is a usage error naming its flag, raised before any
+    training and before the run directory exists."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["evaluate", "CKPT", "--cutoffs", "0,20"], "--cutoffs"),
+        (["sparsity-report", "CKPT", "--user-bounds", "30,15"],
+         "--user-bounds"),
+        (["noise-test", "--ratios", "0.1,0.6"], "--ratios"),
+        (["noise-test", "--cutoff", "0"], "--cutoff"),
+        (["sweep", "--vary", "batch=64,16"], "--vary batch"),
+        (["ablate", "--flags", "sal,bogus"], "--flags"),
+    ])
+    def test_rejected_before_any_work(self, argv, flag, trained, tmp_path,
+                                      capsys):
+        out = tmp_path / "out"
+        argv = [trained["checkpoint"] if a == "CKPT" else a for a in argv]
+        rc = main(argv + ["--data", trained["data"], "--out", str(out)]
+                  + FAST)
+        assert rc == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTrainArtifacts:
     def test_run_dir_contents(self, trained):
         names = set(os.listdir(trained["run_dir"]))

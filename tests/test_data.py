@@ -120,7 +120,6 @@ class TestMainPairs:
         ds = D.InteractionDataset.from_edges(
             [(0, j) for j in range(5) if j != 3], 1, 5)
         batch = D.sample_main_pairs(ds, 32, default_rng(0), users=np.arange(1))
-        assert batch.kind == "main"
         assert (batch.v2 == 3).all() and (batch.u1 == batch.u2).all()
 
     def test_count_precondition(self):
@@ -183,7 +182,6 @@ class TestSalPairs:
     def test_two_edge_graph_only_pair(self):
         ds = D.InteractionDataset.from_edges([(0, 0), (1, 1)], 2, 2)
         batch = D.sample_sal_pairs(ds, 50, default_rng(0))
-        assert batch.kind == "self-augmented"
         for u1, v1, u2, v2 in zip(batch.u1, batch.v1, batch.u2, batch.v2):
             assert {(int(u1), int(v1)), (int(u2), int(v2))} == {(0, 0), (1, 1)}
 

@@ -128,7 +128,7 @@ class TestLossComponents:
 
         def loss_for(gap):
             model.params["item.embed"].value[...] = [[gap, 0.0], [0.0, 0.0]]
-            batch = D.EdgePairBatch("main", np.array([0]), np.array([0]),
+            batch = D.EdgePairBatch(np.array([0]), np.array([0]),
                                     np.array([0]), np.array([1]))
             state = model.forward(None)
             return model.main_loss(state, batch).value[0, 0]
@@ -287,12 +287,10 @@ class TestInference:
 
 
 # batches that touch some rows of each side, some of them twice
-SUBSET_MAIN = D.EdgePairBatch("main", np.array([0, 2, 2, 5]),
-                              np.array([0, 0, 3, 1]), np.array([0, 2, 2, 5]),
-                              np.array([2, 1, 1, 0]))
-SUBSET_SAL = D.EdgePairBatch("self-augmented", np.array([1, 3, 3]),
-                             np.array([1, 4, 2]), np.array([4, 1, 2]),
-                             np.array([3, 2, 4]))
+SUBSET_MAIN = D.EdgePairBatch(np.array([0, 2, 2, 5]), np.array([0, 0, 3, 1]),
+                              np.array([0, 2, 2, 5]), np.array([2, 1, 1, 0]))
+SUBSET_SAL = D.EdgePairBatch(np.array([1, 3, 3]), np.array([1, 4, 2]),
+                             np.array([4, 1, 2]), np.array([3, 2, 4]))
 
 
 def full_table_loss(model, state, main, sal):

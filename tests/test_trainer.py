@@ -1,5 +1,6 @@
 """Optimizer, training loop, and checkpoint round trips."""
 
+import json
 import math
 import os
 from dataclasses import replace
@@ -15,6 +16,19 @@ from hypercf import trainer as T
 from hypercf.config import Config
 from hypercf.model import Model
 from hypercf.rng import STREAM_TRAIN, spawn_rng
+
+
+def edit_record(change):
+    """A header edit that applies ``change`` to the decoded JSON record."""
+    def edit(header):
+        record = json.loads(header)
+        change(record)
+        return json.dumps(record).encode("utf-8")
+    return edit
+
+
+def set_first_shape(value):
+    return edit_record(lambda r: r["tensors"][0].__setitem__(1, value))
 
 
 def small_setup(seed=0, **overrides):
@@ -314,7 +328,7 @@ class TestCheckpointFormat:
         path = str(tmp_path / "junk.ckpt")
         with open(path, "wb") as fh:
             fh.write(b"NOTACKPTjunkjunkjunk")
-        with pytest.raises(T.CheckpointError, match="magic"):
+        with pytest.raises(T.CheckpointError, match="bad magic"):
             T.load_checkpoint(path)
 
     def test_first_format_magic_rejected(self, tmp_path):
@@ -324,8 +338,58 @@ class TestCheckpointFormat:
             data = fh.read()
         with open(path, "wb") as fh:
             fh.write(b"SHTCKPT1" + data[len(T.MAGIC):])
-        with pytest.raises(T.CheckpointError, match="magic"):
+        with pytest.raises(T.CheckpointError, match="bad magic"):
             T.load_checkpoint(path)
+
+    def test_second_format_magic_rejected(self, tmp_path):
+        # SHTCKPT2 put a binary header before each tensor
+        _, _, _, path = self.trained(tmp_path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(b"SHTCKPT2" + data[len(T.MAGIC):])
+        with pytest.raises(T.CheckpointError, match="bad magic"):
+            T.load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        _, _, _, path = self.trained(tmp_path)
+        with open(path, "ab") as fh:
+            fh.write(b"\0" * 4)
+        with pytest.raises(T.CheckpointError, match="trailing bytes after"):
+            T.load_checkpoint(path)
+
+    def test_header_length_past_end_is_truncated(self, tmp_path):
+        _, _, _, path = self.trained(tmp_path)
+        with open(path, "rb") as fh:
+            data = bytearray(fh.read())
+        data[len(T.MAGIC):len(T.MAGIC) + 4] = len(data).to_bytes(4, "little")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with pytest.raises(T.CheckpointError, match="truncated checkpoint"):
+            T.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda header: header[:-1],
+        edit_record(lambda r: r.pop("tensors")),
+        set_first_shape([-1, 8]),
+        set_first_shape([2.5, 8]),
+        set_first_shape(8),
+    ], ids=["not-json", "no-tensors-key", "negative-dim", "float-dim",
+            "shape-not-list"])
+    def test_malformed_header_names_file(self, tmp_path, edit):
+        _, _, _, path = self.trained(tmp_path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        start = len(T.MAGIC) + 4
+        end = start + int.from_bytes(data[len(T.MAGIC):start], "little")
+        header = edit(data[start:end])
+        with open(path, "wb") as fh:
+            fh.write(T.MAGIC + len(header).to_bytes(4, "little") + header
+                     + data[end:])
+        with pytest.raises(T.CheckpointError,
+                           match="malformed checkpoint header") as err:
+            T.load_checkpoint(path)
+        assert path in str(err.value)
 
     def test_truncated_rejected(self, tmp_path):
         _, _, _, path = self.trained(tmp_path)
@@ -333,7 +397,7 @@ class TestCheckpointFormat:
             data = fh.read()
         with open(path, "wb") as fh:
             fh.write(data[:-10])
-        with pytest.raises(T.CheckpointError, match="truncated"):
+        with pytest.raises(T.CheckpointError, match="truncated checkpoint"):
             T.load_checkpoint(path)
 
     def test_shape_mismatch_names_tensor(self, tmp_path):
