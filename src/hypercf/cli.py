@@ -264,6 +264,9 @@ def cmd_ablate(args) -> int:
 def cmd_bench(args) -> int:
     cfg = _effective_config(args)
     sizes = _parse_list(args.nodes, "--nodes")
+    _check("--nodes", args.nodes, sizes and min(sizes) >= 1,
+           "need one or more node counts >= 1")
+    _check("--repeats", args.repeats, args.repeats >= 1, "need >= 1")
     rows = [bench_factorization(n, cfg.hyperedges, cfg.d, cfg.heads,
                                 repeats=args.repeats, seed=cfg.seed)
             for n in sizes]

@@ -295,6 +295,8 @@ def load_values(model: Model, values: dict) -> None:
 # ---------------------------------------------------------------------------
 
 MAGIC = b"SHTCKPT3"
+# the record's keys besides `tensors`, each read by some consumer
+RECORD_KEYS = ("config", "users", "items", "progress", "adam_steps", "rng")
 
 
 @dataclass
@@ -362,6 +364,9 @@ def load_checkpoint(path: str) -> Checkpoint:
     try:  # the header is outside input: check every shape before using it
         record = json.loads(data[start:off])
         layout = [(name, tuple(dims)) for name, dims in record.pop("tensors")]
+        missing = [key for key in RECORD_KEYS if key not in record]
+        if missing:
+            raise ValueError(f"record lacks the keys {missing}")
         if not all(isinstance(name, str) and all(
                 type(dim) is int and dim >= 0 for dim in shape)
                 for name, shape in layout):

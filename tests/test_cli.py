@@ -128,6 +128,10 @@ class TestBadFlagValues:
         (["noise-test", "--cutoff", "0"], "--cutoff"),
         (["sweep", "--vary", "batch=64,16"], "--vary batch"),
         (["ablate", "--flags", "sal,bogus"], "--flags"),
+        (["bench", "--nodes", "0"], "--nodes"),
+        (["bench", "--nodes", "50,-5"], "--nodes"),
+        (["bench", "--nodes", ","], "--nodes"),
+        (["bench", "--nodes", "50", "--repeats", "0"], "--repeats"),
     ])
     def test_rejected_before_any_work(self, argv, flag, trained, tmp_path,
                                       capsys):

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,16 @@ def ndcg_loops(lists, test, n):
                    for i in range(min(n, len(relevant))))
         vals.append(dcg / idcg)
     return sum(vals) / len(vals)
+
+
+def assert_matches_loops(scores, train, n):
+    result = E.rank_all(scores, train, n)
+    oracle_lists = rank_loops(scores, train, n)
+    assert result.items.shape == (train.num_users, n)
+    for u, expected in enumerate(oracle_lists):
+        got = result.items[u]
+        assert got[got >= 0].tolist() == expected, (n, u)
+        assert (got[len(expected):] == -1).all(), (n, u)
 
 
 class TestRankAll:
@@ -125,15 +136,7 @@ class TestChunkedRanking:
         train = dataset(edges, users, items)
         scores = np.round(rng.normal(size=(users, items)), 0)  # many ties
         for n in (1, items - 1, items, items + 5):
-            result = E.rank_all(scores, train, n)
-            oracle_lists = rank_loops(scores, train, n)
-            assert result.items.shape == (users, n)
-            for u in range(users):
-                got = result.items[u]
-                assert got[got >= 0].tolist() == oracle_lists[u], (n, u)
-                assert (got[len(oracle_lists[u]):] == -1).all()
-            for u in full:
-                assert (result.items[u] == -1).all()
+            assert_matches_loops(scores, train, n)
 
     def test_scores_left_unmodified(self):
         rng = default_rng(4)
@@ -148,8 +151,12 @@ class TestChunkedRanking:
 
     @pytest.mark.parametrize("quantized", [False, True])
     def test_embeddings_path_bit_identical(self, quantized):
+        for items in (40, 400):  # 400 items take the grouped path at n=20
+            self.check_embeddings_path(quantized, items)
+
+    def check_embeddings_path(self, quantized, items):
         rng = default_rng(8)
-        users, items, d = 2 * E.ROW_CHUNK + 1, 40, 5
+        users, d = 2 * E.ROW_CHUNK + 1, 5
         user_emb, item_emb = (rng.normal(size=(users, d)),
                               rng.normal(size=(items, d)))
         if quantized:  # exact ties between items
@@ -171,6 +178,82 @@ class TestChunkedRanking:
         assert E.evaluate_model(Tables(), None, train, test, (5, 20)) == \
             E.evaluate_scores(E.score_matrix(user_emb, item_emb), train,
                               test, (5, 20))
+
+
+class TestGroupedRanking:
+    """Past GROUP * n items a row ranks only the items of its n strided
+    groups (item j is in group j mod G) with the largest maxima; a tie at
+    the n-th group maximum or at the n-th score falls back to the whole
+    row. Every case must equal the brute-force sort."""
+
+    N = 3
+
+    def tricky_scores(self, rng, users, items):
+        """Rounded random rows, then rows built to tie at the n-th group
+        maximum, to tie at the n-th score inside one group, and to be
+        all equal."""
+        groups = -(-items // E.GROUP)
+        scores = np.round(rng.normal(size=(users, items)), 0)
+        for u in range(0, users - 2, 3):
+            row = -10.0 - rng.random(items)
+            a, b, c, d = rng.choice(groups, 4, replace=False)
+            row[[a, b]] = [5.0, 4.0]
+            if u % 2:  # two groups tie at the n-th group maximum
+                row[[c + groups * rng.integers(0, items // groups),
+                     d + groups * rng.integers(0, items // groups)]] = 3.0
+            else:  # two items of one group tie at the n-th score
+                row[c + groups * rng.choice(items // groups, 2,
+                                            replace=False)] = 3.0
+            scores[u] = row
+        scores[users - 1] = 0.5
+        return scores
+
+    @pytest.mark.parametrize("items", [E.GROUP * N + 5, E.GROUP * 9 - 3])
+    @pytest.mark.parametrize("chunk", [5, None])
+    def test_matches_loops(self, items, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(E, "ROW_CHUNK", chunk)
+        rng = default_rng(items)
+        users = 2 * E.ROW_CHUNK + 7
+        edges = np.stack([rng.integers(0, users, 4 * users),
+                          rng.integers(0, items, 4 * users)], axis=1)
+        short = [[1, j] for j in range(items - 2)]  # 2 untrained items
+        full = [[u, j] for u in (E.ROW_CHUNK - 1, E.ROW_CHUNK)
+                for j in range(items)]
+        train = dataset(np.concatenate([edges, short, full]), users, items)
+        scores = self.tricky_scores(rng, users, items)
+        for n in (1, self.N, items - 1, items + 4):
+            assert_matches_loops(scores, train, n)
+
+
+class TestMemoryBound:
+    """Ranking holds one ROW_CHUNK x items scratch block, never a copy of
+    the users x items scores, so its peak does not grow with the users."""
+
+    @pytest.mark.parametrize("path", ["rank_all", "rank_embeddings"])
+    def test_peak_fixed_as_users_double(self, path):
+        items, d, n = 3000, 8, 20
+        peaks = []
+        for users in (2048, 4096):
+            rng = default_rng(0)
+            user_emb = rng.normal(size=(users, d))
+            item_emb = rng.normal(size=(items, d))
+            train = dataset(np.stack([rng.integers(0, users, 4 * users),
+                                      rng.integers(0, items, 4 * users)], 1),
+                            users, items)
+            scores = E.score_matrix(user_emb, item_emb)
+            tracemalloc.start()
+            try:
+                if path == "rank_all":
+                    result = E.rank_all(scores, train, n)
+                else:
+                    result = E.rank_embeddings(user_emb, item_emb, train, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak - result.items.nbytes)
+        assert max(peaks) < 2 * 2**20, peaks
+        assert peaks[1] <= peaks[0] + 64 * 2**10, peaks
 
 
 class TestMetricValues:

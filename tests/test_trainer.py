@@ -27,6 +27,18 @@ def edit_record(change):
     return edit
 
 
+def rewrite_header(path, edit):
+    """Rewrite a checkpoint with ``edit`` applied to its JSON header."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    start = len(T.MAGIC) + 4
+    end = start + int.from_bytes(data[len(T.MAGIC):start], "little")
+    header = edit(data[start:end])
+    with open(path, "wb") as fh:
+        fh.write(T.MAGIC + len(header).to_bytes(4, "little") + header
+                 + data[end:])
+
+
 def set_first_shape(value):
     return edit_record(lambda r: r["tensors"][0].__setitem__(1, value))
 
@@ -378,18 +390,22 @@ class TestCheckpointFormat:
             "shape-not-list"])
     def test_malformed_header_names_file(self, tmp_path, edit):
         _, _, _, path = self.trained(tmp_path)
-        with open(path, "rb") as fh:
-            data = fh.read()
-        start = len(T.MAGIC) + 4
-        end = start + int.from_bytes(data[len(T.MAGIC):start], "little")
-        header = edit(data[start:end])
-        with open(path, "wb") as fh:
-            fh.write(T.MAGIC + len(header).to_bytes(4, "little") + header
-                     + data[end:])
+        rewrite_header(path, edit)
         with pytest.raises(T.CheckpointError,
                            match="malformed checkpoint header") as err:
             T.load_checkpoint(path)
         assert path in str(err.value)
+
+    @pytest.mark.parametrize("key", ["config", "users", "items", "progress",
+                                     "adam_steps", "rng"])
+    def test_missing_record_key_names_file_and_key(self, tmp_path, key):
+        _, _, _, path = self.trained(tmp_path)
+        rewrite_header(path, edit_record(lambda r: r.pop(key)))
+        with pytest.raises(T.CheckpointError,
+                           match="malformed checkpoint header") as err:
+            T.load_checkpoint(path)
+        assert path in str(err.value)
+        assert repr(key) in str(err.value)
 
     def test_truncated_rejected(self, tmp_path):
         _, _, _, path = self.trained(tmp_path)
