@@ -27,6 +27,26 @@ class SamplingError(RuntimeError):
     """A sampler could not satisfy its constraints (e.g. no negative exists)."""
 
 
+def _unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-D array, as `np.unique` gives them.
+
+    A sort and an adjacent-difference mask: numpy's hash-based `np.unique`
+    is about 50x slower on int64 edge keys.
+    """
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def _member(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Whether each of ``keys`` occurs in the sorted array ``sorted_keys``."""
+    idx = np.searchsorted(sorted_keys, keys)
+    hit = idx < len(sorted_keys)
+    hit[hit] = sorted_keys[idx[hit]] == keys[hit]
+    return hit
+
+
 def pack_edges(edges: np.ndarray, num_items: int) -> np.ndarray:
     """Encode (u, v) rows as single int64 keys u * J + v."""
     return edges[:, 0].astype(np.int64) * num_items + edges[:, 1].astype(np.int64)
@@ -61,7 +81,7 @@ class InteractionDataset:
                 raise DataError("user index out of range")
             if arr[:, 1].min() < 0 or arr[:, 1].max() >= num_items:
                 raise DataError("item index out of range")
-        keys = np.unique(pack_edges(arr, num_items))
+        keys = _unique(pack_edges(arr, num_items))
         arr = np.stack([keys // num_items, keys % num_items], axis=1)
         return cls(num_users, num_items, arr, user_ids, item_ids)
 
@@ -85,38 +105,124 @@ class InteractionDataset:
     def contains(self, edges: np.ndarray) -> np.ndarray:
         """Vectorized membership test for an (n, 2) edge array."""
         keys = pack_edges(np.asarray(edges, dtype=np.int64), self.num_items)
-        idx = np.searchsorted(self.packed, keys)
-        hit = idx < len(self.packed)
-        hit[hit] = self.packed[idx[hit]] == keys[hit]
-        return hit
+        return _member(keys, self.packed)
+
+
+# Characters of the file parsed at a time. The loader's transient memory (a
+# block's text, its fields and their index arrays) is bounded by this, not by
+# the file's size.
+READ_BLOCK = 1 << 14
+
+# First bytes of a line that may be skipped: '#', an empty line, or the first
+# UTF-8 byte of a character `str.isspace` accepts: ASCII whitespace, 0xC2
+# (U+0085, U+00A0), 0xE1 (U+1680), 0xE2 (U+2000..U+205F), 0xE3 (U+3000).
+_MAYBE_SKIPPED = np.zeros(256, dtype=bool)
+_MAYBE_SKIPPED[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32, ord("#"),
+                0xC2, 0xE1, 0xE2, 0xE3]] = True
+
+
+def _skipped(line: str) -> bool:
+    """Blank, whitespace-only and comment lines carry no interaction."""
+    return not line.strip() or line.lstrip().startswith("#")
+
+
+def _is_edge(line: str) -> bool:
+    parts = line.split("\t")
+    return len(parts) == 2 and bool(parts[0]) and bool(parts[1])
+
+
+class _DenseIndex(dict):
+    """External id -> dense index; an unseen id takes the next index."""
+
+    def __missing__(self, key):
+        value = self[key] = len(self)
+        return value
+
+    def lookup(self, ids: list) -> np.ndarray:
+        return np.fromiter(map(self.__getitem__, ids), dtype=np.int64,
+                           count=len(ids))
+
+
+def _parse_block(text: str, path: str, first_line: int) -> tuple:
+    """Split a block of whole '\\n'-terminated lines into (users, items) ids.
+
+    Every line that is not skipped must hold exactly one tab between two
+    non-empty fields. In the encoded block those lines' separators then
+    alternate tab, newline, and no two are adjacent; one vectorised test
+    checks that, and only a failed test walks the lines to name the first
+    bad one.
+    """
+    try:
+        raw = text.encode("utf-8")
+    except UnicodeEncodeError as exc:  # an escaped undecodable byte
+        head = text.rfind("\n", 0, exc.start) + 1
+        if head:  # a malformed line before it is named first
+            _parse_block(text[:head], path, first_line)
+        line = first_line + text.count("\n", 0, exc.start)
+        byte = ord(text[exc.start]) - 0xDC00
+        raise DataError(f"{path}:{line}: not UTF-8 text "
+                        f"(byte 0x{byte:02x})") from None
+    b = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(b == 10)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    drop = [i for i in np.flatnonzero(_MAYBE_SKIPPED[b[starts]])
+            if _skipped(raw[starts[i]:ends[i]].decode())]
+    kept = text
+    if drop:
+        keep = np.ones(len(ends), dtype=bool)
+        keep[drop] = False
+        b = b[np.repeat(keep, ends - starts + 1)]
+        kept = b.tobytes().decode()
+    sep = np.flatnonzero((b == 9) | (b == 10))
+    kind = b[sep]
+    if not ((kind[0::2] == 9).all() and (kind[1::2] == 10).all()
+            and (np.diff(sep, prepend=-1) > 1).all()):
+        offset, line = next(
+            (k, line) for k, line in enumerate(text.split("\n"))
+            if not _skipped(line) and not _is_edge(line))
+        raise DataError(f"{path}:{first_line + offset}: "
+                        f"expected 'user<TAB>item', got {line!r}")
+    fields = kept.replace("\n", "\t").split("\t")
+    return fields[0:-1:2], fields[1::2]
 
 
 def load_interactions(path: str) -> InteractionDataset:
     """Parse a TSV interaction file into a dense-indexed dataset.
 
-    Blank lines and lines starting with '#' are skipped; duplicate
-    interactions are dropped. External ids keep their order of first
-    appearance in the dense index space.
+    The file is UTF-8 with an optional byte-order mark; '\\n', '\\r\\n'
+    and '\\r' all end a line. Blank lines, whitespace-only lines and lines
+    whose first non-blank character is '#' are skipped; every other line is
+    ``user<TAB>item`` with two non-empty fields. Duplicate interactions are
+    dropped. External ids keep their order of first appearance in the dense
+    index space.
     """
-    user_index: dict = {}
-    item_index: dict = {}
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise DataError(
-                    f"{path}:{lineno}: expected 'user<TAB>item', got {line!r}")
-            u = user_index.setdefault(parts[0], len(user_index))
-            v = item_index.setdefault(parts[1], len(item_index))
-            rows.append((u, v))
-    if not rows:
+    user_index, item_index = _DenseIndex(), _DenseIndex()
+    blocks = []
+    line, pending = 1, ""
+    # undecodable bytes become lone surrogates, which `_parse_block` reports
+    # with their line when it encodes the block again
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        while True:
+            chunk = fh.read(READ_BLOCK)
+            text = pending + chunk
+            if chunk:  # parse whole lines, keep the unfinished one
+                cut = text.rfind("\n") + 1
+                text, pending = text[:cut], text[cut:]
+            elif text:  # the last line has no final newline
+                text += "\n"
+            if text:
+                u, v = _parse_block(text, path, line)
+                blocks.append(np.stack([user_index.lookup(u),
+                                        item_index.lookup(v)], axis=1))
+                line += text.count("\n")
+            if not chunk:
+                break
+    if not user_index:
         raise DataError(f"{path}: no interactions found")
+    edges = np.concatenate(blocks)
+    del blocks  # only the joined copy stays alive through the dedup
     return InteractionDataset.from_edges(
-        rows, len(user_index), len(item_index),
+        edges, len(user_index), len(item_index),
         user_ids=list(user_index), item_ids=list(item_index))
 
 
@@ -156,9 +262,9 @@ def split(dataset: InteractionDataset, seed: int) -> SplitDataset:
     parts = (perm[:n_train], perm[n_train:n_train + n_valid],
              perm[n_train + n_valid:])
 
-    def view(idx):
-        return InteractionDataset.from_edges(
-            dataset.edges[idx], dataset.num_users, dataset.num_items,
+    def view(idx):  # a sorted subset of sorted, unique edges needs no dedup
+        return InteractionDataset(
+            dataset.num_users, dataset.num_items, dataset.edges[np.sort(idx)],
             dataset.user_ids, dataset.item_ids)
 
     return SplitDataset(*(view(p) for p in parts), seed=seed)
@@ -304,9 +410,8 @@ def inject_noise(dataset: InteractionDataset, ratio: float, seed: int = 0):
         cand_v = rng.integers(0, dataset.num_items, size=need)
         keys = pack_edges(np.stack([cand_u, cand_v], axis=1),
                           dataset.num_items)
-        ok = ~np.isin(keys, dataset.packed) & ~np.isin(keys, fakes)
-        keys = np.unique(keys[ok])
-        fakes = np.union1d(fakes, keys)
+        ok = ~_member(keys, dataset.packed) & ~_member(keys, fakes)
+        fakes = _unique(np.concatenate([fakes, keys[ok]]))
     fake_edges = np.stack([fakes // dataset.num_items,
                            fakes % dataset.num_items], axis=1)
 
@@ -314,7 +419,7 @@ def inject_noise(dataset: InteractionDataset, ratio: float, seed: int = 0):
         np.concatenate([dataset.edges[keep], fake_edges]),
         dataset.num_users, dataset.num_items,
         dataset.user_ids, dataset.item_ids)
-    mask = np.isin(out.packed, fakes)
+    mask = _member(out.packed, fakes)
     return out, mask
 
 

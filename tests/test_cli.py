@@ -115,6 +115,16 @@ class TestUsageErrors:
         rc = main(["evaluate", str(bad), "--data", data_path])
         assert rc == 2
 
+    def test_non_utf8_data_names_file_and_line(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.tsv"
+        bad.write_bytes(b"a\tx\nb\ty\ncaf\xe9\tx\n")
+        out = tmp_path / "out"
+        rc = main(["train", "--data", str(bad), "--out", str(out)] + FAST)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: DataError: {bad}:3: " in err, err
+        assert not out.exists()
+
 
 class TestBadFlagValues:
     """A bad value is a usage error naming its flag, raised before any

@@ -1,5 +1,9 @@
 """Dataset loading, splitting, adjacency weights, samplers, noise, grouping."""
 
+import random
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -10,6 +14,38 @@ from hypercf import data as D
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
+
+
+def oracle_load(path):
+    """The reference loader: one Python step per line, as the TSV format
+    was first implemented; `load_interactions` must agree with it."""
+    user_index: dict = {}
+    item_index: dict = {}
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2 or not parts[0] or not parts[1]:
+                raise D.DataError(
+                    f"{path}:{lineno}: expected 'user<TAB>item', got {line!r}")
+            u = user_index.setdefault(parts[0], len(user_index))
+            v = item_index.setdefault(parts[1], len(item_index))
+            rows.append((u, v))
+    if not rows:
+        raise D.DataError(f"{path}: no interactions found")
+    return D.InteractionDataset.from_edges(
+        rows, len(user_index), len(item_index),
+        user_ids=list(user_index), item_ids=list(item_index))
+
+
+def assert_same_dataset(got, want):
+    assert got.edges.dtype == np.int64 and np.array_equal(got.edges, want.edges)
+    assert got.user_ids == want.user_ids and got.item_ids == want.item_ids
+    assert (got.num_users, got.num_items, got.num_edges) == \
+        (want.num_users, want.num_items, want.num_edges)
 
 
 class TestLoad:
@@ -36,6 +72,162 @@ class TestLoad:
         p = write_lines(tmp_path / "x.tsv", ["# nothing"])
         with pytest.raises(D.DataError, match="no interactions"):
             D.load_interactions(p)
+
+
+class TestLoadEncoding:
+    def test_bom_before_header_dropped(self, tmp_path):
+        p = tmp_path / "bom.tsv"
+        p.write_bytes("\ufeff# header\na\tx\n".encode("utf-8"))
+        ds = D.load_interactions(str(p))
+        assert ds.user_ids == ["a"] and ds.item_ids == ["x"]
+
+    def test_bom_before_first_id_dropped(self, tmp_path):
+        p = tmp_path / "bom.tsv"
+        p.write_bytes("\ufeffa\tx\nb\tx\n".encode("utf-8"))
+        assert D.load_interactions(str(p)).user_ids == ["a", "b"]
+
+    def test_undecodable_byte_names_file_and_line(self, tmp_path):
+        p = tmp_path / "latin1.tsv"
+        p.write_bytes(b"a\tx\r\n# note\ncaf\xe9\tx\n")
+        with pytest.raises(D.DataError, match=r"latin1\.tsv:3: .*0xe9"):
+            D.load_interactions(str(p))
+
+    def test_undecodable_comment_line_named(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(D, "READ_BLOCK", 8)
+        p = tmp_path / "bad.tsv"
+        p.write_bytes(b"a\tx\nb\ty\nc\tz\n# \xff\n")
+        with pytest.raises(D.DataError, match=r"bad\.tsv:4: "):
+            D.load_interactions(str(p))
+
+    def test_first_bad_line_named_before_later_bad_byte(self, tmp_path):
+        p = tmp_path / "both.tsv"
+        p.write_bytes(b"a\tx\nbroken\ncaf\xe9\tx\n")
+        with pytest.raises(D.DataError, match=r"both\.tsv:2: expected"):
+            D.load_interactions(str(p))
+
+    def test_balanced_tab_count_is_not_a_check(self, tmp_path):
+        # one line without a tab and one with two add up to the right count
+        p = tmp_path / "pair.tsv"
+        p.write_bytes(b"a\nb\tc\td\n")
+        with pytest.raises(D.DataError) as exc:
+            D.load_interactions(str(p))
+        assert str(exc.value) == \
+            f"{p}:1: expected 'user<TAB>item', got 'a'"
+
+    def test_skip_table_covers_every_whitespace_lead_byte(self):
+        lead = {chr(c).encode("utf-8")[0] for c in range(sys.maxunicode + 1)
+                if not 0xD800 <= c < 0xE000 and chr(c).isspace()}
+        expected = lead | {ord("#"), ord("\n")}
+        assert set(np.flatnonzero(D._MAYBE_SKIPPED)) == expected
+
+
+USERS = ["a", "a#1", "user 7", "ü", "用户", "x\x0cy", "\xa0lead", " pad "] \
+    + [f"u{i}" for i in range(24)]
+ITEMS = ["x", "it em", "ß", "物品", "#tag", "end "] + [f"i{i}" for i in range(40)]
+SKIPPED = ["  # x", "# header\twith\ttabs", "\u3000# wide", "", "   ",
+           " \t ", "\t", "\x0b", "\x1c"]
+ENDINGS = ["\n", "\r\n", "\r"]
+
+
+def random_tsv(rng: random.Random, lines: int) -> str:
+    out = []
+    for _ in range(lines):
+        if rng.random() < 0.2:
+            line = rng.choice(SKIPPED)
+        else:  # small pools, so edges repeat
+            line = f"{rng.choice(USERS)}\t{rng.choice(ITEMS)}"
+        out.append(line + rng.choice(ENDINGS))
+    text = "".join(out)
+    return text.rstrip("\r\n") if rng.random() < 0.5 else text
+
+
+class TestLoadParity:
+    """The block parser against the per-line oracle."""
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 64, None])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_files(self, tmp_path, monkeypatch, seed, block):
+        if block:
+            monkeypatch.setattr(D, "READ_BLOCK", block)
+        p = tmp_path / "r.tsv"
+        p.write_bytes(random_tsv(random.Random(seed), 300).encode("utf-8"))
+        assert_same_dataset(D.load_interactions(str(p)), oracle_load(str(p)))
+
+    def test_file_spanning_default_blocks(self, tmp_path):
+        p = tmp_path / "big.tsv"
+        p.write_bytes(random_tsv(random.Random(99), 8000).encode("utf-8"))
+        assert p.stat().st_size > 3 * D.READ_BLOCK
+        assert_same_dataset(D.load_interactions(str(p)), oracle_load(str(p)))
+
+    @pytest.mark.parametrize("bad", [["no tab"], ["a", "b"], ["a\tb\tc"],
+                                     ["a\tb\tc\td"], ["\tx"], ["a\t"],
+                                     ["a", "b\tc\td"]],
+                             ids=["no-tab", "two-no-tab", "two-tabs",
+                                  "three-tabs", "empty-user", "empty-item",
+                                  "balanced-pair"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_malformed_line_named_like_oracle(self, tmp_path, monkeypatch,
+                                              bad, where, final_newline):
+        monkeypatch.setattr(D, "READ_BLOCK", 64)
+        rng = random.Random(5)
+        lines = [f"{rng.choice(USERS)}\t{rng.choice(ITEMS)}"
+                 for _ in range(120)]
+        at = {"first": 1, "middle": 60, "last": len(lines)}[where]
+        lines[at:at] = bad
+        p = tmp_path / "bad.tsv"
+        ending = "\r\n" if where == "middle" else "\n"
+        text = ending.join(lines) + (ending if final_newline else "")
+        p.write_bytes(text.encode("utf-8"))
+        with pytest.raises(D.DataError) as want:
+            oracle_load(str(p))
+        with pytest.raises(D.DataError) as got:
+            D.load_interactions(str(p))
+        assert str(got.value) == str(want.value)
+        assert f":{at + 1}: " in str(got.value)
+
+
+class TestUnique:
+    """The sort-based dedup against `np.unique`."""
+
+    @pytest.mark.parametrize("keys", [
+        default_rng(0).integers(-50, 50, size=5000),
+        default_rng(1).integers(0, 2**62, size=300) % 97 * 2**40,
+        np.full(64, 7, dtype=np.int64),
+        np.array([3], dtype=np.int64),
+        D.pack_edges(np.zeros((0, 2), dtype=np.int64), 5),
+    ], ids=["many-duplicates", "large-keys", "all-equal", "one", "empty"])
+    def test_matches_np_unique(self, keys):
+        got, want = D._unique(keys), np.unique(keys)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_empty_edge_array(self):
+        ds = D.InteractionDataset.from_edges(np.zeros((0, 2), dtype=np.int64),
+                                             3, 4)
+        assert ds.edges.shape == (0, 2) and ds.edges.dtype == np.int64
+
+    def test_from_edges_range_errors(self):
+        with pytest.raises(D.DataError, match="user index out of range"):
+            D.InteractionDataset.from_edges([(3, 0)], 3, 4)
+        with pytest.raises(D.DataError, match="item index out of range"):
+            D.InteractionDataset.from_edges([(0, -1)], 3, 4)
+
+
+class TestMemoryBound:
+    """The loader holds one block of text at a time, never the whole file
+    or a Python object per line."""
+
+    def test_peak_under_per_line_loader(self, tmp_path):
+        p = str(tmp_path / "4k.tsv")
+        D.write_interactions(p, D.synthetic_blocks(4000, 2000, 8, 20, seed=0))
+        tracemalloc.start()
+        try:
+            D.load_interactions(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the per-line loader peaked at 9.8 MB on this file
+        assert peak < 9.8e6, peak
 
 
 class TestSplit:
@@ -68,6 +260,17 @@ class TestSplit:
         merged = np.concatenate([sp.train.edges, sp.validation.edges, sp.test.edges])
         merged = merged[np.lexsort((merged[:, 1], merged[:, 0]))]
         assert np.array_equal(merged, ds.edges)
+
+    def test_parts_sorted_and_unique(self):
+        ds = D.synthetic_blocks(num_users=60, num_items=30, num_blocks=3,
+                                edges_per_user=6, seed=2)
+        sp = D.split(ds, seed=4)
+        for part in (sp.train, sp.validation, sp.test):
+            assert (np.diff(part.packed) > 0).all()
+            again = D.InteractionDataset.from_edges(
+                part.edges[::-1], part.num_users, part.num_items)
+            assert np.array_equal(part.edges, again.edges)
+            assert np.array_equal(part.ptr, again.ptr)
 
     def test_too_few_edges_rejected(self):
         with pytest.raises(D.DataError, match="10 edges"):
