@@ -299,7 +299,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     def vjp(g):
         np.add.at(_grad_buffer(a), idx, g)
 
-    return _make(a.value[idx].copy(), (a,), vjp, "gather_rows")
+    return _make(a.value[idx], (a,), vjp, "gather_rows")
 
 
 def sum_all(a: Tensor) -> Tensor:

@@ -3,6 +3,7 @@ format used by the command line (line-stable for easy diffing)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 ABLATIONS = ("pos", "trans", "deeph", "highh", "hyper", "meta", "sal")
@@ -41,9 +42,6 @@ class Config:
     init_scale: float = 0.1
     ablate: tuple = ()
 
-    # paper-gap switch; off follows the paper, which sums only layer outputs
-    include_input_in_sum: bool = False  # add layer-0 input to the final sum
-
     pairs_main: int = 0              # 0: use batch size
     pairs_sal: int = 0
     patience: int = 0                # 0: no early stopping
@@ -70,6 +68,13 @@ class Config:
         return self.pairs_sal or self.batch
 
     def validate(self) -> "Config":
+        for key in ("lr", "decay", "lambda1", "lambda2", "slope",
+                    "init_scale"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
+            if value <= 0 and key != "init_scale":
+                raise ConfigError(f"{key} must be positive, got {value}")
         if self.d <= 0 or self.heads <= 0 or self.d % self.heads != 0:
             raise ConfigError(
                 f"embedding dim {self.d} must be a positive multiple of "
@@ -78,10 +83,6 @@ class Config:
             raise ConfigError(f"layers must be 1, 2 or 3, got {self.layers}")
         if self.hyperedges < 1:
             raise ConfigError("need at least one hyperedge")
-        if self.lambda1 <= 0 or self.lambda2 <= 0:
-            raise ConfigError("loss weights must be positive")
-        if self.lr <= 0 or self.decay <= 0:
-            raise ConfigError("learning rate and decay must be positive")
         if not 32 <= self.batch <= 512:
             raise ConfigError(f"batch size {self.batch} outside [32, 512]")
         if self.dropout not in DROPOUT_CHOICES:
@@ -89,9 +90,7 @@ class Config:
                 f"dropout must be one of {DROPOUT_CHOICES}, got {self.dropout}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.slope <= 0:
-            raise ConfigError("activation slope must be positive")
-        for key, low in (("eval_every", 1), ("pairs_main", 0),
+        for key, low in (("seed", 0), ("eval_every", 1), ("pairs_main", 0),
                          ("pairs_sal", 0), ("patience", 0), ("init_scale", 0)):
             if getattr(self, key) < low:
                 raise ConfigError(
@@ -107,16 +106,8 @@ class Config:
         return self
 
 
-_BOOL = {"true": True, "false": False, "1": True, "0": False,
-         "yes": True, "no": False}
-
-
 def _parse_value(field_type, raw: str, key: str):
     raw = raw.strip()
-    if field_type is bool:
-        if raw.lower() not in _BOOL:
-            raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-        return _BOOL[raw.lower()]
     if field_type in (int, float):
         try:
             return field_type(raw)

@@ -111,18 +111,21 @@ def _rank_rows(block: np.ndarray, train: InteractionDataset, lo: int,
 def _rank_blocks(train: InteractionDataset, n: int, fill) -> RankingResult:
     """Rank every user, ``fill(lo, hi, out)`` writing the float64 scores
     of users ``lo .. hi`` into ``out``, a view of one scratch block that
-    every ``ROW_CHUNK``-user chunk reuses."""
+    every ``ROW_CHUNK``-user chunk reuses.
+
+    Every chunk holds min(ROW_CHUNK, users) users; a short last chunk starts
+    early instead, since BLAS can round a one-row or few-row product's scores
+    differently in the last bits and so reorder tied items."""
     if n < 1:
         raise EvaluationError(f"cutoff must be >= 1, got {n}")
     users, items = train.num_users, train.num_items
     width = -(-items // GROUP) * GROUP
     scratch = np.full((min(ROW_CHUNK, users), width), -np.inf)
     ranked = np.empty((users, n), dtype=np.int64)
-    for lo in range(0, users, ROW_CHUNK):
-        hi = min(lo + ROW_CHUNK, users)
-        block = scratch[:hi - lo]
-        fill(lo, hi, block[:, :items])
-        ranked[lo:hi] = _rank_rows(block, train, lo, n)
+    for start in range(0, users, ROW_CHUNK):
+        lo = min(start, users - len(scratch))
+        fill(lo, lo + len(scratch), scratch[:, :items])
+        ranked[lo:lo + len(scratch)] = _rank_rows(scratch, train, lo, n)
     return RankingResult(ranked, n)
 
 

@@ -169,20 +169,13 @@ class Model:
                 state[side] = Side(f, tail, tail.first_keys, p.z)
         return state
 
-    def final_rows(self, state: dict, side: str, rows=None) -> ad.Tensor:
-        """Prediction embeddings of one side's nodes ``rows`` (every node
-        when None), read out of that side's transformer tail."""
+    def final_rows(self, state: dict, side: str, rows) -> ad.Tensor:
+        """Prediction embeddings of one side's nodes ``rows``, read out of
+        that side's transformer tail (the fused rows under ``hyper``)."""
         s = state[side]
-
-        def pick(t: ad.Tensor) -> ad.Tensor:
-            return t if rows is None else ad.gather_rows(t, rows)
-
         if s.tail is None:
-            return pick(s.fused)
-        out = transformer.readout(s.tail, self.hyper[side], rows)
-        if self.cfg.include_input_in_sum:
-            out = ad.add(out, pick(s.fused))
-        return out
+            return ad.gather_rows(s.fused, rows)
+        return transformer.readout(s.tail, self.hyper[side], rows)
 
     # -- losses -----------------------------------------------------------
 
@@ -273,8 +266,9 @@ class Model:
         """Prediction embeddings as plain arrays, recording disabled."""
         with ad.recording(False):
             state = self.forward(adj, training=False)
-            user, item = (self.final_rows(state, side) for side in SIDES)
-        return user.value.copy(), item.value.copy()
+            user, item = (self.final_rows(state, side, np.arange(s.fused.rows))
+                          for side, s in state.items())
+        return user.value, item.value
 
     def solidity_of_edges(self, adj, edges: np.ndarray) -> np.ndarray:
         """Label-branch scores for given (user, item) rows, tape-free."""

@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .transformer import DEFAULT_SLOPE
 
 
 @dataclass
@@ -31,10 +30,6 @@ class MetaNetParams:
     w0: ad.Tensor             # d x d
     v2: Optional[ad.Tensor]   # d x d
     b0: ad.Tensor             # 1 x d
-
-    @property
-    def dim(self) -> int:
-        return self.w0.rows
 
 
 @dataclass
@@ -54,13 +49,13 @@ def mean_hyperedge(z_table: ad.Tensor) -> ad.Tensor:
 
 
 def meta_transform(x: ad.Tensor, z_table: ad.Tensor, p: MetaNetParams,
-                   slope: float = DEFAULT_SLOPE) -> ad.Tensor:
+                   slope: float) -> ad.Tensor:
     """Adapt key vectors with weights generated from the hyperedge summary.
 
     Rows of ``x`` are key vectors; the output row i is
     sigma(W x_i + b) with W = contract(v1, z-mean) + w0, b = v2 z-mean + b0.
     """
-    d = p.dim
+    d = p.w0.rows
     if x.cols != d:
         raise ad.ShapeMismatchError(
             f"meta_transform: keys {x.value.shape} vs weight dim {d}")
@@ -71,14 +66,14 @@ def meta_transform(x: ad.Tensor, z_table: ad.Tensor, p: MetaNetParams,
 
 
 def plain_transform(x: ad.Tensor, p: MetaNetParams,
-                    slope: float = DEFAULT_SLOPE) -> ad.Tensor:
+                    slope: float) -> ad.Tensor:
     """Meta-network ablation: a fixed shared perceptron on the keys."""
     return ad.leaky_relu(
         ad.add_bias(ad.matmul(x, ad.transpose(p.w0)), p.b0), slope)
 
 
 def solidity_label(gamma_u: ad.Tensor, gamma_v: ad.Tensor, head: SolidityHead,
-                   slope: float = DEFAULT_SLOPE) -> ad.Tensor:
+                   slope: float) -> ad.Tensor:
     """Label per edge: sigm(d . sigma(T [G_u; G_v] + G_u + G_v + c))."""
     if gamma_u.value.shape != gamma_v.value.shape:
         raise ad.ShapeMismatchError(

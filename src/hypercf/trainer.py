@@ -16,14 +16,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from . import evaluation
-from .config import format_config, parse_config_text
+from .config import Config, ConfigError, format_config, parse_config_text
 from .data import sample_main_pairs, sample_sal_pairs
 from .model import Model
 from .rng import STREAM_TRAIN, spawn_rng
@@ -291,22 +291,35 @@ def load_values(model: Model, values: dict) -> None:
 # `tensors` (the [name, shape] pairs in data order), the `format_config`
 # text, users, items, the Progress fields, Adam's step count and the rng's
 # `bit_generator.state` (the last two null when not saved). Files of any
-# other magic, SHTCKPT1 and SHTCKPT2 included, are refused.
+# other magic, SHTCKPT1 and SHTCKPT2 included, are refused, and so is a
+# config text naming a key `Config` no longer has.
 # ---------------------------------------------------------------------------
 
 MAGIC = b"SHTCKPT3"
-# the record's keys besides `tensors`, each read by some consumer
-RECORD_KEYS = ("config", "users", "items", "progress", "adam_steps", "rng")
+
+
+def _count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+# the record's keys besides `tensors`, each with the test its value passes
+RECORD_KEYS = {
+    "config": lambda v: type(v) is str,
+    "users": _count,
+    "items": _count,
+    "progress": lambda v: isinstance(v, dict) and {
+        key: type(x) for key, x in v.items()} == {
+        f.name: type(f.default) for f in fields(Progress)},
+    "adam_steps": lambda v: v is None or _count(v),
+    "rng": lambda v: v is None or isinstance(v, dict),
+}
 
 
 @dataclass
 class Checkpoint:
     tensors: dict
     record: dict
-
-    @property
-    def config(self):
-        return parse_config_text(self.record["config"])
+    config: Config
 
     @property
     def progress(self) -> Progress:
@@ -364,16 +377,22 @@ def load_checkpoint(path: str) -> Checkpoint:
     try:  # the header is outside input: check every shape before using it
         record = json.loads(data[start:off])
         layout = [(name, tuple(dims)) for name, dims in record.pop("tensors")]
-        missing = [key for key in RECORD_KEYS if key not in record]
-        if missing:
-            raise ValueError(f"record lacks the keys {missing}")
-        if not all(isinstance(name, str) and all(
-                type(dim) is int and dim >= 0 for dim in shape)
-                for name, shape in layout):
+        wrong = [key for key, ok in RECORD_KEYS.items()
+                 if key not in record or not ok(record[key])]
+        if wrong:
+            raise ValueError(f"record keys missing or mistyped: {wrong}")
+        if not all(isinstance(name, str) and all(map(_count, shape))
+                   for name, shape in layout):
             raise ValueError("shapes must list non-negative integers")
+        if len({name for name, _ in layout}) != len(layout):
+            raise ValueError("a tensor name is listed twice")
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
         raise CheckpointError(
             f"{path}: malformed checkpoint header ({exc!r})") from exc
+    try:
+        config = parse_config_text(record["config"]).validate()
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: checkpoint config: {exc}") from exc
     end = off + 4 * sum(math.prod(shape) for _, shape in layout)
     if len(data) != end:
         raise CheckpointError(
@@ -385,12 +404,11 @@ def load_checkpoint(path: str) -> Checkpoint:
         tensors[name] = np.frombuffer(data, "<f4", size, off).reshape(
             shape).copy()
         off += 4 * size
-    return Checkpoint(tensors, record)
+    return Checkpoint(tensors, record, config)
 
 
 def build_model(ckpt: Checkpoint) -> Model:
-    model = Model(ckpt.config, int(ckpt.record["users"]),
-                  int(ckpt.record["items"]))
+    model = Model(ckpt.config, ckpt.record["users"], ckpt.record["items"])
     load_values(model, ckpt.parameters())
     return model
 
@@ -410,7 +428,7 @@ def resume(source, adj, splits, out_dir: str = None, stop_after: int = None,
             "checkpoint has no optimizer and rng state to resume")
     model = build_model(ckpt)
     optimizer = Adam(model.params, model.cfg.lr)
-    optimizer.steps = int(ckpt.record["adam_steps"])
+    optimizer.steps = ckpt.record["adam_steps"]
     optimizer.load_moments(ckpt.tensors)
     result = fit(model, adj, splits, out_dir=out_dir, optimizer=optimizer,
                  rng=rng, progress=ckpt.progress, stop_after=stop_after,

@@ -26,8 +26,6 @@ import numpy as np
 
 from . import autodiff as ad
 
-DEFAULT_SLOPE = 0.5
-
 
 def head_slices(d: int, heads: int):
     """Column ranges [(h-1)*d/H, h*d/H) covering each attention head."""
@@ -51,7 +49,7 @@ class HyperSideParams:
     v_map: Optional[ad.Tensor]    # d x d value transform
     h1: ad.Tensor                 # K x K hierarchical mixing, first step
     h2: Optional[ad.Tensor]       # K x K second step (None: single-step mode)
-    heads: int = 4
+    heads: int
     incidence: Optional[ad.Tensor] = None  # K x N, transformer ablation only
 
 
@@ -83,8 +81,7 @@ def node_to_hyperedge(nodes: ad.Tensor, p: HyperSideParams):
     return ad.linear_attention(p.z, keys, vals, p.heads), keys
 
 
-def hhgn(z_tilde: ad.Tensor, p: HyperSideParams,
-         slope: float = DEFAULT_SLOPE) -> ad.Tensor:
+def hhgn(z_tilde: ad.Tensor, p: HyperSideParams, slope: float) -> ad.Tensor:
     """Hierarchical mixing: sigma(H X + X), applied twice (once in the
     single-step ablation mode)."""
     step1 = ad.leaky_relu(ad.add(ad.matmul(p.h1, z_tilde), z_tilde), slope)
@@ -128,7 +125,7 @@ class Tail:
 
 
 def forward(nodes0: ad.Tensor, p: HyperSideParams, num_layers: int,
-            slope: float = DEFAULT_SLOPE, dropout_mask=None) -> Tail:
+            slope: float, dropout_mask=None) -> Tail:
     """Run the whole-graph part of ``num_layers`` stacked propagations.
 
     One HyperSideParams is shared by every layer (the recursive formulation
@@ -160,21 +157,19 @@ def forward(nodes0: ad.Tensor, p: HyperSideParams, num_layers: int,
         current = out
 
 
-def readout(tail: Tail, p: HyperSideParams, rows=None) -> ad.Tensor:
-    """Final embeddings of the nodes ``rows`` (every node when None): the
-    last layer's output for those rows, masked, plus their partial sum.
+def readout(tail: Tail, p: HyperSideParams, rows) -> ad.Tensor:
+    """Final embeddings of the nodes ``rows``, the sum of their layer
+    outputs: the last layer's output for those rows, masked, plus their
+    partial sum.
 
     The last layer runs on the gathered key rows only, so a loss that reads
     m rows pays for m rows.
     """
-    def pick(t: ad.Tensor) -> ad.Tensor:
-        return t if rows is None else ad.gather_rows(t, rows)
-
-    out = hyperedge_to_node(tail.z_hat, pick(tail.keys), p)
+    out = hyperedge_to_node(tail.z_hat, ad.gather_rows(tail.keys, rows), p)
     if tail.mask is not None:
-        out = ad.scale(out, tail.mask if rows is None else tail.mask[rows])
+        out = ad.scale(out, tail.mask[rows])
     if tail.partial is not None:
-        out = ad.add(pick(tail.partial), out)
+        out = ad.add(ad.gather_rows(tail.partial, rows), out)
     return out
 
 

@@ -102,6 +102,27 @@ class TestUsageErrors:
         assert rc == 1
         assert "lr: expected float, got 'fast'" in capsys.readouterr().err
 
+    def test_deleted_sum_switch_is_an_unknown_flag(self, tmp_path,
+                                                   data_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["train", "--data", data_path, "--out", str(out)]
+                  + FAST + ["--include_input_in_sum", "true"])
+        assert rc == 1
+        assert "include_input_in_sum" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "nan"), ("--init_scale", "nan"), ("--lambda1", "inf"),
+        ("--seed", "-1")])
+    def test_non_finite_or_negative_value_rejected_before_run_dir(
+            self, tmp_path, data_path, capsys, flag, value):
+        out = tmp_path / "out"
+        rc = main(["train", "--data", data_path, "--out", str(out)]
+                  + FAST + [flag, value])
+        assert rc == 1
+        assert f"usage error: {flag[2:]} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_ratio_list(self, data_path, capsys):
         rc = main(["noise-test", "--data", data_path, "--ratios", "abc"]
                   + FAST)

@@ -154,6 +154,40 @@ class TestChunkedRanking:
         for items in (40, 400):  # 400 items take the grouped path at n=20
             self.check_embeddings_path(quantized, items)
 
+    @pytest.mark.parametrize("users", [1, 2, E.ROW_CHUNK, E.ROW_CHUNK + 1,
+                                       2 * E.ROW_CHUNK + 5])
+    def test_every_chunk_holds_row_chunk_users(self, users, monkeypatch):
+        chunks = []
+        rank_rows = E._rank_rows
+
+        def logged(block, train, lo, n):
+            chunks.append(range(lo, lo + len(block)))
+            return rank_rows(block, train, lo, n)
+
+        monkeypatch.setattr(E, "_rank_rows", logged)
+        E.rank_all(np.zeros((users, 3)), dataset(np.zeros((0, 2), int),
+                                                 users, 3), 2)
+        assert {len(c) for c in chunks} == {min(E.ROW_CHUNK, users)}
+        assert set().union(*chunks) == set(range(users))
+
+    @pytest.mark.parametrize("d", [8, 32])
+    @pytest.mark.parametrize("users", [E.ROW_CHUNK + 1, E.ROW_CHUNK + 2,
+                                       2 * E.ROW_CHUNK + 1])
+    def test_short_last_chunk_ranks_like_the_score_matrix(self, users, d):
+        # 1-decimal embeddings tie often; a one-row or few-row product can
+        # round differently from the full product and reorder the ties
+        items = 200
+        for seed in range(40):
+            rng = default_rng(seed)
+            user_emb = np.round(rng.normal(size=(users, d)), 1)
+            item_emb = np.round(rng.normal(size=(items, d)), 1)
+            train = dataset(np.stack([rng.integers(0, users, 4 * users),
+                                      rng.integers(0, items, 4 * users)], 1),
+                            users, items)
+            dense = E.rank_all(E.score_matrix(user_emb, item_emb), train, 20)
+            chunked = E.rank_embeddings(user_emb, item_emb, train, 20)
+            assert np.array_equal(chunked.items, dense.items), seed
+
     def check_embeddings_path(self, quantized, items):
         rng = default_rng(8)
         users, d = 2 * E.ROW_CHUNK + 1, 5

@@ -280,7 +280,7 @@ class TestInference:
             eval_b = model.forward(adj, training=False)
             train = model.forward(adj, training=True,
                                   dropout_rng=default_rng(3))
-            finals = [model.final_rows(s, "user").value
+            finals = [model.final_rows(s, "user", np.arange(6)).value
                       for s in (eval_a, eval_b, train)]
         np.testing.assert_array_equal(finals[0], finals[1])
         assert not np.array_equal(finals[2], finals[0])
@@ -296,7 +296,8 @@ SUBSET_SAL = D.EdgePairBatch(np.array([1, 3, 3]), np.array([1, 4, 2]),
 def full_table_loss(model, state, main, sal):
     """Total loss with every final and adapted-key row computed first and
     the pairs gathered from those whole tables."""
-    user, item = model.final_rows(state, "user"), model.final_rows(state, "item")
+    user = model.final_rows(state, "user", np.arange(model.num_users))
+    item = model.final_rows(state, "item", np.arange(model.num_items))
     loss = solidity.margin_loss(ad.sub(
         model.dot_pairs(user, item, main.u1, main.v1),
         model.dot_pairs(user, item, main.u2, main.v2)))
@@ -321,8 +322,8 @@ def full_table_loss(model, state, main, sal):
 
 
 class TestGatheredReadout:
-    CASES = {"default": {}, "input_in_sum": {"include_input_in_sum": True},
-             "layers=1": {"layers": 1}, "layers=3": {"layers": 3},
+    CASES = {"default": {}, "layers=1": {"layers": 1},
+             "layers=3": {"layers": 3},
              **{flag: {"ablate": (flag,)} for flag in
                 ("pos", "trans", "deeph", "highh", "hyper", "meta", "sal")}}
 

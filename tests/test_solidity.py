@@ -35,7 +35,7 @@ class TestMetaTransform:
                             b0=ad.constant(np.zeros((1, d))))
         x = np.abs(np.random.default_rng(2).normal(size=(3, d)))
         z = ad.constant(np.random.default_rng(3).normal(size=(5, d)))
-        out = S.meta_transform(ad.constant(x), z, p)
+        out = S.meta_transform(ad.constant(x), z, p, 0.5)
         np.testing.assert_allclose(out.value, x, rtol=1e-12)
 
     def test_zero_summary_gives_base_weights(self, float64_mode):
@@ -44,7 +44,7 @@ class TestMetaTransform:
         p = make_meta(d, rng)
         x = rng.normal(size=(3, d))
         z = ad.constant(np.zeros((2, d)))  # mean pooling gives 0
-        out = S.meta_transform(ad.constant(x), z, p)
+        out = S.meta_transform(ad.constant(x), z, p, 0.5)
         expect = leak(x @ p.w0.value.T + p.b0.value)
         np.testing.assert_allclose(out.value, expect, rtol=1e-12)
 
@@ -54,7 +54,7 @@ class TestMetaTransform:
         p = make_meta(d, rng)
         x = rng.normal(size=(3, d))
         z_table = rng.normal(size=(6, d))
-        out = S.meta_transform(ad.constant(x), ad.constant(z_table), p)
+        out = S.meta_transform(ad.constant(x), ad.constant(z_table), p, 0.5)
 
         z_bar = z_table.mean(axis=0)
         w = np.zeros((d, d))
@@ -72,7 +72,7 @@ class TestMetaTransform:
         rng = np.random.default_rng(6)
         p = make_meta(d, rng)
         x = rng.normal(size=(3, d))
-        out = S.plain_transform(ad.constant(x), p)
+        out = S.plain_transform(ad.constant(x), p, 0.5)
         np.testing.assert_allclose(
             out.value, leak(x @ p.w0.value.T + p.b0.value), rtol=1e-12)
 
@@ -80,7 +80,7 @@ class TestMetaTransform:
         p = make_meta(4, np.random.default_rng(7))
         with pytest.raises(ad.ShapeMismatchError, match="meta_transform"):
             S.meta_transform(ad.constant(np.zeros((2, 5))),
-                             ad.constant(np.zeros((3, 4))), p)
+                             ad.constant(np.zeros((3, 4))), p, 0.5)
 
 
 class TestSolidityLabel:
@@ -90,7 +90,7 @@ class TestSolidityLabel:
         head = make_head(d, rng)
         head.d_vec = ad.constant(np.zeros((d, 1)))
         s = S.solidity_label(ad.constant(rng.normal(size=(5, d))),
-                            ad.constant(rng.normal(size=(5, d))), head)
+                            ad.constant(rng.normal(size=(5, d))), head, 0.5)
         np.testing.assert_array_equal(s.value, np.full((5, 1), 0.5))
 
     def test_open_unit_interval(self, float64_mode):
@@ -98,7 +98,8 @@ class TestSolidityLabel:
         rng = np.random.default_rng(9)
         head = make_head(6, rng)
         s = S.solidity_label(ad.constant(rng.normal(size=(40, 6)) * 0.5),
-                            ad.constant(rng.normal(size=(40, 6)) * 0.5), head)
+                            ad.constant(rng.normal(size=(40, 6)) * 0.5), head,
+                            0.5)
         assert (s.value > 0).all() and (s.value < 1).all()
 
     def test_symmetric_blocks_commute(self, float64_mode):
@@ -110,8 +111,8 @@ class TestSolidityLabel:
         a = ad.constant(rng.normal(size=(6, d)))
         b = ad.constant(rng.normal(size=(6, d)))
         np.testing.assert_allclose(
-            S.solidity_label(a, b, head).value,
-            S.solidity_label(b, a, head).value, rtol=1e-12)
+            S.solidity_label(a, b, head, 0.5).value,
+            S.solidity_label(b, a, head, 0.5).value, rtol=1e-12)
 
     def test_formula_against_loops(self, float64_mode):
         d = 4
@@ -119,7 +120,7 @@ class TestSolidityLabel:
         head = make_head(d, rng)
         ga = rng.normal(size=(3, d))
         gb = rng.normal(size=(3, d))
-        s = S.solidity_label(ad.constant(ga), ad.constant(gb), head)
+        s = S.solidity_label(ad.constant(ga), ad.constant(gb), head, 0.5)
         for r in range(3):
             inner = head.t.value @ np.concatenate([ga[r], gb[r]]) \
                 + ga[r] + gb[r] + head.c.value[0]
@@ -195,12 +196,12 @@ class TestPredictAndLoss:
         vv2 = np.array([2, 0, 1])
 
         def build():
-            gamma_u = S.meta_transform(keys_u, z_u, meta)
-            gamma_v = S.meta_transform(keys_v, z_u, meta)
+            gamma_u = S.meta_transform(keys_u, z_u, meta, 0.5)
+            gamma_v = S.meta_transform(keys_v, z_u, meta, 0.5)
             lab1 = S.solidity_label(ad.gather_rows(gamma_u, uu),
-                                    ad.gather_rows(gamma_v, vv), head)
+                                    ad.gather_rows(gamma_v, vv), head, 0.5)
             lab2 = S.solidity_label(ad.gather_rows(gamma_u, uu2),
-                                    ad.gather_rows(gamma_v, vv2), head)
+                                    ad.gather_rows(gamma_v, vv2), head, 0.5)
             pr1 = ad.dot_rows(ad.gather_rows(embed_u, uu),
                               ad.gather_rows(embed_v, vv))
             pr2 = ad.dot_rows(ad.gather_rows(embed_u, uu2),

@@ -407,6 +407,52 @@ class TestCheckpointFormat:
         assert path in str(err.value)
         assert repr(key) in str(err.value)
 
+    @pytest.mark.parametrize("key, value", [
+        ("users", "x"), ("users", -1), ("items", 2.0), ("items", True),
+        ("progress", [1]), ("progress", {"epoch": 0}),
+        ("progress", {"epoch": 0, "best_epoch": 0, "best_metric": 0.25,
+                      "stale": 1, "extra": 0}),
+        ("progress", {"epoch": 0, "best_epoch": 0, "best_metric": 0.25,
+                      "stale": "1"}),
+        ("adam_steps", -1), ("adam_steps", "3"), ("rng", "zz"),
+        ("rng", [1]), ("config", 5)])
+    def test_wrongly_typed_record_value_names_file_and_key(
+            self, tmp_path, key, value):
+        _, _, _, path = self.trained(tmp_path)
+        rewrite_header(path, edit_record(lambda r: r.__setitem__(key, value)))
+        with pytest.raises(T.CheckpointError,
+                           match="malformed checkpoint header") as err:
+            T.load_checkpoint(path)
+        assert path in str(err.value)
+        assert repr(key) in str(err.value)
+
+    def test_tensor_listed_twice_names_file(self, tmp_path):
+        _, _, _, path = self.trained(tmp_path)
+        # the second tensor takes the first one's name
+        rewrite_header(path, edit_record(
+            lambda r: r["tensors"][1].__setitem__(0, r["tensors"][0][0])))
+        with pytest.raises(T.CheckpointError,
+                           match="tensor name is listed twice") as err:
+            T.load_checkpoint(path)
+        assert path in str(err.value)
+
+    @pytest.mark.parametrize("line, key", [
+        ("include_input_in_sum = False", "include_input_in_sum"),
+        ("lr = nan", "lr")], ids=["deleted-key", "non-finite"])
+    def test_config_that_does_not_load_names_file_and_key(
+            self, tmp_path, line, key):
+        # the first case is a file written while Config still had the
+        # include_input_in_sum switch, which came right after `ablate`
+        def add_line(record):
+            record["config"] = record["config"].replace(
+                "ablate = \n", f"ablate = \n{line}\n")
+        _, _, _, path = self.trained(tmp_path)
+        rewrite_header(path, edit_record(add_line))
+        with pytest.raises(T.CheckpointError,
+                           match=f"checkpoint config: .*{key}") as err:
+            T.load_checkpoint(path)
+        assert path in str(err.value)
+
     def test_truncated_rejected(self, tmp_path):
         _, _, _, path = self.trained(tmp_path)
         with open(path, "rb") as fh:

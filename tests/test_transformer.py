@@ -104,7 +104,7 @@ class TestHHGN:
     def test_zero_input_zero_output(self, float64_mode):
         rng = np.random.default_rng(4)
         p = make_params(4, 8, 2, rng)
-        out = T.hhgn(ad.constant(np.zeros((4, 8))), p)
+        out = T.hhgn(ad.constant(np.zeros((4, 8))), p, 0.5)
         assert not out.value.any()
 
     def test_negative_identity_cancels(self, float64_mode):
@@ -112,7 +112,7 @@ class TestHHGN:
         z = rng.normal(size=(3, 5))
         p = T.HyperSideParams(z=None, k_map=None, v_map=None,
                               h1=ad.constant(-np.eye(3)), h2=None, heads=1)
-        out = T.hhgn(ad.constant(z), p)
+        out = T.hhgn(ad.constant(z), p, 0.5)
         assert not out.value.any()
 
     def test_single_step_mode(self, float64_mode):
@@ -121,7 +121,7 @@ class TestHHGN:
         deep = make_params(4, 6, 2, rng, deep=True)
         shallow = T.HyperSideParams(z=None, k_map=None, v_map=None,
                                     h1=deep.h1, h2=None, heads=2)
-        one = T.hhgn(ad.constant(z), shallow)
+        one = T.hhgn(ad.constant(z), shallow, 0.5)
         leak = lambda x: np.where(x > 0, x, 0.5 * x)
         np.testing.assert_allclose(one.value, leak(deep.h1.value @ z + z), rtol=1e-12)
 
@@ -158,7 +158,8 @@ class TestHyperedgeToNode:
 class TestForward:
     def run_layers(self, nodes, p, n, slope=0.5):
         tail = T.forward(ad.constant(nodes), p, n, slope)
-        return (T.readout(tail, p).value, tail.first_keys.value,
+        return (T.readout(tail, p, np.arange(len(nodes))).value,
+                tail.first_keys.value,
                 tail.first_edges.value)
 
     def test_one_layer_is_single_output(self, float64_mode):
@@ -167,7 +168,7 @@ class TestForward:
         nodes = rng.normal(size=(5, 8)) * 0.5
         total, _, _ = self.run_layers(nodes, p, 1)
         z_tilde, keys = T.node_to_hyperedge(ad.constant(nodes), p)
-        single = T.hyperedge_to_node(T.hhgn(z_tilde, p), keys, p)
+        single = T.hyperedge_to_node(T.hhgn(z_tilde, p, 0.5), keys, p)
         np.testing.assert_allclose(total, single.value, rtol=1e-12)
 
     def test_three_layers_scripted_oracle(self, float64_mode):
@@ -197,7 +198,7 @@ class TestForward:
         rng = np.random.default_rng(13)
         p = make_params(3, 8, 2, rng)
         with pytest.raises(ValueError, match="layer"):
-            T.forward(ad.constant(np.zeros((4, 8))), p, 0)
+            T.forward(ad.constant(np.zeros((4, 8))), p, 0, 0.5)
 
     def test_node_permutation_equivariance(self, float64_mode):
         rng = np.random.default_rng(14)
@@ -229,7 +230,7 @@ class TestForward:
                   "v_map": p.v_map, "h1": p.h1, "h2": p.h2}
 
         def build():
-            total = T.readout(T.forward(nodes, p, 2), p)
+            total = T.readout(T.forward(nodes, p, 2, 0.5), p, np.arange(4))
             return ad.sum_all(ad.sigmoid(total))
 
         report = ad.grad_check(build, params, epsilon=1e-4)
