@@ -10,7 +10,10 @@ owns a zero ``grad`` from creation, while a primitive's output has
 ``grad = None`` until :func:`backward` first reaches it. The first gradient
 to arrive is adopted as the node's ``grad`` (a copy when the pushing VJP does
 not own it), later arrivals are added in place, and nodes never reached are
-skipped by the backward walk.
+skipped by the backward walk. Once the walk has passed a node it drops that
+node's ``grad``, VJP and parents, so only leaves keep a ``grad`` after
+backward: intermediate gradients and VJP closures are freed during the walk,
+and intermediate values as soon as the caller drops the graph's outputs.
 
 Values are float32 by default; switch to float64 (``set_default_dtype``)
 for finite-difference gradient checking.
@@ -82,7 +85,8 @@ class Tensor:
     ``value`` is a 2-D numpy array, immutable by convention after creation.
     ``grad`` is a same-shaped accumulator filled in by :func:`backward`. A
     leaf's starts as zeros; any other node's is ``None`` until backward
-    reaches it, and stays ``None`` when the loss does not depend on it.
+    reaches it, stays ``None`` when the loss does not depend on it, and is
+    ``None`` again once backward has walked past it.
     """
 
     __slots__ = ("value", "grad", "parents", "vjp", "op")
@@ -457,8 +461,10 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(tensor) into ``.grad`` of every reachable tensor.
 
     ``loss`` must be 1×1 and the tape nonempty. Nodes the loss does not
-    reach keep ``grad = None`` and their VJPs do not run. The tape is cleared
-    afterwards, so each recorded graph can be differentiated once.
+    reach never get a grad and their VJPs do not run. Only leaves keep a
+    ``grad`` afterwards: each tape node, once walked, is left with ``grad``
+    and ``vjp`` set to None and no parents, and the tape is cleared, so each
+    recorded graph can be differentiated once.
     """
     if loss.value.shape != (1, 1):
         raise ShapeMismatchError(
@@ -469,6 +475,8 @@ def backward(loss: Tensor) -> None:
     for node in reversed(_tape):
         if node.vjp is not None and node.grad is not None:
             node.vjp(node.grad)
+        node.grad = node.vjp = None
+        node.parents = ()
     clear_tape()
 
 

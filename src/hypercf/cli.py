@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import sys
 import time
 from dataclasses import fields, replace
@@ -154,11 +155,14 @@ def _parse_palette(raw: str) -> list:
 
 
 def _epoch_log(run_dir: str):
+    """Print and collect each epoch's row, with the process's peak RSS so
+    far added to the printed and written copy only."""
     rows = []
 
     def log(row):
-        rows.append(row)
-        _print_rows([row])
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        rows.append(dict(row, peak_rss_mb=round(peak, 1)))
+        _print_rows(rows[-1:])
 
     def flush():
         if rows:

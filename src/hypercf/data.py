@@ -475,15 +475,17 @@ def synthetic_blocks(num_users: int = 400, num_items: int = 200,
     user_block = np.arange(num_users) % num_blocks
     item_block = np.arange(num_items) % num_blocks
     block_items = [np.flatnonzero(item_block == b) for b in range(num_blocks)]
-    rows = []
+    other_items = [np.flatnonzero(item_block != b) for b in range(num_blocks)]
+    n_within = int(np.round(edges_per_user * within_prob))
+    counts = np.zeros(num_users, dtype=np.int64)
+    picked = [np.empty(0, dtype=np.int64)]  # concatenable with zero users
     for u in range(num_users):
-        own = block_items[user_block[u]]
-        others = np.flatnonzero(item_block != user_block[u])
-        n_in = int(np.round(edges_per_user * within_prob))
-        n_in = min(n_in, len(own))
+        own, others = block_items[user_block[u]], other_items[user_block[u]]
+        n_in = min(n_within, len(own))
         n_out = min(edges_per_user - n_in, len(others))
-        picked_in = rng.choice(own, size=n_in, replace=False)
-        picked_out = rng.choice(others, size=n_out, replace=False)
-        for v in np.concatenate([picked_in, picked_out]):
-            rows.append((u, int(v)))
-    return InteractionDataset.from_edges(rows, num_users, num_items)
+        picked.append(rng.choice(own, size=n_in, replace=False))
+        picked.append(rng.choice(others, size=n_out, replace=False))
+        counts[u] = n_in + n_out
+    edges = np.stack([np.repeat(np.arange(num_users), counts),
+                      np.concatenate(picked)], axis=1)
+    return InteractionDataset.from_edges(edges, num_users, num_items)

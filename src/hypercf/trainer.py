@@ -130,14 +130,17 @@ def train_epoch(model: Model, adj, train_ds, optimizer: Adam,
 
     Per batch: forward over the whole graph, ranking pairs drawn from the
     batch users, solidity pairs drawn from all training edges, backward,
-    Adam step. Aborts on a non-finite loss, naming the batch.
+    Adam step. Aborts on a non-finite loss, naming the batch. The row holds
+    the epoch's mean loss parts and ``tape_nodes``, the mean tape length a
+    backward walked.
     """
     cfg = model.cfg
     optimizer.lr = learning_rate(cfg.lr, cfg.decay, epoch)
     perm = rng.permutation(model.num_users)
     degrees = train_ds.user_degree()
 
-    sums = {"loss": 0.0, "main": 0.0, "sal": 0.0, "reg": 0.0}
+    sums = {"loss": 0.0, "main": 0.0, "sal": 0.0, "reg": 0.0,
+            "tape_nodes": 0}
     batches = skipped = 0
     for start in range(0, len(perm), cfg.batch):
         users = perm[start:start + cfg.batch]
@@ -160,6 +163,7 @@ def train_epoch(model: Model, adj, train_ds, optimizer: Adam,
         # parameters are persistent leaves: drop the previous batch's grads
         for p in model.params.values():
             p.zero_grad()
+        sums["tape_nodes"] += ad.tape_size()
         ad.backward(loss)
         optimizer.step(model.params)
         sums["loss"] += value

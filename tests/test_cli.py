@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hypercf import data as D
-from hypercf.cli import main
+from hypercf.cli import _epoch_log, main
 
 FAST = ["--d", "8", "--hyperedges", "4", "--heads", "2", "--batch", "32",
         "--epochs", "2", "--lambda1", "1e-2", "--lambda2", "1e-4",
@@ -185,6 +185,19 @@ class TestTrainArtifacts:
         rows = read_csv(os.path.join(trained["run_dir"], "epochs.csv"))
         assert len(rows) == 2
         assert [r["epoch"] for r in rows] == ["0", "1"]
+        for r in rows:
+            assert float(r["tape_nodes"]) > 0
+            assert float(r["peak_rss_mb"]) > 0
+
+    def test_epoch_log_leaves_history_row_alone(self, tmp_path, capsys):
+        log, flush = _epoch_log(str(tmp_path))
+        row = {"epoch": 0, "loss": 1.5}
+        log(row)
+        flush()
+        assert row == {"epoch": 0, "loss": 1.5}
+        assert "peak_rss_mb=" in capsys.readouterr().out
+        written = read_csv(str(tmp_path / "epochs.csv"))
+        assert list(written[0]) == ["epoch", "loss", "peak_rss_mb"]
 
     def test_effective_config_echoed(self, trained):
         text = open(os.path.join(trained["run_dir"], "config.txt")).read()
