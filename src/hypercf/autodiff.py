@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit
 
 
 class ShapeMismatchError(ValueError):
@@ -314,7 +312,19 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    s = expit(a.value)
+    """Logistic sigmoid in the form that cannot overflow.
+
+    With e = exp(-|x|), s = where(x >= 0, 1, e) / (1 + e): the exponent is
+    never positive, so exp cannot overflow, and its underflow for large |x|
+    (to a subnormal or 0, the correct limit) is not reported. Not
+    bit-identical to ``scipy.special.expit``: numpy's exp differs from libm's
+    in the last bits, so the two are a few ulp apart, and below about -88.7
+    in float32 expit gives 0 where this form keeps the subnormal result.
+    """
+    x = a.value
+    with np.errstate(under="ignore"):
+        e = np.exp(-np.abs(x))
+        s = np.where(x >= 0, 1, e) / (1 + e)
 
     def vjp(g):
         _accumulate(a, g * s * (1.0 - s))
