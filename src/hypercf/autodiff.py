@@ -1,19 +1,21 @@
 """Reverse-mode automatic differentiation over dense 2-D matrices.
 
-A small define-by-run tape: every primitive returns a :class:`Tensor` wrapping
-a 2-D numpy array, and records how to push gradients back to its inputs.
-The tape is module-global and single-threaded; it is rebuilt on every
-training step and cleared by :func:`backward`.
+A small define-by-run tape: every primitive returns a :class:`Tensor`, a
+2-D numpy ``value`` paired with the :class:`Node` that the tape holds. A node
+holds no value; its VJP keeps its parents' nodes and only the arrays it reads
+(a matmul its operands, a sigmoid its output, an add none). So a value no VJP
+reads dies with the caller's tensor, and one a VJP reads lives until
+:func:`backward` has run that VJP. The tape is module-global and
+single-threaded; it is rebuilt on every training step and emptied by
+:func:`backward`.
 
 Gradients are allocated lazily: a leaf (:func:`constant`, :func:`parameter`)
 owns a zero ``grad`` from creation, while a primitive's output has
 ``grad = None`` until :func:`backward` first reaches it. The first gradient
 to arrive is adopted as the node's ``grad`` (a copy when the pushing VJP does
 not own it), later arrivals are added in place, and nodes never reached are
-skipped by the backward walk. Once the walk has passed a node it drops that
-node's ``grad``, VJP and parents, so only leaves keep a ``grad`` after
-backward: intermediate gradients and VJP closures are freed during the walk,
-and intermediate values as soon as the caller drops the graph's outputs.
+skipped by the backward walk, which pops each node off the tape and drops
+its ``grad``, VJP and parents: only leaves keep a ``grad`` after backward.
 
 Values are float32 by default; switch to float64 (``set_default_dtype``)
 for finite-difference gradient checking.
@@ -35,7 +37,7 @@ _default_dtype = np.float32
 
 # The recording tape. Nodes are appended in creation order, which is a valid
 # topological order for define-by-run graphs.
-_tape: list["Tensor"] = []
+_tape: list["Node"] = []
 _recording = False
 
 
@@ -77,24 +79,48 @@ def clear_tape() -> None:
     _tape.clear()
 
 
-class Tensor:
-    """A dense matrix participating in a recorded computation.
-
-    ``value`` is a 2-D numpy array, immutable by convention after creation.
-    ``grad`` is a same-shaped accumulator filled in by :func:`backward`. A
-    leaf's starts as zeros; any other node's is ``None`` until backward
-    reaches it, stays ``None`` when the loss does not depend on it, and is
-    ``None`` again once backward has walked past it.
+class Node:
+    """What the tape holds for one value: the gradient accumulator ``grad``,
+    the ``parents`` (nodes), the ``vjp`` that pushes ``grad`` to them, the
+    ``op`` name, and the value's ``shape`` and ``dtype``. ``grad`` is None
+    until :func:`backward` reaches the node (a leaf's starts as zeros), and
+    None again once backward has walked past it.
     """
 
-    __slots__ = ("value", "grad", "parents", "vjp", "op")
+    __slots__ = ("grad", "parents", "vjp", "op", "shape", "dtype")
 
-    def __init__(self, value: np.ndarray, parents: tuple = (), vjp=None, op: str = "leaf"):
-        self.value = value
-        self.grad = np.zeros_like(value) if op == "leaf" else None
+    def __init__(self, shape, dtype, parents: tuple = (), vjp=None,
+                 op: str = "leaf", grad=None):
+        self.grad = grad
         self.parents = parents
         self.vjp = vjp
         self.op = op
+        self.shape = shape
+        self.dtype = dtype
+
+
+class Tensor:
+    """A dense matrix participating in a recorded computation.
+
+    ``value`` is a 2-D numpy array, immutable by convention after creation;
+    ``node`` is what the tape holds for it. ``grad``, ``parents``, ``vjp``
+    and ``op`` read (and, but for ``op``, assign) the node's fields.
+    """
+
+    __slots__ = ("value", "node")
+
+    def __init__(self, value: np.ndarray, node: Node = None):
+        self.value = value
+        self.node = node or Node(value.shape, value.dtype,
+                                 grad=np.zeros_like(value))
+
+    grad = property(lambda self: self.node.grad,
+                    lambda self, g: setattr(self.node, "grad", g))
+    parents = property(lambda self: self.node.parents,
+                       lambda self, p: setattr(self.node, "parents", p))
+    vjp = property(lambda self: self.node.vjp,
+                   lambda self, f: setattr(self.node, "vjp", f))
+    op = property(lambda self: self.node.op)
 
     @property
     def shape(self):
@@ -134,15 +160,14 @@ parameter = constant
 
 
 def _make(value: np.ndarray, parents: tuple, vjp, op: str) -> Tensor:
-    if _recording:
-        out = Tensor(value, parents, vjp, op)
-        _tape.append(out)
-    else:
-        out = Tensor(value, (), None, op)
-    return out
+    if not _recording:
+        return Tensor(value, Node(value.shape, value.dtype, op=op))
+    node = Node(value.shape, value.dtype, parents, vjp, op)
+    _tape.append(node)
+    return Tensor(value, node)
 
 
-def _accumulate(t: Tensor, g, owned: bool = True) -> None:
+def _accumulate(t: Node, g, owned: bool = True) -> None:
     """Add ``g`` into ``t.grad``, broadcasting like ``+=``.
 
     A node reached for the first time adopts ``g`` itself when the caller
@@ -151,19 +176,11 @@ def _accumulate(t: Tensor, g, owned: bool = True) -> None:
     """
     if t.grad is not None:
         t.grad += g
-    elif owned and g.shape == t.value.shape and g.dtype == t.value.dtype:
+    elif owned and g.shape == t.shape and g.dtype == t.dtype:
         t.grad = g
     else:
-        t.grad = np.empty_like(t.value)
+        t.grad = np.empty(t.shape, t.dtype)
         t.grad[...] = g
-
-
-def _grad_buffer(t: Tensor) -> np.ndarray:
-    """``t.grad``, allocated as zeros first if backward has not reached it,
-    for VJPs that add into part of it."""
-    if t.grad is None:
-        t.grad = np.zeros_like(t.value)
-    return t.grad
 
 
 def _shapes(op: str, a: Tensor, b: Tensor) -> str:
@@ -173,16 +190,19 @@ def _shapes(op: str, a: Tensor, b: Tensor) -> str:
 # ---------------------------------------------------------------------------
 # Primitives
 # ---------------------------------------------------------------------------
+# A VJP binds its parents' nodes as default arguments under the parents'
+# names, so its body cannot reach a Tensor: it keeps alive only the arrays
+# it reads.
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.cols != b.rows:
         raise ShapeMismatchError(_shapes("matmul", a, b))
 
-    def vjp(g):
-        _accumulate(a, g @ b.value.T)
-        _accumulate(b, a.value.T @ g)
+    def vjp(g, a=a.node, b=b.node, x=a.value, y=b.value):
+        _accumulate(a, g @ y.T)
+        _accumulate(b, x.T @ g)
 
-    return _make(a.value @ b.value, (a, b), vjp, "matmul")
+    return _make(a.value @ b.value, (a.node, b.node), vjp, "matmul")
 
 
 def spmm(adj_pair, x: Tensor) -> Tensor:
@@ -196,73 +216,79 @@ def spmm(adj_pair, x: Tensor) -> Tensor:
         raise ShapeMismatchError(
             f"spmm: incompatible shapes {s.shape} and {x.value.shape}")
 
-    def vjp(g):
+    def vjp(g, x=x.node):
         _accumulate(x, st @ g)
 
     value = np.ascontiguousarray(s @ x.value, dtype=x.value.dtype)
-    return _make(value, (x,), vjp, "spmm")
+    return _make(value, (x.node,), vjp, "spmm")
 
 
 def transpose(a: Tensor) -> Tensor:
-    def vjp(g):
+    def vjp(g, a=a.node):
         _accumulate(a, g.T, owned=False)
 
-    return _make(np.ascontiguousarray(a.value.T), (a,), vjp, "transpose")
+    return _make(np.ascontiguousarray(a.value.T), (a.node,), vjp, "transpose")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.value.shape != b.value.shape:
         raise ShapeMismatchError(_shapes("add", a, b))
 
-    def vjp(g):
+    def vjp(g, a=a.node, b=b.node):
         _accumulate(a, g, owned=False)
         _accumulate(b, g, owned=False)
 
-    return _make(a.value + b.value, (a, b), vjp, "add")
+    return _make(a.value + b.value, (a.node, b.node), vjp, "add")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.value.shape != b.value.shape:
         raise ShapeMismatchError(_shapes("sub", a, b))
 
-    def vjp(g):
+    def vjp(g, a=a.node, b=b.node):
         _accumulate(a, g, owned=False)
         _accumulate(b, -g)
 
-    return _make(a.value - b.value, (a, b), vjp, "sub")
+    return _make(a.value - b.value, (a.node, b.node), vjp, "sub")
 
 
-def scale(a: Tensor, c) -> Tensor:
-    """Multiply ``a`` by a constant: a float, or an array of ``a``'s shape
-    (such as a dropout mask), which receives no gradient."""
-    if np.ndim(c) == 0:
-        c = float(c)
-    elif np.shape(c) != a.value.shape:
-        raise ShapeMismatchError(
-            f"scale: incompatible shapes {a.value.shape} and {np.shape(c)}")
+def scale(a: Tensor, c, keep=None) -> Tensor:
+    """Multiply ``a`` by a constant: a float, or an array of ``a``'s shape.
 
-    def vjp(g):
-        _accumulate(a, c * g)
+    ``keep``, a bool array of ``a``'s shape such as a dropout keep-mask,
+    zeroes the entries where it is False, each zero keeping its sign:
+    (x·keep)·c is bit for bit x times the float mask keep·c. Neither constant
+    receives a gradient.
+    """
+    shape = a.value.shape
+    if np.shape(c) not in ((), shape) or np.shape(keep) not in ((), shape):
+        raise ShapeMismatchError(f"scale: incompatible shapes {shape}, "
+                                 f"{np.shape(c)} and {np.shape(keep)}")
+    c = float(c) if np.ndim(c) == 0 else c
 
-    return _make(c * a.value, (a,), vjp, "scale")
+    def vjp(g, a=a.node):
+        _accumulate(a, c * g if keep is None else g * keep * c)
+
+    value = c * a.value if keep is None else a.value * keep * c
+    return _make(value, (a.node,), vjp, "scale")
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
-    def vjp(g):
+    def vjp(g, a=a.node):
         _accumulate(a, g, owned=False)
 
-    return _make(a.value + float(c), (a,), vjp, "add_scalar")
+    return _make(a.value + float(c), (a.node,), vjp, "add_scalar")
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
     if a.value.shape != b.value.shape:
         raise ShapeMismatchError(_shapes("hadamard", a, b))
 
-    def vjp(g):
-        _accumulate(a, g * b.value)
-        _accumulate(b, g * a.value)
+    def vjp(g, a=a.node, b=b.node, x=a.value, y=b.value):
+        _accumulate(a, g * y)
+        _accumulate(b, g * x)
 
-    return _make(a.value * b.value, (a, b), vjp, "hadamard")
+    return _make(a.value * b.value, (a.node, b.node), vjp, "hadamard")
 
 
 def add_bias(a: Tensor, b: Tensor) -> Tensor:
@@ -270,11 +296,11 @@ def add_bias(a: Tensor, b: Tensor) -> Tensor:
     if b.rows != 1 or a.cols != b.cols:
         raise ShapeMismatchError(_shapes("add_bias", a, b))
 
-    def vjp(g):
+    def vjp(g, a=a.node, b=b.node):
         _accumulate(a, g, owned=False)
         _accumulate(b, g.sum(axis=0, keepdims=True))
 
-    return _make(a.value + b.value, (a, b), vjp, "add_bias")
+    return _make(a.value + b.value, (a.node, b.node), vjp, "add_bias")
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
@@ -282,11 +308,12 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatchError(_shapes("concat_cols", a, b))
     nc = a.cols
 
-    def vjp(g):
+    def vjp(g, a=a.node, b=b.node):
         _accumulate(a, g[:, :nc], owned=False)
         _accumulate(b, g[:, nc:], owned=False)
 
-    return _make(np.concatenate([a.value, b.value], axis=1), (a, b), vjp, "concat_cols")
+    return _make(np.concatenate([a.value, b.value], axis=1), (a.node, b.node),
+                 vjp, "concat_cols")
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
@@ -298,17 +325,19 @@ def gather_rows(a: Tensor, indices) -> Tensor:
         raise ShapeMismatchError(
             f"gather_rows: index out of range for {a.rows} rows")
 
-    def vjp(g):
-        np.add.at(_grad_buffer(a), idx, g)
+    def vjp(g, a=a.node):
+        if a.grad is None:  # adds into part of the grad: zeros first
+            a.grad = np.zeros(a.shape, a.dtype)
+        np.add.at(a.grad, idx, g)
 
-    return _make(a.value[idx], (a,), vjp, "gather_rows")
+    return _make(a.value[idx], (a.node,), vjp, "gather_rows")
 
 
 def sum_all(a: Tensor) -> Tensor:
-    def vjp(g):
+    def vjp(g, a=a.node):
         _accumulate(a, g[0, 0])
 
-    return _make(a.value.sum().reshape(1, 1), (a,), vjp, "sum_all")
+    return _make(a.value.sum().reshape(1, 1), (a.node,), vjp, "sum_all")
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -326,10 +355,10 @@ def sigmoid(a: Tensor) -> Tensor:
         e = np.exp(-np.abs(x))
         s = np.where(x >= 0, 1, e) / (1 + e)
 
-    def vjp(g):
+    def vjp(g, a=a.node):
         _accumulate(a, g * s * (1.0 - s))
 
-    return _make(s, (a,), vjp, "sigmoid")
+    return _make(s, (a.node,), vjp, "sigmoid")
 
 
 def leaky_relu(a: Tensor, slope: float) -> Tensor:
@@ -339,20 +368,20 @@ def leaky_relu(a: Tensor, slope: float) -> Tensor:
     mask = np.array([slope, 1.0], dtype=a.value.dtype).take(
         (a.value > 0).view(np.uint8))
 
-    def vjp(g):
+    def vjp(g, a=a.node):
         _accumulate(a, g * mask)
 
-    return _make(a.value * mask, (a,), vjp, "leaky_relu")
+    return _make(a.value * mask, (a.node,), vjp, "leaky_relu")
 
 
 def hinge(a: Tensor) -> Tensor:
     """Elementwise max(0, x)."""
     mask = (a.value > 0).astype(a.value.dtype)
 
-    def vjp(g):
+    def vjp(g, a=a.node):
         _accumulate(a, g * mask)
 
-    return _make(a.value * mask, (a,), vjp, "hinge")
+    return _make(a.value * mask, (a.node,), vjp, "hinge")
 
 
 def dot_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -360,11 +389,12 @@ def dot_rows(a: Tensor, b: Tensor) -> Tensor:
     if a.value.shape != b.value.shape:
         raise ShapeMismatchError(_shapes("dot_rows", a, b))
 
-    def vjp(g):
-        _accumulate(a, g * b.value)
-        _accumulate(b, g * a.value)
+    def vjp(g, a=a.node, b=b.node, x=a.value, y=b.value):
+        _accumulate(a, g * y)
+        _accumulate(b, g * x)
 
-    return _make((a.value * b.value).sum(axis=1, keepdims=True), (a, b), vjp, "dot_rows")
+    return _make((a.value * b.value).sum(axis=1, keepdims=True),
+                 (a.node, b.node), vjp, "dot_rows")
 
 
 def tensor_contract(t3: Tensor, v: Tensor, out_rows: int) -> Tensor:
@@ -380,13 +410,13 @@ def tensor_contract(t3: Tensor, v: Tensor, out_rows: int) -> Tensor:
             f"tensor_contract: {t3.rows} rows not divisible into {out_rows} output rows")
     out_cols = t3.rows // out_rows
 
-    def vjp(g):
-        gf = g.reshape(t3.rows, 1)
-        _accumulate(t3, gf @ v.value.T)
-        _accumulate(v, t3.value.T @ gf)
+    def vjp(g, t3=t3.node, v=v.node, x=t3.value, y=v.value):
+        gf = g.reshape(x.shape[0], 1)
+        _accumulate(t3, gf @ y.T)
+        _accumulate(v, x.T @ gf)
 
     value = (t3.value @ v.value).reshape(out_rows, out_cols)
-    return _make(value, (t3, v), vjp, "tensor_contract")
+    return _make(value, (t3.node, v.node), vjp, "tensor_contract")
 
 
 def _head_products(a: np.ndarray, b: np.ndarray, heads: int) -> np.ndarray:
@@ -434,13 +464,14 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
             f"{k.value.shape} and {v.value.shape}")
     value, summary = linear_attention_value(q.value, k.value, v.value, heads)
 
-    def vjp(g):
+    def vjp(g, q=q.node, k=k.node, v=v.node, qv=q.value, kv=k.value,
+            vv=v.value):
         _accumulate(q, g @ summary.T)
-        d_summary = _head_products(q.value, g, heads)
-        _accumulate(k, v.value @ d_summary.T)
-        _accumulate(v, k.value @ d_summary)
+        d_summary = _head_products(qv, g, heads)
+        _accumulate(k, vv @ d_summary.T)
+        _accumulate(v, kv @ d_summary)
 
-    return _make(value, (q, k, v), vjp, "linear_attention")
+    return _make(value, (q.node, k.node, v.node), vjp, "linear_attention")
 
 
 def sum_squares(tensors: Sequence[Tensor]) -> Tensor:
@@ -449,18 +480,18 @@ def sum_squares(tensors: Sequence[Tensor]) -> Tensor:
     Each tensor's squared Frobenius norm is added in the order given; the
     VJP adds 2·g·t to each tensor's gradient.
     """
-    tensors = tuple(tensors)
+    parts = tuple((t.node, t.value) for t in tensors)
     total = None
-    for t in tensors:
-        term = (t.value * t.value).sum().reshape(1, 1)
+    for _, x in parts:
+        term = (x * x).sum().reshape(1, 1)
         total = term if total is None else total + term
 
     def vjp(g):
         c = 2.0 * g[0, 0]
-        for t in tensors:
-            _accumulate(t, c * t.value)
+        for node, x in parts:
+            _accumulate(node, c * x)
 
-    return _make(total, tensors, vjp, "sum_squares")
+    return _make(total, tuple(node for node, _ in parts), vjp, "sum_squares")
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +501,11 @@ def sum_squares(tensors: Sequence[Tensor]) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(tensor) into ``.grad`` of every reachable tensor.
 
-    ``loss`` must be 1×1 and the tape nonempty. Nodes the loss does not
-    reach never get a grad and their VJPs do not run. Only leaves keep a
-    ``grad`` afterwards: each tape node, once walked, is left with ``grad``
-    and ``vjp`` set to None and no parents, and the tape is cleared, so each
-    recorded graph can be differentiated once.
+    ``loss`` must be 1×1 and the tape nonempty. The walk pops each node off
+    the tape, runs its VJP if the loss reached it, and leaves it with
+    ``grad`` and ``vjp`` None and no parents, so only leaves keep a ``grad``,
+    the arrays a VJP read are freed once it has run, and each recorded graph
+    can be differentiated once.
     """
     if loss.value.shape != (1, 1):
         raise ShapeMismatchError(
@@ -482,12 +513,12 @@ def backward(loss: Tensor) -> None:
     if not _tape:
         raise RuntimeError("backward: tape is empty (was recording enabled?)")
     loss.grad = np.ones_like(loss.value)
-    for node in reversed(_tape):
+    while _tape:
+        node = _tape.pop()
         if node.vjp is not None and node.grad is not None:
             node.vjp(node.grad)
         node.grad = node.vjp = None
         node.parents = ()
-    clear_tape()
 
 
 @dataclass

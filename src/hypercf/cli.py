@@ -156,12 +156,17 @@ def _parse_palette(raw: str) -> list:
 
 def _epoch_log(run_dir: str):
     """Print and collect each epoch's row, with the process's peak RSS so
-    far added to the printed and written copy only."""
+    far and the minor page faults since the previous row (allocator churn)
+    added to the printed and written copy only."""
     rows = []
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
     def log(row):
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        rows.append(dict(row, peak_rss_mb=round(peak, 1)))
+        nonlocal faults
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        rows.append(dict(row, peak_rss_mb=round(usage.ru_maxrss / 1024, 1),
+                         minor_faults=usage.ru_minflt - faults))
+        faults = usage.ru_minflt
         _print_rows(rows[-1:])
 
     def flush():

@@ -133,12 +133,10 @@ class Model:
             return None
 
         dtype = ad.default_dtype()
-        kept = dtype(1.0) / dtype(1.0 - rate)
+        kept = float(dtype(1.0) / dtype(1.0 - rate))
 
         def mask(shape):
-            out = (rng.random(shape) >= rate).astype(dtype)
-            out *= kept
-            return out
+            return kept, rng.random(shape) >= rate
 
         return mask
 

@@ -62,9 +62,10 @@ def learning_rate(lr0: float, decay: float, epoch: int) -> float:
 class Adam:
     """Adam with bias correction; moments live beside the parameter registry.
 
-    Decay rates BETA1/BETA2 and epsilon EPS. Two scratch arrays per
-    parameter hold the update's intermediates, so a step allocates no
-    arrays.
+    Decay rates BETA1/BETA2 and epsilon EPS. The optimizer owns exactly
+    the moments ``m`` and ``v`` per parameter; each step allocates one
+    scratch pair, sized to the largest moment, for every update's
+    intermediates, and frees it on return.
     """
 
     def __init__(self, params: dict, lr: float):
@@ -72,12 +73,9 @@ class Adam:
         self.steps = 0
         self.m: dict = {}
         self.v: dict = {}
-        self.scratch: dict = {}
         for name in sorted(params):
-            value = params[name].value
-            self.m[name] = np.zeros_like(value)
-            self.v[name] = np.zeros_like(value)
-            self.scratch[name] = (np.empty_like(value), np.empty_like(value))
+            self.m[name] = np.zeros_like(params[name].value)
+            self.v[name] = np.zeros_like(params[name].value)
 
     def step(self, params: dict) -> None:
         """One update over every parameter, in sorted-name order.
@@ -89,11 +87,14 @@ class Adam:
         self.steps += 1
         c1 = 1.0 - BETA1 ** self.steps
         c2 = 1.0 - BETA2 ** self.steps
+        moments = self.m.values()
+        scratch = np.empty((2, max(m.size for m in moments)),
+                           np.result_type(*{m.dtype for m in moments}))
         for name in sorted(params):
             p = params[name]
             g = p.grad if p.grad is not None else 0.0
             m, v = self.m[name], self.v[name]
-            step, denom = self.scratch[name]
+            step, denom = (row[:m.size].reshape(m.shape) for row in scratch)
             m *= BETA1
             np.multiply(g, 1.0 - BETA1, out=step)
             m += step

@@ -119,7 +119,7 @@ class Tail:
     keys: ad.Tensor                # N x d last-layer keys (N x K incidence
                                    # columns in the transformer ablation)
     z_hat: ad.Tensor               # K x d last-layer hyperedge features
-    mask: Optional[np.ndarray]     # N x d last-layer dropout mask, or None
+    mask: Optional[tuple]          # last-layer dropout (scale, N x d keep)
     first_keys: ad.Tensor          # first-layer keys, shaped like ``keys``
     first_edges: ad.Tensor         # K x d first-layer hyperedge features
 
@@ -130,11 +130,12 @@ def forward(nodes0: ad.Tensor, p: HyperSideParams, num_layers: int,
 
     One HyperSideParams is shared by every layer (the recursive formulation
     ties the layers' weights). The summed output excludes the layer-0 input.
-    ``dropout_mask(shape)`` may return a premultiplied inverted-dropout mask
-    array (or None), a constant that scales each layer output during
-    training; the last layer's mask is drawn here too, so the rng advances
-    by the full N x d draws whichever rows are read out. Returns the
-    :class:`Tail` that :func:`readout` turns into final embeddings.
+    ``dropout_mask(shape)`` may return an inverted-dropout mask during
+    training, ``(scale, keep)`` with ``keep`` a bool array of ``shape``,
+    that ``ad.scale`` applies to each layer output; the last layer's mask is
+    drawn here too, so the rng advances by the full N x d draws whichever
+    rows are read out. Returns the :class:`Tail` that :func:`readout` turns
+    into final embeddings.
     """
     if num_layers < 1:
         raise ValueError(f"need at least one layer, got {num_layers}")
@@ -152,7 +153,7 @@ def forward(nodes0: ad.Tensor, p: HyperSideParams, num_layers: int,
             return Tail(partial, keys, z_hat, mask, *first)
         out = hyperedge_to_node(z_hat, keys, p)
         if mask is not None:
-            out = ad.scale(out, mask)
+            out = ad.scale(out, *mask)
         partial = out if partial is None else ad.add(partial, out)
         current = out
 
@@ -167,7 +168,8 @@ def readout(tail: Tail, p: HyperSideParams, rows) -> ad.Tensor:
     """
     out = hyperedge_to_node(tail.z_hat, ad.gather_rows(tail.keys, rows), p)
     if tail.mask is not None:
-        out = ad.scale(out, tail.mask[rows])
+        kept, keep = tail.mask
+        out = ad.scale(out, kept, keep[rows])
     if tail.partial is not None:
         out = ad.add(ad.gather_rows(tail.partial, rows), out)
     return out

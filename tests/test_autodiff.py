@@ -243,7 +243,8 @@ class TestBackward:
 class TestLazyGrad:
     """Non-leaf grads start as None; the first arrival is adopted and fan-in
     accumulates. Only leaves keep a grad after backward: each walked node
-    drops its grad, VJP and parents."""
+    drops its grad, VJP and parents. The tape holds nodes, not values: a
+    value lives as long as the caller's tensor or a VJP that reads it."""
 
     def test_node_consumed_twice_gets_summed_grad(self, float64_mode):
         # y feeds one add twice and z feeds two nodes; the leaf gradient is
@@ -333,6 +334,68 @@ class TestLazyGrad:
         del out
         assert output() is None  # loss holds no parent
         assert loss.value[0, 0] == pytest.approx(24.0 / (1.0 + np.exp(-3.0)))
+
+    def test_unread_value_dies_with_its_tensor(self):
+        # add's VJP reads neither operand, so the spmm output lives only as
+        # long as the caller's tensor, not until backward
+        s = sp.csr_matrix(np.eye(3))
+        x = ad.constant(np.ones((3, 2)))
+        with ad.recording():
+            y = ad.spmm((s, s), x)
+            total = ad.add(y, x)
+            loss = ad.sum_all(total)
+        product = weakref.ref(y.value)
+        del y
+        assert product() is None
+        assert ad.tape_size() == 3
+        ad.backward(loss)
+        np.testing.assert_array_equal(x.grad, np.full((3, 2), 2.0))
+
+    def test_read_value_lives_until_its_vjp_runs(self):
+        x = ad.constant(np.full((2, 2), 0.5))
+        w = ad.constant(np.ones((2, 2)))
+        with ad.recording():
+            h = ad.matmul(x, w)
+            prod = ad.hadamard(h, w)  # its VJP reads h's value
+            loss = ad.sum_all(prod)
+        hidden = weakref.ref(h.value)
+        alive_at_call = []
+
+        def watched(vjp):
+            def wrapper(g):
+                alive_at_call.append(hidden() is not None)
+                vjp(g)
+            return wrapper
+
+        prod.vjp = watched(prod.vjp)
+        del h, prod
+        assert hidden() is not None
+        ad.backward(loss)
+        assert alive_at_call == [True]
+        assert hidden() is None
+        np.testing.assert_array_equal(x.grad, np.full((2, 2), 2.0))
+
+    def test_tape_holds_nodes_with_the_tensor_fields(self):
+        x = ad.constant(np.ones((2, 3)))
+        with ad.recording():
+            y = ad.scale(x, 2.0)
+            loss = ad.sum_all(y)
+        tape = list(ad._tape)
+        assert tape == [y.node, loss.node]
+        assert all(type(node) is ad.Node for node in tape)
+        assert not hasattr(tape[0], "value")
+        assert y.parents == (x.node,) and loss.parents == (y.node,)
+        assert (y.op, loss.op, x.op) == ("scale", "sum_all", "leaf")
+        assert y.vjp is tape[0].vjp and y.grad is tape[0].grad is None
+        assert (tape[0].shape, tape[0].dtype) == ((2, 3), x.value.dtype)
+        pushed = []
+        vjp = y.vjp
+        y.vjp = lambda g: (pushed.append(g.copy()), vjp(g))
+        assert tape[0].vjp is y.vjp
+        ad.backward(loss)
+        np.testing.assert_array_equal(pushed[0], np.ones((2, 3)))
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+        assert ad.tape_size() == 0
 
     def test_unreached_nodes_keep_no_grad(self):
         x = ad.constant(np.ones((2, 2)))
@@ -549,6 +612,8 @@ class TestErrors:
             ad.linear_attention(q, k, ad.constant(np.ones((4, 6))), 2)
         with pytest.raises(ad.ShapeMismatchError, match="scale"):
             ad.scale(q, np.ones((6, 2)))
+        with pytest.raises(ad.ShapeMismatchError, match="scale"):
+            ad.scale(q, 2.0, np.ones((2, 1), dtype=bool))
 
     def test_leaky_relu_slope_precondition(self):
         a = ad.constant(np.ones((2, 2)))

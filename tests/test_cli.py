@@ -4,6 +4,7 @@ and the cross-command reproduction contracts."""
 import csv
 import os
 import re
+import resource
 
 import numpy as np
 import pytest
@@ -188,16 +189,24 @@ class TestTrainArtifacts:
         for r in rows:
             assert float(r["tape_nodes"]) > 0
             assert float(r["peak_rss_mb"]) > 0
+            assert int(r["minor_faults"]) >= 0
 
     def test_epoch_log_leaves_history_row_alone(self, tmp_path, capsys):
         log, flush = _epoch_log(str(tmp_path))
         row = {"epoch": 0, "loss": 1.5}
         log(row)
+        fresh = np.ones(1 << 21)  # 16 MB of new pages, faulted in here
+        log({"epoch": 1, "loss": float(fresh[-1])})
         flush()
         assert row == {"epoch": 0, "loss": 1.5}
-        assert "peak_rss_mb=" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "peak_rss_mb=" in printed and "minor_faults=" in printed
         written = read_csv(str(tmp_path / "epochs.csv"))
-        assert list(written[0]) == ["epoch", "loss", "peak_rss_mb"]
+        assert list(written[0]) == ["epoch", "loss", "peak_rss_mb",
+                                    "minor_faults"]
+        # the faults since the previous row, not the process's total
+        total = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert 0 < int(written[1]["minor_faults"]) < total
 
     def test_effective_config_echoed(self, trained):
         text = open(os.path.join(trained["run_dir"], "config.txt")).read()

@@ -263,15 +263,31 @@ class TestInference:
 
     @pytest.mark.parametrize("rate", [0.25, 0.5, 0.75])
     def test_dropout_mask_is_a_plain_array(self, rate):
-        # same draw, same float32 values as keep / (1 - rate)
+        # a bool keep-mask from the same draw; scaling by it gives the bits
+        # of the float32 mask keep / (1 - rate), forward and VJP, zero signs
+        # included
         model, _, _, _ = toy_setup(dropout=rate)
         rng, twin = default_rng(5), default_rng(5)
-        mask = model._dropout_fn(True, rng)((7, 8))
-        keep = (twin.random((7, 8)) >= rate).astype(np.float32)
-        expect = keep / (1.0 - rate)
-        assert type(mask) is np.ndarray and mask.dtype == np.float32
-        assert np.array_equal(mask.view(np.uint32), expect.view(np.uint32))
+        kept, keep = model._dropout_fn(True, rng)((7, 8))
+        expect = twin.random((7, 8)) >= rate
+        mask = expect.astype(np.float32) / (1.0 - rate)
+        assert type(keep) is np.ndarray and keep.dtype == np.bool_
+        assert np.array_equal(keep, expect)
         assert rng.random() == twin.random()
+        values = twin.normal(size=(7, 8))
+        values[0, :4] = [0.0, -0.0, np.inf, -np.inf]
+        x = ad.constant(values, dtype=np.float32)
+        w = ad.constant(twin.normal(size=(7, 8)), dtype=np.float32)
+        x.grad = None  # adopts the VJP's array: no += onto zeros
+        # inf times a dropped entry is nan on both sides
+        with np.errstate(invalid="ignore"), ad.recording():
+            out = ad.scale(x, kept, keep)
+            ad.backward(ad.sum_all(ad.hadamard(out, w)))
+            want = x.value * mask
+        assert np.array_equal(out.value.view(np.uint32), want.view(np.uint32))
+        assert np.array_equal(x.grad.view(np.uint32),
+                              (w.value * mask).view(np.uint32))
+        assert np.signbit(x.grad[~keep]).any()  # a dropped negative weight
 
     def test_dropout_training_only(self, float64_mode):
         model, adj, _, _ = toy_setup(dropout=0.5)
