@@ -11,17 +11,15 @@ from .experiments import (TrainedRun, ablation_study, noise_robustness,
 from .model import Model
 from .trainer import (Adam, DivergenceError, fit, load_checkpoint, resume,
                       save_checkpoint)
-from .viz import DEFAULT_PALETTE, embedding_to_color, write_colors_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adam", "Config", "ConfigError", "DEFAULT_PALETTE", "DivergenceError",
-    "InteractionDataset", "Model", "SplitDataset", "TrainedRun",
-    "ablation_study", "build_normalized_adjacency", "embedding_to_color",
-    "evaluate_model", "evaluate_scores", "fit", "inject_noise",
-    "load_checkpoint", "load_config", "load_interactions", "ndcg_at_n",
-    "noise_robustness", "rank_all", "recall_at_n", "resume",
-    "save_checkpoint", "sparsity_report", "split", "sweep",
-    "synthetic_blocks", "train_on_split", "write_colors_csv", "write_csv",
+    "Adam", "Config", "ConfigError", "DivergenceError", "InteractionDataset",
+    "Model", "SplitDataset", "TrainedRun", "ablation_study",
+    "build_normalized_adjacency", "evaluate_model", "evaluate_scores", "fit",
+    "inject_noise", "load_checkpoint", "load_config", "load_interactions",
+    "ndcg_at_n", "noise_robustness", "rank_all", "recall_at_n", "resume",
+    "save_checkpoint", "sparsity_report", "split", "sweep", "synthetic_blocks",
+    "train_on_split", "write_csv",
 ]

@@ -23,7 +23,7 @@ import time
 from dataclasses import fields, replace
 
 from . import data as data_mod
-from . import evaluation, experiments, trainer, viz
+from . import evaluation, experiments, trainer
 from .config import (Config, ConfigError, config_from_mapping, format_config,
                      load_config)
 from .transformer import bench_factorization
@@ -31,7 +31,7 @@ from .transformer import bench_factorization
 ENV_OUT = "HYPERCF_OUT"
 
 COMMANDS = ("train", "evaluate", "noise-test", "sparsity-report", "ablate",
-            "bench", "colorize", "sweep")
+            "bench", "sweep")
 
 
 class UsageError(Exception):
@@ -141,19 +141,6 @@ def _parse_bounds(raw, flag: str):
     return bounds
 
 
-def _parse_palette(raw: str) -> list:
-    colors = []
-    for part in raw.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        triple = _parse_list(part, "--palette", float)
-        _check("--palette", part, len(triple) == 3,
-               "each color needs 3 components")
-        colors.append(triple)
-    return colors
-
-
 def _epoch_log(run_dir: str):
     """Print and collect each epoch's row, with the process's peak RSS so
     far and the minor page faults since the previous row (allocator churn)
@@ -182,8 +169,7 @@ def _checkpoint_setup(args):
         raise UsageError(f"checkpoint not found: {args.checkpoint!r}")
     ckpt = trainer.load_checkpoint(args.checkpoint)
     cfg = _effective_config(args, base=ckpt.config)
-    dataset = _load_dataset(cfg)
-    splits = data_mod.split(dataset, cfg.seed)
+    splits = data_mod.split(_load_dataset(cfg), cfg.seed)
     model = trainer.build_model(ckpt)
     if (model.num_users, model.num_items) != (splits.num_users,
                                               splits.num_items):
@@ -192,7 +178,7 @@ def _checkpoint_setup(args):
             f"{model.num_items} items but the data has {splits.num_users} x "
             f"{splits.num_items}")
     adj = data_mod.build_normalized_adjacency(splits.train)
-    return model, cfg, dataset, splits, adj
+    return model, cfg, splits, adj
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +211,7 @@ def cmd_evaluate(args) -> int:
     cutoffs = _parse_list(args.cutoffs, "--cutoffs")
     _check("--cutoffs", args.cutoffs, cutoffs and min(cutoffs) >= 1,
            "need one or more cutoffs >= 1")
-    model, cfg, dataset, splits, adj = _checkpoint_setup(args)
+    model, cfg, splits, adj = _checkpoint_setup(args)
     rows = _metric_rows(model, adj, splits, args.split, cutoffs)
     return _report(_run_dir(cfg, "evaluate"), "metrics.csv", rows)
 
@@ -250,7 +236,7 @@ def cmd_sparsity_report(args) -> int:
     if user_bounds is None and item_bounds is None:
         raise UsageError("need --user-bounds and/or --item-bounds")
     _check("--cutoff", args.cutoff, args.cutoff >= 1, "need a cutoff >= 1")
-    model, cfg, dataset, splits, adj = _checkpoint_setup(args)
+    model, cfg, splits, adj = _checkpoint_setup(args)
     rows = experiments.sparsity_report(model, adj, splits, user_bounds,
                                        item_bounds, n=args.cutoff)
     return _report(_run_dir(cfg, "sparsity-report"), "sparsity.csv", rows)
@@ -280,21 +266,6 @@ def cmd_bench(args) -> int:
                                 repeats=args.repeats, seed=cfg.seed)
             for n in sizes]
     return _report(_run_dir(cfg, "bench"), "bench.csv", rows)
-
-
-def cmd_colorize(args) -> int:
-    model, cfg, dataset, splits, adj = _checkpoint_setup(args)
-    palette = (_parse_palette(args.palette) if args.palette
-               else viz.DEFAULT_PALETTE)
-    _, item_emb = model.embedding_tables(adj)
-    colors = viz.embedding_to_color(item_emb, palette, steps=args.steps,
-                                    mu=args.mu, seed=cfg.seed)
-    run_dir = _run_dir(cfg, "colorize")
-    path = os.path.join(run_dir, "colors.csv")
-    viz.write_colors_csv(path, colors, item_ids=dataset.item_ids)
-    print(f"run dir: {run_dir}")
-    print(f"wrote {colors.shape[0]} colors to {path}")
-    return 0
 
 
 def cmd_sweep(args) -> int:
@@ -374,14 +345,6 @@ def build_parser() -> _Parser:
     p.add_argument("--nodes", default="1000,10000,100000",
                    help="node counts to benchmark")
     p.add_argument("--repeats", type=int, default=3)
-
-    p = command("colorize", cmd_colorize,
-                help="export item-embedding colors")
-    p.add_argument("checkpoint")
-    p.add_argument("--palette", default=None,
-                   help="semicolon-separated r,g,b triples in [0,1]")
-    p.add_argument("--steps", type=int, default=400)
-    p.add_argument("--mu", type=float, default=1.0)
 
     p = command("sweep", cmd_sweep,
                 help="one-axis hyperparameter study")

@@ -261,14 +261,13 @@ def group_metrics(result: RankingResult, test: InteractionDataset,
     return rows
 
 
-def write_csv(path: str, rows: list, fieldnames=None) -> None:
+def write_csv(path: str, rows: list) -> None:
     """CSV with unix line endings; float formatting is str()'s shortest
     round-trip form, so equal runs give byte-equal files."""
     if not rows:
         raise EvaluationError("refusing to write an empty report")
-    fieldnames = fieldnames or list(rows[0].keys())
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames,
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()),
                                 lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)

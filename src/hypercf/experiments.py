@@ -52,38 +52,37 @@ def noise_robustness(dataset: InteractionDataset, ratios, cfg: Config,
 
     Noise goes into the training edges only, so the reported drop measures
     how much the corrupted graph damages what the model learns, not a change
-    of the exam. The ratio-0 row goes through the same pipeline and is
-    bit-identical to a plain clean run under the same seed.
+    of the exam. The clean run (ratio 0) comes first whether or not
+    ``ratios`` lists it, then each other distinct ratio once, in order. The
+    clean row is bit-identical to a plain clean run under the same seed.
     """
-    ratios = [float(r) for r in ratios]
-    if 0.0 not in ratios:
-        ratios = [0.0] + ratios
+    ratios = list(dict.fromkeys([0.0, *map(float, ratios)]))
     splits = data_mod.split(dataset, cfg.seed)
     rows = []
-    baseline = None
     for ratio in ratios:
         noisy, _ = data_mod.inject_noise(splits.train, ratio, seed=cfg.seed)
         run = train_on_split(
             SplitDataset(noisy, splits.validation, splits.test, cfg.seed),
             cfg, log_fn=log_fn)
         metrics = run.test_metrics((cutoff,))
-        recall = metrics[f"recall@{cutoff}"]
-        ndcg = metrics[f"ndcg@{cutoff}"]
+        recall, ndcg = metrics[f"recall@{cutoff}"], metrics[f"ndcg@{cutoff}"]
         if ratio == 0.0:
-            baseline = (recall, ndcg)
+            base_recall, base_ndcg = recall, ndcg
         rows.append({
-            "ratio": ratio,
-            "recall": recall,
-            "ndcg": ndcg,
-            "recall_rel": recall / baseline[0] if baseline[0] else float("nan"),
-            "ndcg_rel": ndcg / baseline[1] if baseline[1] else float("nan"),
+            "ratio": ratio, "recall": recall, "ndcg": ndcg,
+            "recall_rel": recall / base_recall if base_recall else float("nan"),
+            "ndcg_rel": ndcg / base_ndcg if base_ndcg else float("nan"),
         })
     return rows
 
 
 def sparsity_report(model: Model, adj, splits: SplitDataset,
                     user_bounds, item_bounds, n: int = 40) -> list:
-    """Recall/NDCG per interaction-count bucket, user side then item side."""
+    """Recall/NDCG per interaction-count bucket, user side then item side.
+
+    A row's ``bound`` is its bucket's upper bound; the last bucket also
+    holds every count above its bound.
+    """
     user_emb, item_emb = model.embedding_tables(adj)
     result = rank_embeddings(user_emb, item_emb, splits.train, n)
     rows = []
@@ -91,11 +90,8 @@ def sparsity_report(model: Model, adj, splits: SplitDataset,
         if bounds is None:
             continue
         assignment = data_mod.sparsity_groups(splits.train, axis, bounds)
-        for row in group_metrics(result, splits.test, assignment, axis, n):
-            bounds_list = list(bounds)
-            g = row["group"]
-            row["bound"] = bounds_list[g] if g < len(bounds_list) else float("inf")
-            rows.append(row)
+        rows += [dict(row, bound=bounds[row["group"]]) for row in
+                 group_metrics(result, splits.test, assignment, axis, n)]
     return rows
 
 

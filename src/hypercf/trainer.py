@@ -307,6 +307,15 @@ def _count(value) -> bool:
     return type(value) is int and value >= 0
 
 
+def _pcg64_state(value) -> bool:
+    """Whether a scratch PCG64 takes ``value`` as its state."""
+    try:
+        np.random.PCG64().state = value
+    except (ValueError, TypeError, KeyError, OverflowError):
+        return False
+    return True
+
+
 # the record's keys besides `tensors`, each with the test its value passes
 RECORD_KEYS = {
     "config": lambda v: type(v) is str,
@@ -316,7 +325,7 @@ RECORD_KEYS = {
         key: type(x) for key, x in v.items()} == {
         f.name: type(f.default) for f in fields(Progress)},
     "adam_steps": lambda v: v is None or _count(v),
-    "rng": lambda v: v is None or isinstance(v, dict),
+    "rng": lambda v: v is None or _pcg64_state(v),
 }
 
 

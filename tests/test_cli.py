@@ -73,6 +73,10 @@ class TestUsageErrors:
         assert main([]) == 1
         assert "command" in capsys.readouterr().err
 
+    def test_unknown_command(self, capsys):
+        assert main(["frobnicate"]) == 1
+        assert "usage error" in capsys.readouterr().err
+
     def test_unknown_flag(self, capsys):
         assert main(["train", "--frobnicate", "1"]) == 1
 
@@ -270,6 +274,15 @@ class TestNoiseCommand:
         assert float(noise_rows[0]["recall"]) == float(test_row["recall"])
         assert float(noise_rows[0]["ndcg"]) == float(test_row["ndcg"])
 
+    def test_zero_given_last_still_runs_first(self, data_path, tmp_path,
+                                              capsys):
+        rc = main(["noise-test", "--data", data_path, "--out",
+                   str(tmp_path), "--ratios", "0.1,0"] + FAST)
+        assert rc == 0, capsys.readouterr().err
+        rows = read_csv(os.path.join(run_dir_of(capsys.readouterr().out),
+                                     "noise.csv"))
+        assert [r["ratio"] for r in rows] == ["0.0", "0.1"]
+
 
 class TestReportCommands:
     def test_sparsity_report(self, trained, tmp_path, capsys):
@@ -316,17 +329,6 @@ class TestReportCommands:
                                      "bench.csv"))
         assert len(rows) == 1
         assert float(rows[0]["max_abs_diff"]) < 1e-3
-
-    def test_colorize(self, trained, tmp_path, capsys):
-        rc = main(["colorize", trained["checkpoint"], "--data",
-                   trained["data"], "--out", str(tmp_path), "--steps", "20"])
-        assert rc == 0
-        rows = read_csv(os.path.join(run_dir_of(capsys.readouterr().out),
-                                     "colors.csv"))
-        assert len(rows) == 24
-        values = np.array([[float(r["r"]), float(r["g"]), float(r["b"])]
-                           for r in rows])
-        assert values.min() >= 0.0 and values.max() <= 1.0
 
 
 class TestOutputRoot:

@@ -75,6 +75,15 @@ class TestNoiseRobustness:
             assert noisy["recall_rel"] == pytest.approx(
                 noisy["recall"] / base["recall"])
 
+    @pytest.mark.parametrize("ratios", [[0.1, 0.0], [0.1, 0.1]],
+                             ids=["zero-last", "repeated"])
+    def test_baseline_first_then_each_ratio_once(self, ratios):
+        ds = D.synthetic_blocks(num_users=48, num_items=24, num_blocks=4,
+                                edges_per_user=8, seed=1)
+        rows = noise_robustness(ds, ratios, tiny_config(seed=1))
+        assert [r["ratio"] for r in rows] == [0.0, 0.1]
+        assert rows[0]["recall_rel"] == 1.0 and rows[0]["ndcg_rel"] == 1.0
+
 
 class TestSparsityReport:
     def test_buckets_cover_both_sides(self, tiny_splits):

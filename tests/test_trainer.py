@@ -518,7 +518,10 @@ class TestCheckpointFormat:
         ("progress", {"epoch": 0, "best_epoch": 0, "best_metric": 0.25,
                       "stale": "1"}),
         ("adam_steps", -1), ("adam_steps", "3"), ("rng", "zz"),
-        ("rng", [1]), ("config", 5)])
+        ("rng", [1]), ("rng", {}), ("rng", {"bit_generator": "MT19937"}),
+        ("rng", {"bit_generator": "PCG64", "state": "zz", "has_uint32": 0,
+                 "uinteger": 0}),
+        ("config", 5)])
     def test_wrongly_typed_record_value_names_file_and_key(
             self, tmp_path, key, value):
         _, _, _, path = self.trained(tmp_path)
