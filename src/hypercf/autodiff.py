@@ -205,6 +205,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.value @ b.value, (a.node, b.node), vjp, "matmul")
 
 
+def gram(a: Tensor) -> Tensor:
+    """The Gram matrix ``aᵀa`` of a's columns, exactly symmetric."""
+    def vjp(g, a=a.node, x=a.value):
+        _accumulate(a, x @ (g + g.T))
+
+    return _make(a.value.T @ a.value, (a.node,), vjp, "gram")
+
+
 def spmm(adj_pair, x: Tensor) -> Tensor:
     """Multiply a constant sparse matrix by a dense tensor: ``S @ x``.
 

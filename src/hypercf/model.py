@@ -29,13 +29,14 @@ class Side:
 
     Prediction embeddings are not tables here: ``Model.final_rows`` reads
     out the rows a loss needs from the transformer tail, and the label
-    branch adapts only the key rows it scores. Under the graph-only
+    branch maps only the fused rows it scores to keys. Under the graph-only
     ablation only ``fused`` is set.
     """
 
     fused: ad.Tensor                           # id + topology embeddings
     tail: Optional[transformer.Tail] = None
-    keys: Optional[ad.Tensor] = None           # label-branch key table
+    key_map: Optional[ad.Tensor] = None        # label-branch Kᵀ (None: the
+                                               # fused rows are the keys)
     zsrc: Optional[ad.Tensor] = None           # its hyperedge summary source
 
 
@@ -162,9 +163,9 @@ class Model:
             if "trans" in self.ablations:
                 # no key transform exists; labels read the fused embeddings
                 # and summarize the computed first-layer hyperedge features
-                state[side] = Side(f, tail, f, tail.first_edges)
+                state[side] = Side(f, tail, None, tail.first_edges)
             else:
-                state[side] = Side(f, tail, tail.first_keys, p.z)
+                state[side] = Side(f, tail, tail.key_map, p.z)
         return state
 
     def final_rows(self, state: dict, side: str, rows) -> ad.Tensor:
@@ -173,7 +174,7 @@ class Model:
         s = state[side]
         if s.tail is None:
             return ad.gather_rows(s.fused, rows)
-        return transformer.readout(s.tail, self.hyper[side], rows)
+        return transformer.readout(s.tail, rows)
 
     # -- losses -----------------------------------------------------------
 
@@ -201,12 +202,14 @@ class Model:
 
     def _gamma_rows(self, state: dict, users, items):
         """Adapted keys of the nodes ``users`` and ``items``, one table per
-        side, each row transformed once."""
+        side, each row mapped and transformed once."""
         slope = self.cfg.slope
         out = []
         for side, rows in zip(SIDES, (users, items)):
             s, p = state[side], self.meta[side]
-            keys = ad.gather_rows(s.keys, rows)
+            keys = ad.gather_rows(s.fused, rows)
+            if s.key_map is not None:
+                keys = ad.matmul(keys, s.key_map)
             if "meta" in self.ablations:
                 out.append(solidity.plain_transform(keys, p, slope))
             else:

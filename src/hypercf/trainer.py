@@ -308,12 +308,16 @@ def _count(value) -> bool:
 
 
 def _pcg64_state(value) -> bool:
-    """Whether a scratch PCG64 takes ``value`` as its state."""
+    """Whether a scratch PCG64 takes ``value`` as its state and reads it
+    back unchanged, with an int ``state`` and ``inc``: numpy truncates a
+    float there, which would resume from another stream."""
+    scratch = np.random.PCG64()
     try:
-        np.random.PCG64().state = value
+        scratch.state = value
     except (ValueError, TypeError, KeyError, OverflowError):
         return False
-    return True
+    return scratch.state == value and all(
+        type(word) is int for word in value["state"].values())
 
 
 # the record's keys besides `tensors`, each with the test its value passes

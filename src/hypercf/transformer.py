@@ -1,19 +1,24 @@
 """Hypergraph transformer: linear multi-head attention between nodes and
 learnable hyperedges, hierarchical hyperedge mixing, and stacked propagation.
 
-The stack is split in two. :func:`forward` needs the whole graph: it runs
-every layer but the last in full, and the last only up to its hyperedge
-features. :func:`readout` then forms final embeddings for just the rows a
-caller asks for, since in softmax-free attention an output row depends only
-on its own query row and a shared summary.
+Attention is dot-product without softmax, so its products regroup as in
+linear attention, and keys and values are linear in the N x d node table X.
+Per head h the node-to-hyperedge key-value summary k_hᵀ v_h equals
+(Kᵀ)_hᵀ (XᵀX) (Vᵀ)_h, which needs only the d x d Gram matrix XᵀX; and a
+hyperedge-to-node output row is x_n Kᵀ S for one d x d summary S, so a
+layer's output is X M for the d x d map M = Kᵀ S. No layer forms an N x d
+key or value table: a layer's node-sized products are its Gram matrix and
+X M.
 
-Attention is dot-product without softmax, which permits the factorized
-evaluation order of linear attention: each head's (d/H)x(d/H) key-value
-product is accumulated over nodes first, then applied to each query. Both
-directions (nodes to hyperedges and back) record one
-``autodiff.linear_attention`` node per call, and ``_attend_factorized`` runs
-that primitive's numpy forward, so the attention benchmark times the kernel
-training runs against a naive per-head kernel that lives alongside.
+The stack is split in two. :func:`forward` needs the whole graph: it runs
+every layer but the last in full, and the last only up to its map M.
+:func:`readout` then forms final embeddings for just the rows a caller asks
+for, the gathered rows of the last layer's input times M.
+
+Both directions record one ``autodiff.linear_attention`` node per call, on
+d x d and K x d operands, and ``_attend_factorized`` runs that primitive's
+numpy forward, so the attention benchmark times the kernel training runs
+against a naive per-head kernel that lives alongside.
 """
 
 from __future__ import annotations
@@ -53,32 +58,36 @@ class HyperSideParams:
     incidence: Optional[ad.Tensor] = None  # K x N, transformer ablation only
 
 
-def apply_map(x: ad.Tensor, w: ad.Tensor) -> ad.Tensor:
-    """Row-wise linear map: output row i is w @ x_i."""
-    return ad.matmul(x, ad.transpose(w))
+def transposed_maps(p: HyperSideParams):
+    """``(Kᵀ, Vᵀ)``, the key and value transforms as right factors; None
+    in the transformer ablation. A forward pass forms them once and shares
+    them between its layers and the label branch."""
+    if p.incidence is not None:
+        return None
+    return ad.transpose(p.k_map), ad.transpose(p.v_map)
 
 
-def node_to_hyperedge(nodes: ad.Tensor, p: HyperSideParams):
-    """Aggregate node content into hyperedge features.
+def node_to_hyperedge(nodes: ad.Tensor, p: HyperSideParams,
+                      maps: Optional[tuple]) -> ad.Tensor:
+    """Aggregate node content into the K x d hyperedge features.
 
     Per head, each hyperedge query (a slice of its embedding) is applied to
-    the key-value summary accumulated over all nodes. Returns the K x d
-    hyperedge features and the N x d key matrix (reused by the reverse pass
-    and by the self-augmentation module). In the transformer ablation the
-    N x K incidence columns take the keys' place.
+    the key-value summary accumulated over all nodes, formed from the Gram
+    matrix of ``nodes`` and ``maps`` = :func:`transposed_maps`. In the
+    transformer ablation the K x N incidence takes the attention's place.
     """
     if p.incidence is not None:
         if p.incidence.cols != nodes.rows:
             raise ad.ShapeMismatchError(
                 f"node_to_hyperedge: incidence {p.incidence.shape} vs "
                 f"nodes {nodes.value.shape}")
-        return ad.matmul(p.incidence, nodes), ad.transpose(p.incidence)
+        return ad.matmul(p.incidence, nodes)
     if p.k_map.rows != nodes.cols:
         raise ad.ShapeMismatchError(
             f"node_to_hyperedge: key map {p.k_map.shape} vs nodes {nodes.value.shape}")
-    keys = apply_map(nodes, p.k_map)
-    vals = apply_map(nodes, p.v_map)
-    return ad.linear_attention(p.z, keys, vals, p.heads), keys
+    key_map, val_map = maps
+    return ad.linear_attention(p.z, key_map,
+                               ad.matmul(ad.gram(nodes), val_map), p.heads)
 
 
 def hhgn(z_tilde: ad.Tensor, p: HyperSideParams, slope: float) -> ad.Tensor:
@@ -90,37 +99,40 @@ def hhgn(z_tilde: ad.Tensor, p: HyperSideParams, slope: float) -> ad.Tensor:
     return ad.leaky_relu(ad.add(ad.matmul(p.h2, step1), step1), slope)
 
 
-def hyperedge_to_node(z_hat: ad.Tensor, keys: ad.Tensor,
-                      p: HyperSideParams) -> ad.Tensor:
-    """Propagate hyperedge features back to nodes.
+def hyperedge_to_node(z_hat: ad.Tensor, p: HyperSideParams,
+                      maps: Optional[tuple]) -> ad.Tensor:
+    """The map M that propagates hyperedge features back to nodes: a
+    layer's output is its input times M.
 
     Roles swap relative to the forward direction: the node keys become
     queries, the hyperedge embedding slices become keys, and values are the
-    value-transformed hyperedge features. Output row n reads only row n of
-    ``keys``.
+    value-transformed hyperedge features. Keys are the input times Kᵀ, so
+    M is the attention with Kᵀ's d rows as queries. In the transformer
+    ablation M is ``z_hat`` itself, applied to the N x K incidenceᵀ.
     """
     if p.incidence is not None:
-        return ad.matmul(keys, z_hat)
-    vals = apply_map(z_hat, p.v_map)
-    return ad.linear_attention(keys, p.z, vals, p.heads)
+        return z_hat
+    key_map, val_map = maps
+    return ad.linear_attention(key_map, p.z, ad.matmul(z_hat, val_map),
+                               p.heads)
 
 
 @dataclass
 class Tail:
     """What a forward pass leaves for :func:`readout`.
 
-    Layers 1..L-1 are complete in ``partial``; the last layer stops after
-    its hyperedge mixing. Its output row n depends only on row n of ``keys``
-    and the shared K x d ``z_hat``, so any subset of final rows can be read
-    out without the rest.
+    Layers 1..L-1 are complete in ``partial``; the last layer stops at its
+    map ``m``. Its output row n is row n of ``source`` times ``m``, so any
+    subset of final rows can be read out without the rest.
     """
 
     partial: Optional[ad.Tensor]   # N x d sum of layers 1..L-1 (None: L = 1)
-    keys: ad.Tensor                # N x d last-layer keys (N x K incidence
-                                   # columns in the transformer ablation)
-    z_hat: ad.Tensor               # K x d last-layer hyperedge features
+    source: ad.Tensor              # N x d last-layer input (N x K
+                                   # incidenceᵀ in the transformer ablation)
+    m: ad.Tensor                   # d x d last-layer map (K x d z_hat in
+                                   # the transformer ablation)
     mask: Optional[tuple]          # last-layer dropout (scale, N x d keep)
-    first_keys: ad.Tensor          # first-layer keys, shaped like ``keys``
+    key_map: Optional[ad.Tensor]   # Kᵀ (None in the transformer ablation)
     first_edges: ad.Tensor         # K x d first-layer hyperedge features
 
 
@@ -139,34 +151,39 @@ def forward(nodes0: ad.Tensor, p: HyperSideParams, num_layers: int,
     """
     if num_layers < 1:
         raise ValueError(f"need at least one layer, got {num_layers}")
+    maps = transposed_maps(p)
+    key_map = None if maps is None else maps[0]
+    incidence_t = ad.transpose(p.incidence) if maps is None else None
     current = nodes0
     partial = None
-    first = None
+    first_edges = None
     for step in range(num_layers):
-        z_tilde, keys = node_to_hyperedge(current, p)
+        z_tilde = node_to_hyperedge(current, p, maps)
         z_hat = hhgn(z_tilde, p, slope)
-        if first is None:
-            first = (keys, z_tilde)
+        if first_edges is None:
+            first_edges = z_tilde
         mask = (None if dropout_mask is None
                 else dropout_mask(current.value.shape))
+        source = current if incidence_t is None else incidence_t
+        m = hyperedge_to_node(z_hat, p, maps)
         if step == num_layers - 1:
-            return Tail(partial, keys, z_hat, mask, *first)
-        out = hyperedge_to_node(z_hat, keys, p)
+            return Tail(partial, source, m, mask, key_map, first_edges)
+        out = ad.matmul(source, m)
         if mask is not None:
             out = ad.scale(out, *mask)
         partial = out if partial is None else ad.add(partial, out)
         current = out
 
 
-def readout(tail: Tail, p: HyperSideParams, rows) -> ad.Tensor:
+def readout(tail: Tail, rows) -> ad.Tensor:
     """Final embeddings of the nodes ``rows``, the sum of their layer
     outputs: the last layer's output for those rows, masked, plus their
     partial sum.
 
-    The last layer runs on the gathered key rows only, so a loss that reads
+    The last layer maps the gathered source rows only, so a loss that reads
     m rows pays for m rows.
     """
-    out = hyperedge_to_node(tail.z_hat, ad.gather_rows(tail.keys, rows), p)
+    out = ad.matmul(ad.gather_rows(tail.source, rows), tail.m)
     if tail.mask is not None:
         kept, keep = tail.mask
         out = ad.scale(out, kept, keep[rows])

@@ -46,6 +46,12 @@ class TestForward:
         out = ad.matmul(eye, a)
         np.testing.assert_array_equal(out.value, a.value)
 
+    def test_gram_is_exactly_symmetric(self):
+        a = ad.constant(np.random.default_rng(0).normal(size=(50, 6)))
+        out = ad.gram(a).value
+        np.testing.assert_allclose(out, a.value.T @ a.value, rtol=1e-6)
+        np.testing.assert_array_equal(out, out.T)
+
     def test_sigmoid_zero_is_half(self):
         z = ad.constant(np.zeros((2, 3)))
         np.testing.assert_array_equal(ad.sigmoid(z).value, np.full((2, 3), 0.5))
@@ -425,6 +431,14 @@ class TestGradCheckPerPrimitive:
         a = ad.constant(rng.normal(size=(5, 4)))
         b = ad.constant(rng.normal(size=(4, 3)))
         self.check(lambda: ad.sum_all(ad.sigmoid(ad.matmul(a, b))), {"a": a, "b": b})
+
+    def test_gram(self, float64_mode):
+        # the hadamard factor makes the gram's upstream gradient asymmetric
+        rng = np.random.default_rng(29)
+        a = ad.constant(rng.normal(size=(5, 4)))
+        c = ad.constant(rng.normal(size=(4, 4)))
+        self.check(lambda: ad.sum_all(ad.sigmoid(ad.hadamard(ad.gram(a), c))),
+                   {"a": a})
 
     def test_spmm(self, float64_mode):
         rng = np.random.default_rng(11)

@@ -85,7 +85,7 @@ class TestPrimitiveCoverage:
                   and value.__module__ == ad.__name__}
         assert NON_RECORDING <= public
         assert recorded == public - NON_RECORDING
-        assert len(recorded) == 19
+        assert len(recorded) == 20
 
 
 class TestLossComponents:
@@ -322,9 +322,11 @@ def full_table_loss(model, state, main, sal):
         gammas = []
         for side in ("user", "item"):
             s, p = state[side], model.meta[side]
-            gammas.append(solidity.plain_transform(s.keys, p, slope)
+            keys = (s.fused if s.key_map is None
+                    else ad.matmul(s.fused, s.key_map))
+            gammas.append(solidity.plain_transform(keys, p, slope)
                           if "meta" in model.ablations else
-                          solidity.meta_transform(s.keys, s.zsrc, p, slope))
+                          solidity.meta_transform(keys, s.zsrc, p, slope))
         labels = [solidity.solidity_label(
             ad.gather_rows(gammas[0], u), ad.gather_rows(gammas[1], v),
             model.head, slope)
@@ -388,27 +390,33 @@ class TestGatheredReadout:
                                                monkeypatch):
         # after the last hyperedge mixing, a training step works on the
         # batch's rows only; a full-side activation here means the last
-        # layer or the key adaptation ran over the whole table again
+        # layer, the key map or the key adaptation ran over the whole table
+        # again
         model, adj, _, _ = toy_setup()
         events = []
 
         def logged(name, fn):
             def wrapper(*args, **kwargs):
                 out = fn(*args, **kwargs)
-                events.append((name, out.rows))
+                events.append((name, out.rows, args))
                 return out
             return wrapper
 
         monkeypatch.setattr(T, "hhgn", logged("hhgn", T.hhgn))
-        for name in ("leaky_relu", "scale", "linear_attention"):
+        for name in ("leaky_relu", "scale", "matmul", "gram"):
             monkeypatch.setattr(ad, name, logged(name, getattr(ad, name)))
         with ad.recording():
             state = model.forward(adj, training=True,
                                   dropout_rng=default_rng(2))
             loss = model.total_loss(state, SUBSET_MAIN, SUBSET_SAL)
         ad.backward(loss)
-        last = max(i for i, (name, _) in enumerate(events) if name == "hhgn")
+        last = max(i for i, (name, *_) in enumerate(events)
+                   if name == "hhgn")
         tail = events[last + 1:]
-        assert [n for n, _ in tail].count("linear_attention") == 2
+        maps = [state[side].tail.m for side in ("user", "item")]
+        readouts = [rows for name, rows, args in tail
+                    if name == "matmul" and any(args[1] is m for m in maps)]
+        # the distinct users and items of SUBSET_MAIN
+        assert readouts == [3, 4]
         full = {model.num_users, model.num_items}
-        assert not [event for event in tail if event[1] in full], tail
+        assert not [event[:2] for event in tail if event[1] in full], tail
