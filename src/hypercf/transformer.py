@@ -181,7 +181,7 @@ def readout(tail: Tail, rows) -> ad.Tensor:
     partial sum.
 
     The last layer maps the gathered source rows only, so a loss that reads
-    m rows pays for m rows.
+    r rows pays for r rows.
     """
     out = ad.matmul(ad.gather_rows(tail.source, rows), tail.m)
     if tail.mask is not None:
