@@ -10,12 +10,15 @@ single-threaded; it is rebuilt on every training step and emptied by
 :func:`backward`.
 
 Gradients are allocated lazily: a leaf (:func:`constant`, :func:`parameter`)
-owns a zero ``grad`` from creation, while a primitive's output has
+has a zero ``grad`` from creation, while a primitive's output has
 ``grad = None`` until :func:`backward` first reaches it. The first gradient
 to arrive is adopted as the node's ``grad`` (a copy when the pushing VJP does
 not own it), later arrivals are added in place, and nodes never reached are
 skipped by the backward walk, which pops each node off the tape and drops
 its ``grad``, VJP and parents: only leaves keep a ``grad`` after backward.
+Every VJP writes a leaf's ``grad`` in place, so a leaf may be a view into a
+packed vector: :func:`pack` moves leaves into one contiguous value vector
+and one contiguous gradient vector, and returns the leaf those vectors form.
 
 Values are float32 by default; switch to float64 (``set_default_dtype``)
 for finite-difference gradient checking.
@@ -159,6 +162,39 @@ def constant(data, dtype=None) -> Tensor:
 parameter = constant
 
 
+def pack(leaves: Sequence[Tensor]) -> Tensor:
+    """Move ``leaves`` into one contiguous value vector and one contiguous
+    gradient vector, in the order given, and return the 1×P leaf they form.
+
+    Each leaf's ``value`` becomes a reshaped view into the value vector,
+    holding the same entries, and its ``grad`` one into the gradient
+    vector, which starts at zero. Neither may be rebound after, so that an
+    operation on the returned leaf (a sum of squares, a gradient reset, an
+    optimizer update) covers every packed leaf at once. A leaf whose
+    ``grad`` is already a view, as in a store packed before, is refused.
+    """
+    if len({id(t) for t in leaves}) != len(leaves) or not leaves:
+        raise ValueError("pack: leaves must be given once each")
+    for t in leaves:
+        if t.grad is None or t.grad.base is not None:
+            raise ValueError(f"pack: {t!r} does not own its grad "
+                             "(packed already?)")
+    dtypes = sorted({str(t.value.dtype) for t in leaves})
+    if len(dtypes) != 1:
+        raise ValueError(f"pack: leaves of mixed dtypes {dtypes}")
+    size = sum(t.value.size for t in leaves)
+    values, grads = np.empty(size, dtypes[0]), np.zeros(size, dtypes[0])
+    start = 0
+    for t in leaves:  # a leaf's own arrays are freed as soon as it moves
+        stop = start + t.value.size
+        value = values[start:stop].reshape(t.shape)
+        value[...] = t.value
+        t.value, t.grad = value, grads[start:stop].reshape(t.shape)
+        start = stop
+    return Tensor(values.reshape(1, -1), Node(
+        (1, values.size), values.dtype, grad=grads.reshape(1, -1)))
+
+
 def _make(value: np.ndarray, parents: tuple, vjp, op: str) -> Tensor:
     if not _recording:
         return Tensor(value, Node(value.shape, value.dtype, op=op))
@@ -181,6 +217,19 @@ def _accumulate(t: Node, g, owned: bool = True) -> None:
     else:
         t.grad = np.empty(t.shape, t.dtype)
         t.grad[...] = g
+
+
+# entries per block of an elementwise pass over a long vector, such as the
+# packed parameter vector, so that its temporaries stay small (256 KB in
+# float32, the size of the largest tensor of a d = 32 model)
+BLOCK = 32768
+
+
+def _flat(grad: np.ndarray) -> np.ndarray:
+    """The 1-D view of ``grad``, through which it is updated in place."""
+    if not grad.flags.c_contiguous:  # reshape would copy: update lost
+        raise RuntimeError("gradient is not C-contiguous")
+    return grad.reshape(-1)
 
 
 def _shapes(op: str, a: Tensor, b: Tensor) -> str:
@@ -336,7 +385,11 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     def vjp(g, a=a.node):
         if a.grad is None:  # adds into part of the grad: zeros first
             a.grad = np.zeros(a.shape, a.dtype)
-        np.add.at(a.grad, idx, g)
+        # entry (idx[r], c) of the grad is entry idx[r]·d + c of its 1-D
+        # view, where np.add.at adds in the same order, faster
+        d = a.shape[1]
+        flat_idx = (idx[:, None] * d + np.arange(d)).ravel()
+        np.add.at(_flat(a.grad), flat_idx, g.ravel())
 
     return _make(a.value[idx], (a.node,), vjp, "gather_rows")
 
@@ -420,7 +473,7 @@ def tensor_contract(t3: Tensor, v: Tensor, out_rows: int) -> Tensor:
 
     def vjp(g, t3=t3.node, v=v.node, x=t3.value, y=v.value):
         gf = g.reshape(x.shape[0], 1)
-        _accumulate(t3, gf @ y.T)
+        _accumulate(t3, gf * y.T)
         _accumulate(v, x.T @ gf)
 
     value = (t3.value @ v.value).reshape(out_rows, out_cols)
@@ -438,10 +491,10 @@ def _head_products(a: np.ndarray, b: np.ndarray, heads: int) -> np.ndarray:
     width = a.shape[1] // heads
     blocks = (a.reshape(-1, heads, width).transpose(1, 2, 0)
               @ b.reshape(-1, heads, width).transpose(1, 0, 2))
-    out = np.zeros((heads, width, heads, width), dtype=blocks.dtype)
-    h = np.arange(heads)
-    out[h, :, h, :] = blocks
-    return out.reshape(heads * width, heads * width)
+    out = np.zeros((heads * width, heads * width), dtype=blocks.dtype)
+    for h in range(heads):
+        out[h * width:(h + 1) * width, h * width:(h + 1) * width] = blocks[h]
+    return out
 
 
 def linear_attention_value(q: np.ndarray, k: np.ndarray, v: np.ndarray,
@@ -485,19 +538,27 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 def sum_squares(tensors: Sequence[Tensor]) -> Tensor:
     """Sum of the squared entries of every tensor, as one 1×1 node.
 
-    Each tensor's squared Frobenius norm is added in the order given; the
-    VJP adds 2·g·t to each tensor's gradient.
+    Each tensor's squared Frobenius norm, the dot product of its entries
+    with themselves, is added in the order given. The VJP adds 2·g·t to
+    each tensor's gradient, ``BLOCK`` entries at a time into a gradient
+    that exists, so a packed parameter vector needs no temporary of its
+    size.
     """
     parts = tuple((t.node, t.value) for t in tensors)
     total = None
     for _, x in parts:
-        term = (x * x).sum().reshape(1, 1)
+        term = np.vdot(x, x).reshape(1, 1)
         total = term if total is None else total + term
 
     def vjp(g):
         c = 2.0 * g[0, 0]
         for node, x in parts:
-            _accumulate(node, c * x)
+            if node.grad is None:
+                _accumulate(node, c * x)
+                continue
+            grad, x = _flat(node.grad), x.reshape(-1)
+            for lo in range(0, x.size, BLOCK):
+                grad[lo:lo + BLOCK] += c * x[lo:lo + BLOCK]
 
     return _make(total, tuple(node for node, _ in parts), vjp, "sum_squares")
 

@@ -49,7 +49,8 @@ def _member(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
 
 def pack_edges(edges: np.ndarray, num_items: int) -> np.ndarray:
     """Encode (u, v) rows as single int64 keys u * J + v."""
-    return edges[:, 0].astype(np.int64) * num_items + edges[:, 1].astype(np.int64)
+    return (edges[:, 0].astype(np.int64, copy=False) * num_items
+            + edges[:, 1].astype(np.int64, copy=False))
 
 
 @dataclass

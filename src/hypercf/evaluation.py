@@ -14,6 +14,11 @@ caller's own score matrix it holds that block, small per-row candidate
 arrays and the users x n result. ``evaluate_model`` and ``rank_embeddings``
 write each chunk's scores into the block from the embeddings, so they never
 build the users x items matrix.
+
+Speed: a row is fully ordered only over the items of its top strided groups
+(``_rank_rows``). A small catalog, of at most ``GROUP`` x n items (200 items
+at n = 20), keeps every group, so its rows are partitioned whole, with no
+group step.
 """
 
 from __future__ import annotations
@@ -67,12 +72,14 @@ def _rank_rows(block: np.ndarray, train: InteractionDataset, lo: int,
     Item j belongs to the strided group j mod G, with G = width / GROUP.
     Only the k = min(n, items) groups with the largest maxima can hold a
     row's top k: any other item has k strictly larger items above it,
-    unless its group's maximum ties the k-th largest. With G <= k every
-    group is kept. ``np.argpartition`` picks k of the kept groups' items,
-    ordered by descending score and ascending item index. A row whose k-th
-    group maximum is tied, or where kept items beyond the k tie with the
-    k-th score (including rows with fewer than k untrained items), takes a
-    stable argsort of the whole row.
+    unless its group's maximum ties the k-th largest. ``np.argpartition``
+    picks k of the kept groups' items, ordered by descending score and
+    ascending item index. With G <= k every group is kept, as in small
+    catalogs (200 items at n = 20), so the argpartition runs over the whole
+    block, with no group maxima or gather. A row whose k-th group maximum
+    is tied, or where kept items beyond the k tie with the k-th score
+    (including rows with fewer than k untrained items), takes a stable
+    argsort of the whole row.
     """
     rows, items = len(block), train.num_items
     scores = block[:, :items]
@@ -84,21 +91,26 @@ def _rank_rows(block: np.ndarray, train: InteractionDataset, lo: int,
 
     k = min(n, items)
     num_groups = block.shape[1] // GROUP
-    keep = min(k, num_groups)
-    grouped = block.reshape(rows, GROUP, num_groups)
-    peaks = grouped.max(axis=1)
-    groups = np.argpartition(peaks, num_groups - keep,
-                             axis=1)[:, num_groups - keep:]
     at = np.arange(rows)[:, None]
-    floor = peaks[at, groups].min(axis=1, keepdims=True)
-    # column c of ``kept`` is item groups[c // GROUP] + G * (c % GROUP)
-    kept = grouped[at, :, groups].reshape(rows, -1)
-    top = np.argpartition(kept, kept.shape[1] - k, axis=1)[:, -k:]
-    best = groups[at, top // GROUP] + num_groups * (top % GROUP)
-    top_scores = kept[at, top]
+    if num_groups <= k:
+        kept = block
+        best = np.argpartition(block, block.shape[1] - k, axis=1)[:, -k:]
+        top_scores = block[at, best]
+        group_tied = False
+    else:
+        grouped = block.reshape(rows, GROUP, num_groups)
+        peaks = grouped.max(axis=1)
+        groups = np.argpartition(peaks, num_groups - k, axis=1)[:, -k:]
+        floor = peaks[at, groups].min(axis=1, keepdims=True)
+        # column c of ``kept`` is item groups[c // GROUP] + G * (c % GROUP)
+        kept = grouped[at, :, groups].reshape(rows, -1)
+        top = np.argpartition(kept, kept.shape[1] - k, axis=1)[:, -k:]
+        best = groups[at, top // GROUP] + num_groups * (top % GROUP)
+        top_scores = kept[at, top]
+        group_tied = np.count_nonzero(peaks >= floor, axis=1) > k
     best = best[at, np.lexsort((best, -top_scores), axis=1)]
     tied = np.flatnonzero(
-        (np.count_nonzero(peaks >= floor, axis=1) > keep)
+        group_tied
         | (np.count_nonzero(kept >= top_scores.min(axis=1, keepdims=True),
                             axis=1) > k))
     if len(tied):
@@ -188,30 +200,39 @@ def _hits(result: RankingResult, test: InteractionDataset, n):
     return (top >= 0) & found, degree[users]
 
 
-def recall_at_n(result: RankingResult, test: InteractionDataset,
-                n: int = None) -> float:
-    """Mean over evaluated users of |top-n hits| / |test items|."""
-    hit, degree = _hits(result, test, n)
+def _recall(hit: np.ndarray, degree: np.ndarray) -> float:
     return float(np.mean(np.count_nonzero(hit, axis=1) / degree))
 
 
-def ndcg_at_n(result: RankingResult, test: InteractionDataset,
-              n: int = None) -> float:
-    """Binary-relevance NDCG: gain 1/log2(rank+1), ideal list of length
-    min(n, |test items|), averaged over evaluated users."""
-    hit, degree = _hits(result, test, n)
+def _ndcg(hit: np.ndarray, degree: np.ndarray) -> float:
     discounts = 1.0 / np.log2(np.arange(2, hit.shape[1] + 2))
     dcg = hit @ discounts
     idcg = np.cumsum(discounts)[np.minimum(degree, hit.shape[1]) - 1]
     return float(np.mean(dcg / idcg))
 
 
+def recall_at_n(result: RankingResult, test: InteractionDataset,
+                n: int = None) -> float:
+    """Mean over evaluated users of |top-n hits| / |test items|."""
+    return _recall(*_hits(result, test, n))
+
+
+def ndcg_at_n(result: RankingResult, test: InteractionDataset,
+              n: int = None) -> float:
+    """Binary-relevance NDCG: gain 1/log2(rank+1), ideal list of length
+    min(n, |test items|), averaged over evaluated users."""
+    return _ndcg(*_hits(result, test, n))
+
+
 def _report(result: RankingResult, test: InteractionDataset,
             cutoffs) -> dict:
+    """``recall_at_n`` and ``ndcg_at_n`` at each cutoff, from one hit mask
+    per cutoff."""
     out = {}
     for c in cutoffs:
-        out[f"recall@{c}"] = recall_at_n(result, test, c)
-        out[f"ndcg@{c}"] = ndcg_at_n(result, test, c)
+        hit, degree = _hits(result, test, c)
+        out[f"recall@{c}"] = _recall(hit, degree)
+        out[f"ndcg@{c}"] = _ndcg(hit, degree)
     return out
 
 

@@ -1,7 +1,13 @@
 """Full model assembly: parameters, forward pass, losses, ablation variants.
 
 Parameter tensors live in a flat name -> tensor registry so the optimizer,
-the regularizer and the checkpoint format all see one consistent view.
+the regularizer and the checkpoint format all see one consistent view. At
+construction the registry is packed (``ad.pack``) into one value vector and
+one gradient vector in sorted-name order, the checkpoint's order: every
+registry tensor is a view into them, and ``Model.flat`` is the leaf they
+form, which the regularizer, the gradient reset, Adam and the checkpoint
+writer each treat as one vector.
+
 Ablation flags change which parameters exist and which computation paths run;
 the flag semantics are resolved here, not scattered over the submodules.
 """
@@ -43,8 +49,15 @@ class Side:
 def _compact(*indices):
     """The sorted distinct values of the index arrays ``indices`` and, per
     array, the position of each entry among them."""
-    rows, inverse = np.unique(np.concatenate(indices), return_inverse=True)
-    return rows, np.split(inverse, np.cumsum([len(a) for a in indices[:-1]]))
+    joined = np.concatenate(indices)
+    order = np.argsort(joined, kind="stable")
+    ordered = joined[order]
+    first = np.ones(len(ordered), dtype=bool)  # first of a run of equals
+    first[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(len(joined), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return (ordered[first],
+            np.split(inverse, np.cumsum([len(a) for a in indices[:-1]])))
 
 
 class Model:
@@ -58,6 +71,7 @@ class Model:
         self.ablations = cfg.ablations
         self.params: dict = {}
         self._init_params()
+        self.flat = ad.pack([self.params[n] for n in sorted(self.params)])
         # views over the registry: loading copies values into its tensors in
         # place, so these stay current; a name the ablations drop reads None
         get = self.params.get
@@ -241,9 +255,9 @@ class Model:
         return solidity.sa_loss(pred_1, pred_2, label_1, label_2)
 
     def reg_loss(self) -> ad.Tensor:
-        """Squared Frobenius norm summed over every parameter, in sorted-name
-        order, as one tape node."""
-        return ad.sum_squares([self.params[n] for n in sorted(self.params)])
+        """Squared Frobenius norm summed over every parameter, as one tape
+        node over the packed vector."""
+        return ad.sum_squares([self.flat])
 
     def total_loss(self, state: dict, main_batch,
                    sal_batch=None, parts: Optional[dict] = None) -> ad.Tensor:

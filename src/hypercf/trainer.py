@@ -59,42 +59,63 @@ def learning_rate(lr0: float, decay: float, epoch: int) -> float:
     return lr0 * decay ** epoch
 
 
-class Adam:
-    """Adam with bias correction; moments live beside the parameter registry.
+def _packed(params: dict):
+    """The value and gradient vectors that ``ad.pack`` moved the registry
+    ``params`` into, checked to hold exactly its tensors, in sorted-name
+    order."""
+    tensors = [params[name] for name in sorted(params)]
+    vectors = tensors[0].value.base, tensors[0].grad.base
+    starts = np.cumsum([0] + [t.value.size for t in tensors])
+    packed = all(vector is not None and vector.size == starts[-1]
+                 for vector in vectors) and all(
+        view.base is vector and view.ctypes.data == vector[start:].ctypes.data
+        for t, start in zip(tensors, starts)
+        for view, vector in zip((t.value, t.grad), vectors))
+    if not packed:
+        raise ValueError("Adam needs a registry packed by ad.pack in "
+                         "sorted-name order")
+    return vectors
 
-    Decay rates BETA1/BETA2 and epsilon EPS. The optimizer owns exactly
-    the moments ``m`` and ``v`` per parameter; each step allocates one
-    scratch pair, sized to the largest moment, for every update's
-    intermediates, and frees it on return.
+
+class Adam:
+    """Adam with bias correction over a packed parameter registry.
+
+    The registry's tensors are views into one value vector and one gradient
+    vector, in sorted-name order (``ad.pack``; ``Model`` packs its registry
+    at construction). The optimizer owns exactly the moments ``m`` and
+    ``v``, two vectors beside those. A step runs the update over the
+    vectors in blocks of ``ad.BLOCK`` entries, each block's intermediates
+    in one scratch pair of that size, allocated per step and freed on
+    return.
     """
 
     def __init__(self, params: dict, lr: float):
         self.lr = lr
         self.steps = 0
-        self.m: dict = {}
-        self.v: dict = {}
-        for name in sorted(params):
-            self.m[name] = np.zeros_like(params[name].value)
-            self.v[name] = np.zeros_like(params[name].value)
+        self.values, self.grads = _packed(params)
+        self.shapes = {name: params[name].shape for name in sorted(params)}
+        self.m = np.zeros_like(self.values)
+        self.v = np.zeros_like(self.values)
 
     def step(self, params: dict) -> None:
-        """One update over every parameter, in sorted-name order.
+        """One update of every parameter of the registry ``params``, the
+        one this optimizer was built on.
 
-        Per parameter: m = b1·m + (1-b1)·g, v = b2·v + (1-b2)·g², then
+        Per entry: m = b1·m + (1-b1)·g, v = b2·v + (1-b2)·g², then
         p -= lr·(m/c1) / (sqrt(v/c2) + eps), with c1, c2 the bias
-        corrections; each operation in this order, in the parameter's dtype.
+        corrections; each operation in this order, in the parameters'
+        dtype, so the result does not depend on the blocking.
         """
+        if next(iter(params.values())).value.base is not self.values:
+            raise ValueError("Adam.step: not the registry it was built on")
         self.steps += 1
         c1 = 1.0 - BETA1 ** self.steps
         c2 = 1.0 - BETA2 ** self.steps
-        moments = self.m.values()
-        scratch = np.empty((2, max(m.size for m in moments)),
-                           np.result_type(*{m.dtype for m in moments}))
-        for name in sorted(params):
-            p = params[name]
-            g = p.grad if p.grad is not None else 0.0
-            m, v = self.m[name], self.v[name]
-            step, denom = (row[:m.size].reshape(m.shape) for row in scratch)
+        scratch = np.empty((2, min(ad.BLOCK, self.m.size)), self.m.dtype)
+        for lo in range(0, self.m.size, ad.BLOCK):
+            p, g, m, v = (a[lo:lo + ad.BLOCK] for a in
+                          (self.values, self.grads, self.m, self.v))
+            step, denom = scratch[:, :len(m)]
             m *= BETA1
             np.multiply(g, 1.0 - BETA1, out=step)
             m += step
@@ -108,21 +129,28 @@ class Adam:
             np.sqrt(denom, out=denom)
             denom += EPS
             step /= denom
-            p.value -= step
+            p -= step
 
     def moment_tensors(self) -> dict:
+        """Each parameter's moments, as views into ``m`` and ``v`` named
+        ``adam.m.<name>`` and ``adam.v.<name>``; in sorted-name order, that
+        is all of ``m`` then all of ``v``."""
         out = {}
-        for name in sorted(self.m):
-            out[MOMENT_PREFIX + "m." + name] = self.m[name]
-            out[MOMENT_PREFIX + "v." + name] = self.v[name]
+        for key, vector in (("m.", self.m), ("v.", self.v)):
+            start = 0
+            for name, shape in self.shapes.items():
+                stop = start + math.prod(shape)
+                out[MOMENT_PREFIX + key + name] = vector[start:stop].reshape(
+                    shape)
+                start = stop
         return out
 
     def load_moments(self, tensors: dict) -> None:
         """Strict copy of the moment tensors among ``tensors`` (named as
         ``moment_tensors`` names them) into this optimizer."""
         _copy_strict(self.moment_tensors(),
-                    {name: arr for name, arr in tensors.items()
-                     if name.startswith(MOMENT_PREFIX)})
+                     {name: arr for name, arr in tensors.items()
+                      if name.startswith(MOMENT_PREFIX)})
 
 
 def train_epoch(model: Model, adj, train_ds, optimizer: Adam,
@@ -162,8 +190,7 @@ def train_epoch(model: Model, adj, train_ds, optimizer: Adam,
             ad.clear_tape()
             raise DivergenceError(epoch, batches + skipped, value)
         # parameters are persistent leaves: drop the previous batch's grads
-        for p in model.params.values():
-            p.zero_grad()
+        model.flat.zero_grad()
         sums["tape_nodes"] += ad.tape_size()
         ad.backward(loss)
         optimizer.step(model.params)
@@ -359,13 +386,19 @@ def save_checkpoint(path: str, model: Model, progress: Progress = None,
                     optimizer: Adam = None, rng=None) -> None:
     """Write the model's parameters and the run state; a file saved with
     an optimizer and an rng can be resumed."""
-    tensors = {name: p.value for name, p in model.params.items()}
+    # sorted-name order: every "adam.m." name, every "adam.v." name, then
+    # the parameters, which is m, v and the value vector back to back
+    layout = [[name, list(model.params[name].shape)]
+              for name in sorted(model.params)]
+    buffers = [model.flat.value]
     if optimizer is not None:
-        tensors.update(optimizer.moment_tensors())
-    arrays = [(name, np.ascontiguousarray(tensors[name], dtype="<f4"))
-              for name in sorted(tensors)]
+        if optimizer.values is not model.flat.value.base:
+            raise ValueError("the optimizer does not update this model")
+        layout = [[MOMENT_PREFIX + key + name, shape] for key in ("m.", "v.")
+                  for name, shape in layout] + layout
+        buffers = [optimizer.m, optimizer.v, *buffers]
     record = {
-        "tensors": [[name, list(arr.shape)] for name, arr in arrays],
+        "tensors": layout,
         "config": format_config(model.cfg),
         "users": model.num_users,
         "items": model.num_items,
@@ -378,7 +411,8 @@ def save_checkpoint(path: str, model: Model, progress: Progress = None,
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(MAGIC + len(header).to_bytes(4, "little") + header)
-        fh.writelines(arr.tobytes() for _, arr in arrays)
+        for vector in buffers:
+            fh.write(np.ascontiguousarray(vector, dtype="<f4"))
     os.replace(tmp, path)
 
 

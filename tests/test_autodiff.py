@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -217,6 +218,51 @@ class TestBackward:
         ad.backward(loss)
         np.testing.assert_array_equal(x.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
+    def test_gather_rows_scatter_add_matches_row_loop(self):
+        # float32, repeated indices, onto a nonzero grad: every entry adds
+        # its rows' parts in gathered order, bit for bit
+        rng = np.random.default_rng(6)
+        x = ad.constant(rng.normal(size=(40, 32)))
+        x.grad[...] = rng.normal(size=(40, 32))
+        want = x.grad.copy()
+        idx = rng.integers(0, 40, 58)
+        idx[:6] = 3
+        w = ad.constant(rng.normal(size=(58, 32))
+                        * 10.0 ** rng.integers(-4, 5, size=(58, 32)))
+        with ad.recording():
+            loss = ad.sum_all(ad.hadamard(ad.gather_rows(x, idx), w))
+        ad.backward(loss)
+        for r, i in enumerate(idx):
+            want[i] += w.value[r]
+        assert x.grad.dtype == np.float32
+        assert np.array_equal(x.grad.view(np.uint32), want.view(np.uint32))
+
+    def test_sum_squares_adds_into_a_long_grad_by_blocks(self):
+        # bit for bit the whole-vector 2·g·x added onto the grad, with no
+        # temporary of the vector's size
+        rng = np.random.default_rng(8)
+        x = ad.parameter(rng.normal(size=(1, 3 * ad.BLOCK + 5)))
+        x.grad[...] = rng.normal(size=x.shape)
+        want = x.grad + (2.0 * np.float32(0.5)) * x.value
+        with ad.recording():
+            loss = ad.scale(ad.sum_squares([x]), 0.5)
+        tracemalloc.start()
+        try:
+            ad.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(x.grad.view(np.uint32), want.view(np.uint32))
+        assert peak <= ad.BLOCK * x.value.itemsize + 4096, peak
+
+    def test_gather_rows_refuses_a_grad_it_cannot_update_in_place(self):
+        x = ad.constant(np.ones((4, 3)))
+        x.grad = np.zeros((3, 4), dtype=np.float32).T
+        with ad.recording():
+            loss = ad.sum_all(ad.gather_rows(x, [0, 2]))
+        with pytest.raises(RuntimeError, match="not C-contiguous"):
+            ad.backward(loss)
+
     def test_linearity_of_backward(self, float64_mode):
         rng = np.random.default_rng(4)
         base = rng.normal(size=(3, 3))
@@ -244,6 +290,43 @@ class TestBackward:
         v1, g1 = run()
         v2, g2 = run()
         assert np.array_equal(v1, v2) and np.array_equal(g1, g2)
+
+
+class TestPack:
+    def test_leaves_become_views_in_the_order_given(self):
+        rng = np.random.default_rng(7)
+        a = ad.parameter(rng.normal(size=(2, 3)))
+        b = ad.parameter(rng.normal(size=(1, 4)))
+        a.grad[...] = 1.0
+        values = np.concatenate([b.value.ravel(), a.value.ravel()])
+        flat = ad.pack([b, a])
+        assert flat.shape == (1, 10) and flat.value.dtype == np.float32
+        assert np.array_equal(flat.value[0], values)
+        assert flat.grad.shape == (1, 10) and not flat.grad.any()
+        assert a.shape == (2, 3) and b.shape == (1, 4)
+        # writes through the packed leaf reach the leaves, and back
+        flat.value[...] = np.arange(10)
+        assert b.value.tolist() == [[0, 1, 2, 3]]
+        assert a.value.tolist() == [[4, 5, 6], [7, 8, 9]]
+        a.grad[1, 2] = 5.0
+        assert flat.grad[0, 9] == 5.0
+        flat.zero_grad()
+        assert not a.grad.any() and not b.grad.any()
+
+    def test_refuses_a_leaf_in_a_store(self):
+        a, b = ad.parameter(np.ones((2, 2))), ad.parameter(np.ones((1, 2)))
+        with pytest.raises(ValueError, match="once each"):
+            ad.pack([a, a])
+        flat = ad.pack([a])
+        for leaves in ([a], [b, a], [flat]):
+            with pytest.raises(ValueError, match="packed already"):
+                ad.pack(leaves)
+        assert b.grad.base is None  # a refused call moves nothing
+
+    def test_refuses_mixed_dtypes(self):
+        with pytest.raises(ValueError, match="mixed dtypes"):
+            ad.pack([ad.parameter(np.ones((1, 2))),
+                     ad.parameter(np.ones((1, 2)), dtype=np.float64)])
 
 
 class TestLazyGrad:

@@ -260,6 +260,37 @@ class TestGroupedRanking:
             assert_matches_loops(scores, train, n)
 
 
+class TestSmallCatalog:
+    """With G <= k groups every group is kept and a row is ranked by one
+    argpartition over the whole block. On either side of that boundary
+    ``evaluate_model`` reports what the public metric functions report on
+    the dense ranking, and the ranking is the brute-force sort."""
+
+    @pytest.mark.parametrize("groups", [19, 20, 21])  # k = 20: G <, =, > k
+    def test_evaluate_model_equals_public_functions(self, groups):
+        rng = default_rng(groups)
+        users, items, d = 2 * E.ROW_CHUNK + 3, E.GROUP * groups - 3, 4
+        # integer embeddings: many exact ties between items
+        user_emb = np.round(rng.normal(size=(users, d)))
+        item_emb = np.round(rng.normal(size=(items, d)))
+        train, test = (dataset(np.stack([rng.integers(0, users, k * users),
+                                         rng.integers(0, items, k * users)],
+                                        1), users, items) for k in (6, 3))
+
+        class Tables:
+            def embedding_tables(self, adj):
+                return user_emb, item_emb
+
+        scores = E.score_matrix(user_emb, item_emb)
+        ranked = E.rank_all(scores, train, 20)
+        want = {}
+        for c in (5, 20):
+            want[f"recall@{c}"] = E.recall_at_n(ranked, test, c)
+            want[f"ndcg@{c}"] = E.ndcg_at_n(ranked, test, c)
+        assert E.evaluate_model(Tables(), None, train, test, (5, 20)) == want
+        assert_matches_loops(scores, train, 20)
+
+
 class TestMemoryBound:
     """Ranking holds one ROW_CHUNK x items scratch block, never a copy of
     the users x items scores, so its peak does not grow with the users."""

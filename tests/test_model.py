@@ -11,7 +11,7 @@ from hypercf import data as D
 from hypercf import solidity
 from hypercf import transformer as T
 from hypercf.config import Config
-from hypercf.model import Model
+from hypercf.model import Model, _compact
 
 
 def toy_setup(**overrides):
@@ -60,9 +60,9 @@ class TestFullLossGradient:
 
 # public autodiff functions that record no tape node
 NON_RECORDING = frozenset({
-    "constant", "parameter", "matrix", "linear_attention_value", "grad_check",
-    "backward", "set_default_dtype", "default_dtype", "tape_size",
-    "clear_tape"})
+    "constant", "parameter", "pack", "matrix", "linear_attention_value",
+    "grad_check", "backward", "set_default_dtype", "default_dtype",
+    "tape_size", "clear_tape"})
 
 
 class TestPrimitiveCoverage:
@@ -214,6 +214,19 @@ class TestAblations:
 VIEW_FIELDS = {"hyper": {"Z": "z", "K": "k_map", "V": "v_map", "H1": "h1",
                          "H2": "h2", "incidence": "incidence"},
                "meta": {"V1": "v1", "W0": "w0", "V2": "v2", "b0": "b0"}}
+
+
+class TestCompact:
+    def test_matches_unique_with_inverse(self):
+        rng = default_rng(9)
+        for sizes in ((32, 32), (7,), (0, 5), (0,)):
+            arrays = [rng.integers(0, 12, n) for n in sizes]
+            rows, parts = _compact(*arrays)
+            want, inverse = np.unique(np.concatenate(arrays),
+                                      return_inverse=True)
+            assert rows.dtype == want.dtype and np.array_equal(rows, want)
+            assert [len(p) for p in parts] == list(sizes)
+            assert np.array_equal(np.concatenate(parts), inverse)
 
 
 class TestParameterViews:

@@ -74,6 +74,21 @@ def tiny_graph(**overrides):
     return model, adj, main, sal
 
 
+def assert_packed(model):
+    """Every registry tensor's value and grad are views into the model's
+    flat vectors, back to back in sorted-name order."""
+    vectors = model.flat.value.reshape(-1), model.flat.grad.reshape(-1)
+    start = 0
+    for name in sorted(model.params):
+        p = model.params[name]
+        stop = start + p.value.size
+        for view, vector in zip((p.value, p.grad), vectors):
+            assert view.base is vector.base, name
+            assert view.ctypes.data == vector[start:].ctypes.data, name
+        start = stop
+    assert start == vectors[0].size
+
+
 class TestLearningRate:
     def test_schedule_closed_form(self):
         for n in range(31):
@@ -96,9 +111,10 @@ class TestAdam:
         x = ad.parameter(rng.normal(0, 2, size=(3, 4)).astype(np.float64))
         c = rng.normal(0, 2, size=(3, 4))
         lr = 0.01
+        ad.pack([x])
         opt = T.Adam({"x": x}, lr=lr)
         before = x.value.copy()
-        x.grad = before - c
+        x.grad[...] = before - c
         opt.step({"x": x})
         delta = x.value - before
         # every coordinate moves toward the minimum, by at most lr
@@ -108,9 +124,10 @@ class TestAdam:
     def test_converges_on_bowl(self):
         x = ad.parameter(np.full((2, 2), 5.0))
         c = np.array([[1.0, -2.0], [0.5, 3.0]])
+        ad.pack([x])
         opt = T.Adam({"x": x}, lr=0.05)
         for _ in range(800):
-            x.grad = x.value - c
+            x.grad[...] = x.value - c
             opt.step({"x": x})
         assert np.abs(x.value - c).max() < 1e-2
 
@@ -127,9 +144,10 @@ class TestAdam:
             theta -= lr * mhat / (math.sqrt(vhat) + eps)
 
         x = ad.parameter(np.array([[2.0]]))
+        ad.pack([x])
         opt = T.Adam({"x": x}, lr=lr)
         for g in grads:
-            x.grad = np.array([[g]])
+            x.grad[...] = g
             opt.step({"x": x})
         assert x.value.item() == pytest.approx(theta, abs=1e-14)
 
@@ -142,6 +160,7 @@ class TestAdam:
         ref = {n: p.value.copy() for n, p in params.items()}
         m = {n: np.zeros_like(v) for n, v in ref.items()}
         v = {n: np.zeros_like(val) for n, val in ref.items()}
+        ad.pack([params[n] for n in sorted(params)])
         opt = T.Adam(params, lr=3e-3)
         b1, b2, eps, lr = T.BETA1, T.BETA2, T.EPS, opt.lr
         for step in range(1, 7):
@@ -158,22 +177,24 @@ class TestAdam:
                 v[n] += (1.0 - b2) * np.square(g)
                 ref[n] -= lr * (m[n] / c1) / (np.sqrt(v[n] / c2) + eps)
             opt.step(params)
+            moments = opt.moment_tensors()
             for n, p in params.items():
                 assert p.value.dtype == np.float32
                 assert np.array_equal(p.value.view(np.uint32),
                                       ref[n].view(np.uint32)), (step, n)
-                assert np.array_equal(opt.m[n].view(np.uint32),
+                assert np.array_equal(moments["adam.m." + n].view(np.uint32),
                                       m[n].view(np.uint32))
-                assert np.array_equal(opt.v[n].view(np.uint32),
+                assert np.array_equal(moments["adam.v." + n].view(np.uint32),
                                       v[n].view(np.uint32))
 
     def test_owns_only_the_moments(self):
-        # m and v per parameter and nothing else: a step's scratch pair is
-        # freed when the step returns
+        # m and v over the packed vector and nothing else: a step's scratch
+        # pair is freed when the step returns
         rng = default_rng(5)
         shapes = {"a": (300, 16), "b": (1, 16), "c": (40, 16)}
         params = {n: ad.parameter(rng.normal(size=s))
                   for n, s in shapes.items()}
+        ad.pack([params[n] for n in sorted(params)])
         tracemalloc.start()
         try:
             opt = T.Adam(params, lr=1e-3)
@@ -184,33 +205,93 @@ class TestAdam:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert set(vars(opt)) == {"lr", "steps", "m", "v"}
-        moments = [*opt.m.values(), *opt.v.values()]
-        assert [m.shape for m in opt.m.values()] == list(shapes.values())
-        assert [v.shape for v in opt.v.values()] == list(shapes.values())
+        assert set(vars(opt)) == {"lr", "steps", "m", "v", "values", "grads",
+                                  "shapes"}
+        moments = [opt.m, opt.v]
+        assert opt.m.shape == opt.v.shape == opt.values.shape
+        assert opt.m.base is None and opt.v.base is None
+        assert [a.shape for a in opt.moment_tensors().values()] == \
+            list(shapes.values()) * 2
         moment_bytes = sum(m.nbytes for m in moments)
         # 4 KB of room for the dicts and array headers; one scratch pair
         # alone would be 2 x 300 x 16 x 4 bytes
         assert moment_bytes <= held <= moment_bytes + 4096, held
 
     def test_missing_grad_means_no_motion(self):
+        # a parameter the loss never reached keeps its zero grad
         x = ad.parameter(np.ones((2, 2)))
+        ad.pack([x])
         opt = T.Adam({"x": x}, lr=0.5)
-        x.grad = None
+        x.grad[...] = 0.0
         opt.step({"x": x})
         assert (x.value == 1.0).all()
 
     def test_moment_tensors_round_trip(self):
         x = ad.parameter(np.ones((2, 3)))
+        ad.pack([x])
         opt = T.Adam({"x": x}, lr=0.1)
-        x.grad = np.full((2, 3), 0.25)
+        x.grad[...] = 0.25
         opt.step({"x": x})
         stored = opt.moment_tensors()
         assert set(stored) == {"adam.m.x", "adam.v.x"}
+        assert stored["adam.m.x"].all() and stored["adam.v.x"].all()
         opt2 = T.Adam({"x": x}, lr=0.1)
         opt2.load_moments(stored)
-        assert np.array_equal(opt2.m["x"], opt.m["x"])
-        assert np.array_equal(opt2.v["x"], opt.v["x"])
+        assert np.array_equal(opt2.m, opt.m)
+        assert np.array_equal(opt2.v, opt.v)
+
+
+class TestParameterStore:
+    @pytest.mark.parametrize("flags", [(), ("trans",), ("sal",), ("hyper",)],
+                             ids=lambda flags: ",".join(flags) or "default")
+    def test_registry_is_packed_in_sorted_order(self, flags):
+        model, _, _ = small_setup(ablate=flags)
+        assert_packed(model)
+
+    def test_still_packed_after_loading_and_resuming(self, tmp_path):
+        model, adj, splits = small_setup(epochs=3)
+        out = str(tmp_path / "run")
+        result = T.fit(model, adj, splits, out_dir=out, stop_after=2)
+        T.load_values(model, result.best_values)
+        assert_packed(model)
+        last = os.path.join(out, "last.ckpt")
+        ckpt = T.load_checkpoint(last)
+        built = T.build_model(ckpt)
+        assert_packed(built)
+        for name, p in built.params.items():
+            assert np.array_equal(p.value, ckpt.tensors[name]), name
+        resumed, _ = T.resume(last, adj, splits)
+        assert_packed(resumed)
+
+    def test_adam_refuses_what_is_not_one_packed_registry(self):
+        model, _, _ = small_setup()
+        loose = {"x": ad.parameter(np.ones((2, 2)))}
+        part = {"user.embed": model.params["user.embed"]}
+        a, b = (ad.parameter(np.ones((1, 2))) for _ in range(2))
+        ad.pack([b, a])
+        for params in (loose, part, {"a": a, "b": b}):
+            with pytest.raises(ValueError, match="registry"):
+                T.Adam(params, lr=0.1)
+        opt = T.Adam(model.params, lr=0.1)
+        with pytest.raises(ValueError, match="registry"):
+            opt.step(small_setup()[0].params)
+
+    def test_step_scratch_is_one_block(self):
+        # the update runs block by block: a step peaks one scratch pair of
+        # ad.BLOCK entries above the moments, not one of the vector's size
+        rng = default_rng(6)
+        params = {n: ad.parameter(rng.normal(size=(ad.BLOCK, 2)))
+                  for n in "abc"}
+        ad.pack([params[n] for n in sorted(params)])
+        opt = T.Adam(params, lr=1e-3)
+        opt.grads[...] = rng.normal(size=opt.grads.shape)
+        tracemalloc.start()
+        try:
+            opt.step(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * ad.BLOCK * opt.m.itemsize + 4096, peak
 
 
 class TestComponentGradients:
@@ -438,6 +519,18 @@ class TestCheckpointFormat:
         with open(path2, "rb") as fh:
             second = fh.read()
         assert first == second
+
+    def test_data_is_moments_then_values(self, tmp_path):
+        # the blob after the record is m, v and the value vector, as bytes
+        model, opt, _, path = self.trained(tmp_path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        start = len(T.MAGIC) + 4
+        blob = data[start + int.from_bytes(data[len(T.MAGIC):start],
+                                           "little"):]
+        assert opt.m.any() and opt.v.any()
+        assert blob == b"".join(a.astype("<f4").tobytes() for a in
+                                (opt.m, opt.v, model.flat.value))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "junk.ckpt")
