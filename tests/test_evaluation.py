@@ -105,6 +105,29 @@ class TestRankAll:
         with pytest.raises(E.EvaluationError):
             E.rank_all(np.array([[np.nan, 0.0]]), train, 2)
 
+    @pytest.mark.parametrize("path", ["rank_all", "rank_embeddings"])
+    @pytest.mark.parametrize("items", [40, 200])  # n = 5: G = 3 and 13
+    @pytest.mark.parametrize("trained", [True, False])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_score_rejected_anywhere(self, value, trained, items,
+                                               path):
+        # item j scores ``value`` for every user: (1, 1) . (value, 0)
+        users, j = 3, items - 7
+        user_emb = np.ones((users, 2))
+        item_emb = default_rng(3).normal(size=(items, 2))
+        item_emb[j] = [value, 0.0]
+        scored = j if trained else j - 1  # the trained item of each user
+        train = dataset([[u, scored] for u in range(users)], users, items)
+        scores = E.score_matrix(user_emb, item_emb)
+        assert np.array_equal(scores[:, j], np.full(users, value),
+                              equal_nan=True)
+        assert np.isfinite(np.delete(scores, j, axis=1)).all()
+        with pytest.raises(E.EvaluationError, match="non-finite"):
+            if path == "rank_all":
+                E.rank_all(scores, train, 5)
+            else:
+                E.rank_embeddings(user_emb, item_emb, train, 5)
+
     def test_masking_exhaustive_random(self):
         rng = default_rng(5)
         for _ in range(20):
@@ -223,26 +246,36 @@ class TestGroupedRanking:
     N = 3
 
     def tricky_scores(self, rng, users, items):
-        """Rounded random rows, then rows built to tie at the n-th group
-        maximum, to tie at the n-th score inside one group, and to be
-        all equal."""
+        """Rounded random rows, then rows built to tie at the n-th score
+        inside one group, to tie two groups or every group past the first
+        n - 1 at the n-th group maximum, and to be all equal. With fewer
+        than n + 1 groups, the groups picked may repeat."""
         groups = -(-items // E.GROUP)
         scores = np.round(rng.normal(size=(users, items)), 0)
         for u in range(0, users - 2, 3):
             row = -10.0 - rng.random(items)
-            a, b, c, d = rng.choice(groups, 4, replace=False)
+            a, b, c, d = rng.choice(groups, 4, replace=groups < 4)
             row[[a, b]] = [5.0, 4.0]
-            if u % 2:  # two groups tie at the n-th group maximum
-                row[[c + groups * rng.integers(0, items // groups),
-                     d + groups * rng.integers(0, items // groups)]] = 3.0
-            else:  # two items of one group tie at the n-th score
+            if u % 2 == 0:  # two items of one group tie at the n-th score
                 row[c + groups * rng.choice(items // groups, 2,
                                             replace=False)] = 3.0
+            elif u % 9 == 3:  # two groups tie at the n-th group maximum
+                row[[c + groups * rng.integers(0, items // groups),
+                     d + groups * rng.integers(0, items // groups)]] = 3.0
+            else:  # every group but a and b ties at the n-th maximum
+                rest = np.setdiff1d(np.arange(groups), [a, b])
+                row[rest + groups * rng.integers(0, items // groups,
+                                                 len(rest))] = 3.0
             scores[u] = row
         scores[users - 1] = 0.5
         return scores
 
-    @pytest.mark.parametrize("items", [E.GROUP * N + 5, E.GROUP * 9 - 3])
+    # G = n - 1, n, n + 1 (twice), 2n and 9 groups
+    @pytest.mark.parametrize("items", [E.GROUP * (N - 1) - 3,
+                                       E.GROUP * N - 3, E.GROUP * N + 5,
+                                       E.GROUP * (N + 1) - 3,
+                                       E.GROUP * 2 * N - 3,
+                                       E.GROUP * 9 - 3])
     @pytest.mark.parametrize("chunk", [5, None])
     def test_matches_loops(self, items, chunk, monkeypatch):
         if chunk is not None:
@@ -256,8 +289,13 @@ class TestGroupedRanking:
                 for j in range(items)]
         train = dataset(np.concatenate([edges, short, full]), users, items)
         scores = self.tricky_scores(rng, users, items)
+        # identity item embeddings make the product the scores, bit for bit
+        eye = np.eye(items)
         for n in (1, self.N, items - 1, items + 4):
             assert_matches_loops(scores, train, n)
+            assert np.array_equal(
+                E.rank_embeddings(scores, eye, train, n).items,
+                E.rank_all(scores, train, n).items), n
 
 
 class TestSmallCatalog:
