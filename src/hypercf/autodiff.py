@@ -117,8 +117,16 @@ class Tensor:
         self.node = node or Node(value.shape, value.dtype,
                                  grad=np.zeros_like(value))
 
-    grad = property(lambda self: self.node.grad,
-                    lambda self, g: setattr(self.node, "grad", g))
+    def _set_grad(self, g) -> None:
+        # a view's base is the vector the optimizer reads, as in a packed
+        # leaf: rebinding would detach the tensor from it without an error
+        if self.node.grad is not None and self.node.grad.base is not None:
+            raise ValueError(f"{self!r}: grad is a view into a packed "
+                             "gradient vector; write into it in place "
+                             "(grad[...] = g)")
+        self.node.grad = g
+
+    grad = property(lambda self: self.node.grad, _set_grad)
     parents = property(lambda self: self.node.parents,
                        lambda self, p: setattr(self.node, "parents", p))
     vjp = property(lambda self: self.node.vjp,
@@ -170,8 +178,9 @@ def pack(leaves: Sequence[Tensor]) -> Tensor:
     holding the same entries, and its ``grad`` one into the gradient
     vector, which starts at zero. Neither may be rebound after, so that an
     operation on the returned leaf (a sum of squares, a gradient reset, an
-    optimizer update) covers every packed leaf at once. A leaf whose
-    ``grad`` is already a view, as in a store packed before, is refused.
+    optimizer update) covers every packed leaf at once; the ``grad`` setter
+    refuses to. A leaf whose ``grad`` is already a view, as in a store
+    packed before, is refused.
     """
     if len({id(t) for t in leaves}) != len(leaves) or not leaves:
         raise ValueError("pack: leaves must be given once each")

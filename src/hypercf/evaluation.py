@@ -15,10 +15,11 @@ arrays and the users x n result. ``evaluate_model`` and ``rank_embeddings``
 write each chunk's scores into the block from the embeddings, so they never
 build the users x items matrix.
 
-Speed: a row is fully ordered only over the items of its top strided groups
-(``_rank_rows``). A small catalog, of at most ``GROUP`` x n items (200 items
-at n = 20), keeps every group, so its rows are partitioned whole, with no
-group step.
+Speed: a row is ordered only over the items at or above its floor, the
+n-th largest of its strided group maxima (``_rank_rows``): about n items
+per row, found by one partition of the group maxima and one compare over
+the block. In a small catalog, of at most ``GROUP`` x n items (200 items
+at n = 20), each item is its own group.
 """
 
 from __future__ import annotations
@@ -70,53 +71,48 @@ def _rank_rows(block: np.ndarray, train: InteractionDataset, lo: int,
     columns, -inf padding up to a multiple of ``GROUP``; it is overwritten.
 
     Item j belongs to the strided group j mod G, with G = width / GROUP.
-    Only the k = min(n, items) groups with the largest maxima can hold a
-    row's top k: any other item has k strictly larger items above it,
-    unless its group's maximum ties the k-th largest. ``np.argpartition``
-    picks k of the kept groups' items, ordered by descending score and
-    ascending item index. With G <= k every group is kept, as in small
-    catalogs (200 items at n = 20), so the argpartition runs over the whole
-    block, with no group maxima or gather. A row whose k-th group maximum
-    is tied, or where kept items beyond the k tie with the k-th score
-    (including rows with fewer than k untrained items), takes a stable
-    argsort of the whole row.
+    A row's floor is the k-th largest of its G group maxima, k = min(n,
+    items): k distinct groups each hold an item at or above it, so the k-th
+    largest untrained score is at least the floor. The items scoring at or
+    above it (and above -inf, which marks trained items and padding)
+    therefore hold the row's top k and every item tied with the k-th score,
+    and ordering just them by descending score, then ascending item index,
+    gives the exact list: no tie can reach past them, so no fallback is
+    needed. With G <= k, as in small catalogs (200 items at n = 20), each
+    item is its own group and the floor is the k-th largest score itself.
     """
-    rows, items = len(block), train.num_items
-    scores = block[:, :items]
-    # NaN propagates through min and max, so both are finite iff all are
-    if not (np.isfinite(scores.min()) and np.isfinite(scores.max())):
-        raise EvaluationError("scores contain non-finite values")
+    rows, width = block.shape
     seen = train.edges[train.ptr[lo]:train.ptr[lo + rows]]
-    block[seen[:, 0] - lo, seen[:, 1]] = -np.inf
-
-    k = min(n, items)
-    num_groups = block.shape[1] // GROUP
-    at = np.arange(rows)[:, None]
-    if num_groups <= k:
-        kept = block
-        best = np.argpartition(block, block.shape[1] - k, axis=1)[:, -k:]
-        top_scores = block[at, best]
-        group_tied = False
-    else:
-        grouped = block.reshape(rows, GROUP, num_groups)
-        peaks = grouped.max(axis=1)
-        groups = np.argpartition(peaks, num_groups - k, axis=1)[:, -k:]
-        floor = peaks[at, groups].min(axis=1, keepdims=True)
-        # column c of ``kept`` is item groups[c // GROUP] + G * (c % GROUP)
-        kept = grouped[at, :, groups].reshape(rows, -1)
-        top = np.argpartition(kept, kept.shape[1] - k, axis=1)[:, -k:]
-        best = groups[at, top // GROUP] + num_groups * (top % GROUP)
-        top_scores = kept[at, top]
-        group_tied = np.count_nonzero(peaks >= floor, axis=1) > k
-    best = best[at, np.lexsort((best, -top_scores), axis=1)]
-    tied = np.flatnonzero(
-        group_tied
-        | (np.count_nonzero(kept >= top_scores.min(axis=1, keepdims=True),
-                            axis=1) > k))
-    if len(tied):
-        best[tied] = np.argsort(-scores[tied], axis=1, kind="stable")[:, :k]
+    at_seen = seen[:, 0] - lo, seen[:, 1]
+    low, trained = block[:, :train.num_items].min(), block[at_seen]
+    block[at_seen] = -np.inf
+    k = min(n, train.num_items)
+    num_groups = width // GROUP
+    peaks = block if num_groups <= k else block.reshape(
+        rows, GROUP, num_groups).max(axis=1)
+    # NaN and -inf show in the minimum, +inf on a trained item in
+    # ``trained`` and on an untrained one in the largest group maximum
+    if not (np.isfinite(low) and np.isfinite(trained).all()
+            and peaks.max() < np.inf):
+        raise EvaluationError("scores contain non-finite values")
+    cut = peaks.shape[1] - k
+    floor = np.partition(peaks, cut, axis=1)[:, cut:cut + 1]
+    hits = np.flatnonzero(block >= np.maximum(floor, -np.finfo(float).max))
+    row = hits // width
+    # ``hits`` ascends by row, then item: two stable sorts order each row's
+    # candidates by descending score, then ascending item index; the row
+    # index fits a small integer type, which numpy's stable sort orders by
+    # radix
+    order = np.argsort(-block.ravel()[hits], kind="stable")
+    order = order[np.argsort(row[order].astype(np.min_scalar_type(rows)),
+                             kind="stable")]
+    # ``row`` is sorted, and so equals ``row[order]``: ``rank`` is each
+    # ordered candidate's place in its row's list
+    starts = np.searchsorted(row, np.arange(rows))
+    rank = np.arange(len(hits)) - starts[row]
+    keep = rank < k
     ranked = np.full((rows, n), -1, dtype=np.int64)
-    ranked[:, :k] = np.where(block[at, best] == -np.inf, -1, best)
+    ranked[row[keep], rank[keep]] = hits[order[keep]] % width
     return ranked
 
 

@@ -16,9 +16,10 @@ every layer but the last in full, and the last only up to its map M.
 for, the gathered rows of the last layer's input times M.
 
 Both directions record one ``autodiff.linear_attention`` node per call, on
-d x d and K x d operands, and ``_attend_factorized`` runs that primitive's
-numpy forward, so the attention benchmark times the kernel training runs
-against a naive per-head kernel that lives alongside.
+d x d and K x d operands. The attention benchmark (``bench_factorization``)
+times that primitive's numpy forward on N x d keys and values, operands
+training no longer passes it, against a naive per-head kernel that lives
+alongside.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ def _attend_naive(queries, keys, vals, heads):
 
 
 def _attend_factorized(queries, keys, vals, heads):
-    """The forward of ``autodiff.linear_attention``, the kernel training runs."""
+    """The forward of ``autodiff.linear_attention`` on N x d keys and values."""
     return ad.linear_attention_value(queries, keys, vals, heads)[0]
 
 

@@ -238,10 +238,11 @@ class TestChunkedRanking:
 
 
 class TestGroupedRanking:
-    """Past GROUP * n items a row ranks only the items of its n strided
-    groups (item j is in group j mod G) with the largest maxima; a tie at
-    the n-th group maximum or at the n-th score falls back to the whole
-    row. Every case must equal the brute-force sort."""
+    """A row ranks only the items at or above its floor, the n-th largest
+    maximum of its strided groups (item j is in group j mod G), or, with
+    G <= n, its n-th largest score. Ties at the n-th group maximum or at
+    the n-th score widen that set and need no other step. Every case must
+    equal the brute-force sort."""
 
     N = 3
 
@@ -299,8 +300,8 @@ class TestGroupedRanking:
 
 
 class TestSmallCatalog:
-    """With G <= k groups every group is kept and a row is ranked by one
-    argpartition over the whole block. On either side of that boundary
+    """With G <= k groups each item is its own group, so a row's floor is
+    its k-th largest score. On either side of that boundary
     ``evaluate_model`` reports what the public metric functions report on
     the dense ranking, and the ranking is the brute-force sort."""
 

@@ -276,6 +276,18 @@ class TestParameterStore:
         with pytest.raises(ValueError, match="registry"):
             opt.step(small_setup()[0].params)
 
+    def test_packed_grad_is_written_in_place_not_rebound(self):
+        # a rebound grad would leave the gradient vector Adam reads stale
+        x = ad.parameter(np.zeros((2, 3)))
+        ad.pack([x])
+        opt = T.Adam({"x": x}, lr=0.1)
+        with pytest.raises(ValueError, match="in place") as caught:
+            x.grad = np.full((2, 3), 0.25)
+        assert repr(x) in str(caught.value)
+        x.grad[...] = 0.25
+        opt.step({"x": x})
+        assert (opt.m != 0).all() and (x.value < 0).all()
+
     def test_step_scratch_is_one_block(self):
         # the update runs block by block: a step peaks one scratch pair of
         # ad.BLOCK entries above the moments, not one of the vector's size
