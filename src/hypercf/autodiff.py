@@ -107,7 +107,7 @@ class Tensor:
 
     ``value`` is a 2-D numpy array, immutable by convention after creation;
     ``node`` is what the tape holds for it. ``grad``, ``parents``, ``vjp``
-    and ``op`` read (and, but for ``op``, assign) the node's fields.
+    and ``op`` read the node's fields; ``grad`` and ``vjp`` also assign them.
     """
 
     __slots__ = ("value", "node")
@@ -127,8 +127,7 @@ class Tensor:
         self.node.grad = g
 
     grad = property(lambda self: self.node.grad, _set_grad)
-    parents = property(lambda self: self.node.parents,
-                       lambda self, p: setattr(self.node, "parents", p))
+    parents = property(lambda self: self.node.parents)
     vjp = property(lambda self: self.node.vjp,
                    lambda self, f: setattr(self.node, "vjp", f))
     op = property(lambda self: self.node.op)
@@ -339,13 +338,6 @@ def scale(a: Tensor, c, keep=None) -> Tensor:
     return _make(value, (a.node,), vjp, "scale")
 
 
-def add_scalar(a: Tensor, c: float) -> Tensor:
-    def vjp(g, a=a.node):
-        _accumulate(a, g, owned=False)
-
-    return _make(a.value + float(c), (a.node,), vjp, "add_scalar")
-
-
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
     if a.value.shape != b.value.shape:
         raise ShapeMismatchError(_shapes("hadamard", a, b))
@@ -445,13 +437,14 @@ def leaky_relu(a: Tensor, slope: float) -> Tensor:
 
 
 def hinge(a: Tensor) -> Tensor:
-    """Elementwise max(0, x)."""
-    mask = (a.value > 0).astype(a.value.dtype)
+    """Elementwise max(0, 1 - x), the term of a margin loss."""
+    margin = 1.0 - a.value
+    mask = (margin > 0).astype(a.value.dtype)
 
     def vjp(g, a=a.node):
-        _accumulate(a, g * mask)
+        _accumulate(a, -(g * mask))
 
-    return _make(a.value * mask, (a.node,), vjp, "hinge")
+    return _make(margin * mask, (a.node,), vjp, "hinge")
 
 
 def dot_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -506,33 +499,22 @@ def _head_products(a: np.ndarray, b: np.ndarray, heads: int) -> np.ndarray:
     return out
 
 
-def linear_attention_value(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                           heads: int):
-    """Forward of :func:`linear_attention` on plain arrays.
-
-    Returns ``(out, summary)``: ``summary`` holds every head's key-value
-    product k_hᵀv_h as the diagonal blocks of one d×d matrix, and
-    ``out = q @ summary`` applies each query slice to its own head's block.
-    """
-    if heads <= 0 or q.shape[1] % heads != 0:
-        raise ShapeMismatchError(
-            f"embedding width {q.shape[1]} not divisible by {heads} heads")
-    summary = _head_products(k, v, heads)
-    return q @ summary, summary
-
-
 def linear_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Softmax-free multi-head attention in factorized order.
 
     ``q`` is m×d, ``k`` and ``v`` are n×d. Per head h the output columns are
-    q_h (k_hᵀ v_h), one tape node for all heads; gradients flow to all three
-    operands.
+    q_h (k_hᵀ v_h): every head's k_hᵀ v_h is a diagonal block of one d×d
+    summary, and the output is ``q`` times it. One tape node for all heads;
+    gradients flow to all three operands.
     """
     if k.value.shape != v.value.shape or q.cols != k.cols:
         raise ShapeMismatchError(
             f"linear_attention: incompatible shapes {q.value.shape}, "
             f"{k.value.shape} and {v.value.shape}")
-    value, summary = linear_attention_value(q.value, k.value, v.value, heads)
+    if heads <= 0 or q.cols % heads != 0:
+        raise ShapeMismatchError(
+            f"embedding width {q.cols} not divisible by {heads} heads")
+    summary = _head_products(k.value, v.value, heads)
 
     def vjp(g, q=q.node, k=k.node, v=v.node, qv=q.value, kv=k.value,
             vv=v.value):
@@ -541,7 +523,8 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         _accumulate(k, vv @ d_summary.T)
         _accumulate(v, kv @ d_summary)
 
-    return _make(value, (q.node, k.node, v.node), vjp, "linear_attention")
+    return _make(q.value @ summary, (q.node, k.node, v.node), vjp,
+                 "linear_attention")
 
 
 def sum_squares(tensors: Sequence[Tensor]) -> Tensor:

@@ -26,12 +26,8 @@ from . import data as data_mod
 from . import evaluation, experiments, trainer
 from .config import (Config, ConfigError, config_from_mapping, format_config,
                      load_config)
-from .transformer import bench_factorization
 
 ENV_OUT = "HYPERCF_OUT"
-
-COMMANDS = ("train", "evaluate", "noise-test", "sparsity-report", "ablate",
-            "bench", "sweep")
 
 
 class UsageError(Exception):
@@ -256,18 +252,6 @@ def cmd_ablate(args) -> int:
     return _report(run_dir, "ablation.csv", rows)
 
 
-def cmd_bench(args) -> int:
-    cfg = _effective_config(args)
-    sizes = _parse_list(args.nodes, "--nodes")
-    _check("--nodes", args.nodes, sizes and min(sizes) >= 1,
-           "need one or more node counts >= 1")
-    _check("--repeats", args.repeats, args.repeats >= 1, "need >= 1")
-    rows = [bench_factorization(n, cfg.hyperedges, cfg.d, cfg.heads,
-                                repeats=args.repeats, seed=cfg.seed)
-            for n in sizes]
-    return _report(_run_dir(cfg, "bench"), "bench.csv", rows)
-
-
 def cmd_sweep(args) -> int:
     cfg = _effective_config(args)
     dataset = _load_dataset(cfg)
@@ -340,12 +324,6 @@ def build_parser() -> _Parser:
     p.add_argument("--flags", default=None,
                    help="comma-separated subset (default: all ablations)")
 
-    p = command("bench", cmd_bench,
-                help="time naive vs factorized attention")
-    p.add_argument("--nodes", default="1000,10000,100000",
-                   help="node counts to benchmark")
-    p.add_argument("--repeats", type=int, default=3)
-
     p = command("sweep", cmd_sweep,
                 help="one-axis hyperparameter study")
     p.add_argument("--vary", action="append", default=[],
@@ -353,6 +331,7 @@ def build_parser() -> _Parser:
                    help="repeatable; e.g. --vary d=16,32 --vary layers=1,2")
     p.add_argument("--cutoff", type=int, default=20)
 
+    parser.commands = tuple(sub.choices)  # in registration order
     return parser
 
 
@@ -362,7 +341,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             raise UsageError("missing command; expected one of "
-                             + ", ".join(COMMANDS))
+                             + ", ".join(parser.commands))
         return args.fn(args)
     except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -100,9 +100,6 @@ class InteractionDataset:
     def item_degree(self) -> np.ndarray:
         return np.bincount(self.edges[:, 1], minlength=self.num_items)
 
-    def has_edge(self, user: int, item: int) -> bool:
-        return bool(self.contains([(user, item)])[0])
-
     def contains(self, edges: np.ndarray) -> np.ndarray:
         """Vectorized membership test for an (n, 2) edge array."""
         keys = pack_edges(np.asarray(edges, dtype=np.int64), self.num_items)

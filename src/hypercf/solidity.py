@@ -88,7 +88,7 @@ def solidity_label(gamma_u: ad.Tensor, gamma_v: ad.Tensor, head: SolidityHead,
 
 def margin_loss(x: ad.Tensor) -> ad.Tensor:
     """Sum of max(0, 1 - x) over the entries of ``x``."""
-    return ad.sum_all(ad.hinge(ad.add_scalar(ad.scale(x, -1.0), 1.0)))
+    return ad.sum_all(ad.hinge(x))
 
 
 def sa_loss(pred_1: ad.Tensor, pred_2: ad.Tensor,

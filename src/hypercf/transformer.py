@@ -16,29 +16,15 @@ every layer but the last in full, and the last only up to its map M.
 for, the gathered rows of the last layer's input times M.
 
 Both directions record one ``autodiff.linear_attention`` node per call, on
-d x d and K x d operands. The attention benchmark (``bench_factorization``)
-times that primitive's numpy forward on N x d keys and values, operands
-training no longer passes it, against a naive per-head kernel that lives
-alongside.
+d x d and K x d operands.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import autodiff as ad
-
-
-def head_slices(d: int, heads: int):
-    """Column ranges [(h-1)*d/H, h*d/H) covering each attention head."""
-    if d % heads != 0:
-        raise ValueError(f"embedding width {d} not divisible by {heads} heads")
-    step = d // heads
-    return [(h * step, (h + 1) * step) for h in range(heads)]
 
 
 @dataclass
@@ -192,59 +178,3 @@ def readout(tail: Tail, rows) -> ad.Tensor:
         out = ad.add(ad.gather_rows(tail.partial, rows), out)
     return out
 
-
-# ---------------------------------------------------------------------------
-# Naive reference kernel (benchmark baseline)
-# ---------------------------------------------------------------------------
-
-def _attend_naive(queries, keys, vals, heads):
-    """Materialize the full query-key score matrix per head (numpy-vectorized
-    but asymptotically K*N*d, the pre-factorization cost)."""
-    d = queries.shape[1]
-    out = np.zeros((queries.shape[0], d), dtype=queries.dtype)
-    for lo, hi in head_slices(d, heads):
-        scores = queries[:, lo:hi] @ keys[:, lo:hi].T
-        out[:, lo:hi] = scores @ vals[:, lo:hi]
-    return out
-
-
-def _attend_factorized(queries, keys, vals, heads):
-    """The forward of ``autodiff.linear_attention`` on N x d keys and values."""
-    return ad.linear_attention_value(queries, keys, vals, heads)[0]
-
-
-def bench_factorization(num_nodes: int, num_hyperedges: int, d: int, heads: int,
-                        repeats: int = 3, seed: int = 0,
-                        check_rows: int = 4) -> dict:
-    """Time the naive and factorized attention aggregation on random inputs.
-
-    Transforms are applied once outside the timed region: the aggregation
-    order is the thing being compared. A subsample of output rows is checked
-    for agreement. Returns a report dict (one CSV row of the benchmark).
-    """
-    rng = np.random.default_rng(seed)
-    queries = rng.normal(size=(num_hyperedges, d)).astype(np.float32)
-    keys = rng.normal(size=(num_nodes, d)).astype(np.float32)
-    vals = rng.normal(size=(num_nodes, d)).astype(np.float32)
-
-    def time_best(fn):
-        best = np.inf
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn(queries, keys, vals, heads)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    naive_s = time_best(_attend_naive)
-    fact_s = time_best(_attend_factorized)
-    a = _attend_naive(queries, keys, vals, heads)[:check_rows]
-    b = _attend_factorized(queries, keys, vals, heads)[:check_rows]
-    return {
-        "I": num_nodes,
-        "K": num_hyperedges,
-        "d": d,
-        "H": heads,
-        "naive_ms": naive_s * 1e3,
-        "factorized_ms": fact_s * 1e3,
-        "max_abs_diff": float(np.max(np.abs(a - b))) if check_rows else 0.0,
-    }

@@ -97,6 +97,7 @@ def _primitive_cases(rng):
     signed = ad.parameter(rng.uniform(0.2, 1.5, size=(4, 3)) *
                           rng.choice([-1.0, 1.0], size=(4, 3)),
                           dtype=np.float64)
+    around_one = ad.parameter(1.0 + signed.value, dtype=np.float64)
     t3 = p((9, 3))
     vec3 = p((3, 1))
     # query rows differ from key rows; width 4 splits into 1 or 2 heads
@@ -113,7 +114,6 @@ def _primitive_cases(rng):
         "add": ({"a": a, "b": b}, lambda: ad.sum_all(ad.add(a, b))),
         "sub": ({"a": a, "b": b}, lambda: ad.sum_all(ad.sub(a, b))),
         "scale": ({"a": a}, lambda: ad.sum_all(ad.scale(a, -1.7))),
-        "add_scalar": ({"a": a}, lambda: ad.sum_all(ad.add_scalar(a, 2.5))),
         "hadamard": ({"a": a, "b": b},
                      lambda: ad.sum_all(ad.hadamard(a, b))),
         "add_bias": ({"a": a, "bias": bias},
@@ -124,11 +124,11 @@ def _primitive_cases(rng):
                         lambda: ad.sum_all(ad.gather_rows(a, [2, 0, 2]))),
         "sum_all": ({"a": a}, lambda: ad.sum_all(a)),
         "sigmoid": ({"a": a}, lambda: ad.sum_all(ad.sigmoid(a))),
-        # inputs bounded away from the kink at 0 by construction
+        # inputs bounded away from the kinks at 0 and 1 by construction
         "leaky_relu": ({"signed": signed},
                        lambda: ad.sum_all(ad.leaky_relu(signed, 0.5))),
-        "hinge": ({"signed": signed},
-                  lambda: ad.sum_all(ad.hinge(signed))),
+        "hinge": ({"around_one": around_one},
+                  lambda: ad.sum_all(ad.hinge(around_one))),
         "dot_rows": ({"a": a, "b": b},
                      lambda: ad.sum_all(ad.dot_rows(a, b))),
         "tensor_contract": ({"t3": t3, "vec3": vec3},
@@ -184,11 +184,16 @@ def test_criterion_1_gradient_correctness(float64_mode):
 
 # -- criterion 2: factorized attention equals the double-loop oracle --------
 
+def _head_slices(d, heads):
+    step = d // heads
+    return [(lo, lo + step) for lo in range(0, d, step)]
+
+
 def _oracle_n2h(nodes, z, k_map, v_map, heads):
     keys = nodes @ k_map.T
     vals = nodes @ v_map.T
     out = np.zeros_like(z)
-    for lo, hi in TR.head_slices(z.shape[1], heads):
+    for lo, hi in _head_slices(z.shape[1], heads):
         for k in range(z.shape[0]):
             for i in range(nodes.shape[0]):
                 score = float(z[k, lo:hi] @ keys[i, lo:hi])
@@ -199,7 +204,7 @@ def _oracle_n2h(nodes, z, k_map, v_map, heads):
 def _oracle_h2n(z_hat, keys, z, v_map, heads):
     vals = z_hat @ v_map.T
     out = np.zeros_like(keys)
-    for lo, hi in TR.head_slices(keys.shape[1], heads):
+    for lo, hi in _head_slices(keys.shape[1], heads):
         for i in range(keys.shape[0]):
             for k in range(z.shape[0]):
                 score = float(keys[i, lo:hi] @ z[k, lo:hi])
@@ -248,14 +253,76 @@ def test_criterion_2_attention_oracle_equivalence():
             f"{elapsed:.1f}s")
 
 
-# -- criterion 3: factorization speedup -------------------------------------
+# -- criterion 3: Gram-form speedup ----------------------------------------
 
-# The kernels are timed in a child process with one BLAS thread, so another
-# process's BLAS threads on the same cores cannot skew the ratio.
+# One transformer layer at 1e5 nodes, timed in a child process with one BLAS
+# thread, so another process's BLAS threads on the same cores cannot skew
+# the ratio. The Gram side runs the layer as transformer.forward does; the
+# naive side forms the N x d keys and values and, per head, the K x N
+# node-to-hyperedge and N x K hyperedge-to-node score matrices, with the
+# same hhgn in between. Agreement is relative to the largest output entry
+# of the naive side in float64: outputs are cubic in the node table.
 BENCH_CHILD = """
 import json
-from hypercf.transformer import bench_factorization
-print(json.dumps(bench_factorization(100_000, 128, 32, 4, repeats=3, seed=0)))
+import time
+
+import numpy as np
+
+from hypercf import autodiff as ad
+from hypercf import transformer as TR
+
+N, K, D, H, SLOPE = 100_000, 128, 32, 4, 0.5
+rng = np.random.default_rng(0)
+x = rng.normal(size=(N, D))
+weights = [rng.normal(size=shape)
+           for shape in ((K, D), (D, D), (D, D), (K, K), (K, K))]
+
+
+def params(dtype):
+    return TR.HyperSideParams(
+        *(ad.constant(w, dtype=dtype) for w in weights), heads=H)
+
+
+def gram_layer(p, nodes):
+    maps = TR.transposed_maps(p)
+    z_hat = TR.hhgn(TR.node_to_hyperedge(nodes, p, maps), p, SLOPE)
+    return ad.matmul(nodes, TR.hyperedge_to_node(z_hat, p, maps)).value
+
+
+def naive_layer(p, nodes):
+    z, k_map, v_map = p.z.value, p.k_map.value, p.v_map.value
+    keys, vals = nodes @ k_map.T, nodes @ v_map.T
+    heads = [(lo, lo + D // H) for lo in range(0, D, D // H)]
+    z_tilde = np.empty_like(z)
+    for lo, hi in heads:  # K x N scores
+        z_tilde[:, lo:hi] = (z[:, lo:hi] @ keys[:, lo:hi].T) @ vals[:, lo:hi]
+    z_hat = TR.hhgn(ad.constant(z_tilde, dtype=z.dtype), p, SLOPE).value
+    edge_vals = z_hat @ v_map.T
+    out = np.empty_like(nodes)
+    for lo, hi in heads:  # N x K scores
+        out[:, lo:hi] = (keys[:, lo:hi] @ z[:, lo:hi].T) @ edge_vals[:, lo:hi]
+    return out
+
+
+def best_ms(fn):
+    best = np.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3
+
+
+with ad.recording(False):
+    p32, x32 = params(np.float32), x.astype(np.float32)
+    nodes32 = ad.constant(x32)
+    naive_ms = best_ms(lambda: naive_layer(p32, x32))
+    gram_ms = best_ms(lambda: gram_layer(p32, nodes32))
+    fast = gram_layer(p32, nodes32)
+    want = naive_layer(params(np.float64), x)
+error = float(np.abs(fast - want).max() / np.abs(want).max())
+print(json.dumps({"naive_ms": naive_ms, "gram_ms": gram_ms,
+                  "rel_error": error}))
 """
 
 
@@ -270,22 +337,23 @@ def test_criterion_3_complexity_claim():
                            capture_output=True, text=True, timeout=120.0)
     assert child.returncode == 0, child.stderr
     row = json.loads(child.stdout)
-    ratio = row["naive_ms"] / row["factorized_ms"]
+    ratio = row["naive_ms"] / row["gram_ms"]
     elapsed = time.perf_counter() - start
-    verdict(3, ratio >= 2.0 and row["max_abs_diff"] < 1.0
+    verdict(3, ratio >= 2.0 and row["rel_error"] <= 1e-4
             and elapsed < 120.0,
-            f"naive {row['naive_ms']:.1f}ms vs factorized "
-            f"{row['factorized_ms']:.1f}ms ({ratio:.1f}x, floor 2x), "
-            f"{elapsed:.1f}s")
+            f"naive {row['naive_ms']:.1f}ms vs Gram form "
+            f"{row['gram_ms']:.1f}ms ({ratio:.1f}x, floor 2x), relative "
+            f"error {row['rel_error']:.1e} (<= 1e-4), {elapsed:.1f}s")
 
 
 # -- criterion 4: ranking metrics against a brute-force reference -----------
 
-def _brute_rank(scores, train, n):
+def _brute_rank(scores, trained, n):
+    """``trained``: the set of (user, item) training-edge tuples."""
     ranked = []
     for u in range(scores.shape[0]):
         masked = [(float(-scores[u, j]), j) for j in range(scores.shape[1])
-                  if not train.has_edge(u, j)]
+                  if (u, j) not in trained]
         masked.sort()
         ranked.append([j for _, j in masked[:n]])
     return ranked
@@ -330,12 +398,13 @@ def test_criterion_4_metric_oracle():
                                        size=(users * 3, 2)), axis=0)
         half = len(edges) // 2
         train = D.InteractionDataset.from_edges(edges[:half], users, items)
-        test_edges = [e for e in edges[half:]
-                      if not train.has_edge(e[0], e[1])]
+        trained = set(map(tuple, edges[:half].tolist()))
+        test_edges = [e for e in edges[half:].tolist()
+                      if tuple(e) not in trained]
         if not test_edges:
             continue
         test = D.InteractionDataset.from_edges(test_edges, users, items)
-        ranked = _brute_rank(scores, train, n)
+        ranked = _brute_rank(scores, trained, n)
         result = E.rank_all(scores, train, n)
         for u in range(users):
             assert result.user_list(u).tolist() == ranked[u]

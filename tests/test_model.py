@@ -60,9 +60,8 @@ class TestFullLossGradient:
 
 # public autodiff functions that record no tape node
 NON_RECORDING = frozenset({
-    "constant", "parameter", "pack", "matrix", "linear_attention_value",
-    "grad_check", "backward", "set_default_dtype", "default_dtype",
-    "tape_size", "clear_tape"})
+    "constant", "parameter", "pack", "matrix", "grad_check", "backward",
+    "set_default_dtype", "default_dtype", "tape_size", "clear_tape"})
 
 
 class TestPrimitiveCoverage:
@@ -85,7 +84,7 @@ class TestPrimitiveCoverage:
                   and value.__module__ == ad.__name__}
         assert NON_RECORDING <= public
         assert recorded == public - NON_RECORDING
-        assert len(recorded) == 20
+        assert len(recorded) == 19
 
 
 class TestLossComponents:

@@ -484,7 +484,7 @@ class TestStepMemory:
             live = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert ad.tape_size() == 147
+        assert ad.tape_size() == 143
         ad.backward(loss)
         assert live <= 1.1e6, live
 
