@@ -317,19 +317,18 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.value - b.value, (a.node, b.node), vjp, "sub")
 
 
-def scale(a: Tensor, c, keep=None) -> Tensor:
-    """Multiply ``a`` by a constant: a float, or an array of ``a``'s shape.
+def scale(a: Tensor, c: float, keep=None) -> Tensor:
+    """Multiply ``a`` by the float ``c``.
 
     ``keep``, a bool array of ``a``'s shape such as a dropout keep-mask,
     zeroes the entries where it is False, each zero keeping its sign:
     (x·keep)·c is bit for bit x times the float mask keep·c. Neither constant
     receives a gradient.
     """
-    shape = a.value.shape
-    if np.shape(c) not in ((), shape) or np.shape(keep) not in ((), shape):
-        raise ShapeMismatchError(f"scale: incompatible shapes {shape}, "
-                                 f"{np.shape(c)} and {np.shape(keep)}")
-    c = float(c) if np.ndim(c) == 0 else c
+    if np.shape(keep) not in ((), a.value.shape):
+        raise ShapeMismatchError(f"scale: keep-mask shape {np.shape(keep)} "
+                                 f"vs {a.value.shape}")
+    c = float(c)
 
     def vjp(g, a=a.node):
         _accumulate(a, c * g if keep is None else g * keep * c)
@@ -461,12 +460,13 @@ def dot_rows(a: Tensor, b: Tensor) -> Tensor:
 
 
 def tensor_contract(t3: Tensor, v: Tensor, out_rows: int) -> Tensor:
-    """Contract a 3-way tensor, stored row-major as (p·q)×r, with an r-vector.
+    """Contract a 3-way tensor, stored row-major as (p·q)×r, with the 1×r
+    row ``v``.
 
     Output is p×q with ``out[i, j] = sum_k T[i, j, k] * v[k]``; gradients flow
     to both operands.
     """
-    if v.cols != 1 or t3.cols != v.rows:
+    if v.rows != 1 or t3.cols != v.cols:
         raise ShapeMismatchError(_shapes("tensor_contract", t3, v))
     if out_rows <= 0 or t3.rows % out_rows != 0:
         raise ShapeMismatchError(
@@ -475,10 +475,10 @@ def tensor_contract(t3: Tensor, v: Tensor, out_rows: int) -> Tensor:
 
     def vjp(g, t3=t3.node, v=v.node, x=t3.value, y=v.value):
         gf = g.reshape(x.shape[0], 1)
-        _accumulate(t3, gf * y.T)
-        _accumulate(v, x.T @ gf)
+        _accumulate(t3, gf * y)
+        _accumulate(v, (x.T @ gf).reshape(1, -1))
 
-    value = (t3.value @ v.value).reshape(out_rows, out_cols)
+    value = (t3.value @ v.value.T).reshape(out_rows, out_cols)
     return _make(value, (t3.node, v.node), vjp, "tensor_contract")
 
 

@@ -53,10 +53,6 @@ class RankingResult:
     def num_users(self) -> int:
         return self.items.shape[0]
 
-    def user_list(self, u: int) -> np.ndarray:
-        row = self.items[u]
-        return row[row >= 0]
-
 
 def score_matrix(user_emb: np.ndarray, item_emb: np.ndarray) -> np.ndarray:
     """Dot-product preference scores, users by items."""

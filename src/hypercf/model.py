@@ -41,9 +41,7 @@ class Side:
 
     fused: ad.Tensor                           # id + topology embeddings
     tail: Optional[transformer.Tail] = None
-    key_map: Optional[ad.Tensor] = None        # label-branch Kᵀ (None: the
-                                               # fused rows are the keys)
-    zsrc: Optional[ad.Tensor] = None           # its hyperedge summary source
+    zsrc: Optional[ad.Tensor] = None           # label-branch summary source
 
 
 def _compact(*indices):
@@ -102,6 +100,8 @@ class Model:
         def normal(shape, scale):
             return rng.normal(0.0, scale, size=shape)
 
+        # weights are drawn as the paper's W, applied as W @ e, and stored
+        # as the right factors the forward multiplies rows by
         self._add("user.embed", normal((self.num_users, d), cfg.init_scale))
         self._add("item.embed", normal((self.num_items, d), cfg.init_scale))
 
@@ -117,8 +117,8 @@ class Model:
                           normal((k, n_nodes), cfg.init_scale))
             else:
                 self._add(base + "Z", normal((k, d), cfg.init_scale))
-                self._add(base + "K", normal((d, d), map_scale))
-                self._add(base + "V", normal((d, d), map_scale))
+                self._add(base + "K", normal((d, d), map_scale).T)
+                self._add(base + "V", normal((d, d), map_scale).T)
             self._add(base + "H1", normal((k, k), mix_scale))
             if "deeph" not in self.ablations:
                 self._add(base + "H2", normal((k, k), mix_scale))
@@ -128,12 +128,13 @@ class Model:
         for side in SIDES:
             base = f"{side}.meta."
             if "meta" not in self.ablations:
-                self._add(base + "V1", normal((d * d, d), 1.0 / d))
+                v1 = normal((d * d, d), 1.0 / d).reshape(d, d, d)
+                self._add(base + "V1", v1.transpose(1, 0, 2).reshape(-1, d))
                 self._add(base + "V2", normal((d, d), map_scale))
-            self._add(base + "W0", normal((d, d), map_scale))
+            self._add(base + "W0", normal((d, d), map_scale).T)
             self._add(base + "b0", np.zeros((1, d)))
         self._add("sal.d", normal((d, 1), map_scale))
-        self._add("sal.T", normal((d, 2 * d), 1.0 / np.sqrt(2 * d)))
+        self._add("sal.T", normal((d, 2 * d), 1.0 / np.sqrt(2 * d)).T)
         self._add("sal.c", np.zeros((1, d)))
 
     @property
@@ -174,12 +175,11 @@ class Model:
             p = self.hyper[side]
             tail = transformer.forward(f, p, cfg.effective_layers, cfg.slope,
                                        dropout_mask=drop)
-            if "trans" in self.ablations:
-                # no key transform exists; labels read the fused embeddings
-                # and summarize the computed first-layer hyperedge features
-                state[side] = Side(f, tail, None, tail.first_edges)
-            else:
-                state[side] = Side(f, tail, tail.key_map, p.z)
+            # under the transformer ablation no key map or Z exists:
+            # labels read the fused embeddings and summarize the computed
+            # first-layer hyperedge features
+            zsrc = tail.first_edges if p.z is None else p.z
+            state[side] = Side(f, tail, zsrc)
         return state
 
     def final_rows(self, state: dict, side: str, rows) -> ad.Tensor:
@@ -222,8 +222,9 @@ class Model:
         for side, rows in zip(SIDES, (users, items)):
             s, p = state[side], self.meta[side]
             keys = ad.gather_rows(s.fused, rows)
-            if s.key_map is not None:
-                keys = ad.matmul(keys, s.key_map)
+            k_map = self.hyper[side].k_map
+            if k_map is not None:
+                keys = ad.matmul(keys, k_map)
             if "meta" in self.ablations:
                 out.append(solidity.plain_transform(keys, p, slope))
             else:

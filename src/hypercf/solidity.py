@@ -21,14 +21,15 @@ from . import autodiff as ad
 class MetaNetParams:
     """Weight-generating network for one side's key adaptation.
 
-    v1 is the d x d x d contraction tensor stored row-major as (d*d) x d;
+    Weights are stored as the right factors they are applied as: v1 is the
+    d x d x d contraction tensor stored row-major as (d*d) x d, and
     contracting it with the mean hyperedge embedding yields the d x d
-    adapted weight added on top of w0.
+    adapted right factor added on top of w0.
     """
 
-    v1: Optional[ad.Tensor]   # (d*d) x d
-    w0: ad.Tensor             # d x d
-    v2: Optional[ad.Tensor]   # d x d
+    v1: Optional[ad.Tensor]   # (d*d) x d, row i*d + j adapts w0[i, j]
+    w0: ad.Tensor             # d x d right factor: x @ w0
+    v2: Optional[ad.Tensor]   # d x d, bias = contract(v2, z-mean)
     b0: ad.Tensor             # 1 x d
 
 
@@ -37,23 +38,23 @@ class SolidityHead:
     """Two-layer scorer mapping a pair of adapted keys to a label in (0, 1)."""
 
     d_vec: ad.Tensor   # d x 1
-    t: ad.Tensor       # d x 2d
+    t: ad.Tensor       # 2d x d right factor: [G_u, G_v] @ t
     c: ad.Tensor       # 1 x d
 
 
 def mean_hyperedge(z_table: ad.Tensor) -> ad.Tensor:
-    """Mean pooling of the K hyperedge rows, as a d x 1 column."""
+    """Mean pooling of the K hyperedge rows, as a 1 x d row."""
     k = z_table.rows
     pool = ad.constant(np.full((1, k), 1.0 / k, dtype=z_table.value.dtype))
-    return ad.transpose(ad.matmul(pool, z_table))
+    return ad.matmul(pool, z_table)
 
 
 def meta_transform(x: ad.Tensor, z_table: ad.Tensor, p: MetaNetParams,
                    slope: float) -> ad.Tensor:
     """Adapt key vectors with weights generated from the hyperedge summary.
 
-    Rows of ``x`` are key vectors; the output row i is
-    sigma(W x_i + b) with W = contract(v1, z-mean) + w0, b = v2 z-mean + b0.
+    Rows of ``x`` are key vectors; the output row i is sigma(x_i W + b),
+    W = contract(v1, z-mean) + w0 and b = contract(v2, z-mean) + b0.
     """
     d = p.w0.rows
     if x.cols != d:
@@ -61,26 +62,25 @@ def meta_transform(x: ad.Tensor, z_table: ad.Tensor, p: MetaNetParams,
             f"meta_transform: keys {x.value.shape} vs weight dim {d}")
     z_bar = mean_hyperedge(z_table)
     w = ad.add(ad.tensor_contract(p.v1, z_bar, out_rows=d), p.w0)
-    b = ad.add(ad.transpose(ad.matmul(p.v2, z_bar)), p.b0)
-    return ad.leaky_relu(ad.add_bias(ad.matmul(x, ad.transpose(w)), b), slope)
+    b = ad.add(ad.tensor_contract(p.v2, z_bar, out_rows=1), p.b0)
+    return ad.leaky_relu(ad.add_bias(ad.matmul(x, w), b), slope)
 
 
 def plain_transform(x: ad.Tensor, p: MetaNetParams,
                     slope: float) -> ad.Tensor:
     """Meta-network ablation: a fixed shared perceptron on the keys."""
-    return ad.leaky_relu(
-        ad.add_bias(ad.matmul(x, ad.transpose(p.w0)), p.b0), slope)
+    return ad.leaky_relu(ad.add_bias(ad.matmul(x, p.w0), p.b0), slope)
 
 
 def solidity_label(gamma_u: ad.Tensor, gamma_v: ad.Tensor, head: SolidityHead,
                    slope: float) -> ad.Tensor:
-    """Label per edge: sigm(d . sigma(T [G_u; G_v] + G_u + G_v + c))."""
+    """Label per edge: sigm(sigma([G_u, G_v] T + G_u + G_v + c) . d)."""
     if gamma_u.value.shape != gamma_v.value.shape:
         raise ad.ShapeMismatchError(
             f"solidity_label: {gamma_u.value.shape} vs {gamma_v.value.shape}")
     both = ad.concat_cols(gamma_u, gamma_v)
     inner = ad.add_bias(
-        ad.add(ad.matmul(both, ad.transpose(head.t)),
+        ad.add(ad.matmul(both, head.t),
                ad.add(gamma_u, gamma_v)),
         head.c)
     return ad.sigmoid(ad.matmul(ad.leaky_relu(inner, slope), head.d_vec))

@@ -317,17 +317,18 @@ def load_values(model: Model, values: dict) -> None:
 # ---------------------------------------------------------------------------
 # Checkpoint format
 #
-# magic "SHTCKPT3", a uint32 byte length, then one utf-8 JSON record of that
+# magic "SHTCKPT4", a uint32 byte length, then one utf-8 JSON record of that
 # length, then each tensor's float32 row-major data, back to back in
 # sorted-name order. All integers and floats little-endian. The record holds
 # `tensors` (the [name, shape] pairs in data order), the `format_config`
 # text, users, items, the Progress fields, Adam's step count and the rng's
 # `bit_generator.state` (the last two null when not saved). Files of any
-# other magic, SHTCKPT1 and SHTCKPT2 included, are refused, and so is a
-# config text naming a key `Config` no longer has.
+# other magic are refused, SHTCKPT1-3 included (SHTCKPT3 held K, V, W0 and
+# V1 in the paper's orientation, in these same shapes), and so is a config
+# text naming a key `Config` no longer has.
 # ---------------------------------------------------------------------------
 
-MAGIC = b"SHTCKPT3"
+MAGIC = b"SHTCKPT4"
 
 
 def _count(value) -> bool:

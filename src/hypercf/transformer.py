@@ -2,11 +2,12 @@
 learnable hyperedges, hierarchical hyperedge mixing, and stacked propagation.
 
 Attention is dot-product without softmax, so its products regroup as in
-linear attention, and keys and values are linear in the N x d node table X.
+linear attention, and keys X K and values X V are linear in the N x d node
+table X (K and V are stored as the right factors they are applied as).
 Per head h the node-to-hyperedge key-value summary k_hᵀ v_h equals
-(Kᵀ)_hᵀ (XᵀX) (Vᵀ)_h, which needs only the d x d Gram matrix XᵀX; and a
-hyperedge-to-node output row is x_n Kᵀ S for one d x d summary S, so a
-layer's output is X M for the d x d map M = Kᵀ S. No layer forms an N x d
+K_hᵀ (XᵀX) V_h, which needs only the d x d Gram matrix XᵀX; and a
+hyperedge-to-node output row is x_n K S for one d x d summary S, so a
+layer's output is X M for the d x d map M = K S. No layer forms an N x d
 key or value table: a layer's node-sized products are its Gram matrix and
 X M.
 
@@ -37,31 +38,21 @@ class HyperSideParams:
     """
 
     z: Optional[ad.Tensor]        # K x d hyperedge embedding table
-    k_map: Optional[ad.Tensor]    # d x d key transform (applied as W @ e)
-    v_map: Optional[ad.Tensor]    # d x d value transform
+    k_map: Optional[ad.Tensor]    # d x d right factor: keys = x @ k_map
+    v_map: Optional[ad.Tensor]    # d x d right factor: values = x @ v_map
     h1: ad.Tensor                 # K x K hierarchical mixing, first step
     h2: Optional[ad.Tensor]       # K x K second step (None: single-step mode)
     heads: int
     incidence: Optional[ad.Tensor] = None  # K x N, transformer ablation only
 
 
-def transposed_maps(p: HyperSideParams):
-    """``(Kᵀ, Vᵀ)``, the key and value transforms as right factors; None
-    in the transformer ablation. A forward pass forms them once and shares
-    them between its layers and the label branch."""
-    if p.incidence is not None:
-        return None
-    return ad.transpose(p.k_map), ad.transpose(p.v_map)
-
-
-def node_to_hyperedge(nodes: ad.Tensor, p: HyperSideParams,
-                      maps: Optional[tuple]) -> ad.Tensor:
+def node_to_hyperedge(nodes: ad.Tensor, p: HyperSideParams) -> ad.Tensor:
     """Aggregate node content into the K x d hyperedge features.
 
     Per head, each hyperedge query (a slice of its embedding) is applied to
     the key-value summary accumulated over all nodes, formed from the Gram
-    matrix of ``nodes`` and ``maps`` = :func:`transposed_maps`. In the
-    transformer ablation the K x N incidence takes the attention's place.
+    matrix of ``nodes`` and the key and value maps. In the transformer
+    ablation the K x N incidence takes the attention's place.
     """
     if p.incidence is not None:
         if p.incidence.cols != nodes.rows:
@@ -72,9 +63,8 @@ def node_to_hyperedge(nodes: ad.Tensor, p: HyperSideParams,
     if p.k_map.rows != nodes.cols:
         raise ad.ShapeMismatchError(
             f"node_to_hyperedge: key map {p.k_map.shape} vs nodes {nodes.value.shape}")
-    key_map, val_map = maps
-    return ad.linear_attention(p.z, key_map,
-                               ad.matmul(ad.gram(nodes), val_map), p.heads)
+    return ad.linear_attention(p.z, p.k_map,
+                               ad.matmul(ad.gram(nodes), p.v_map), p.heads)
 
 
 def hhgn(z_tilde: ad.Tensor, p: HyperSideParams, slope: float) -> ad.Tensor:
@@ -86,21 +76,19 @@ def hhgn(z_tilde: ad.Tensor, p: HyperSideParams, slope: float) -> ad.Tensor:
     return ad.leaky_relu(ad.add(ad.matmul(p.h2, step1), step1), slope)
 
 
-def hyperedge_to_node(z_hat: ad.Tensor, p: HyperSideParams,
-                      maps: Optional[tuple]) -> ad.Tensor:
+def hyperedge_to_node(z_hat: ad.Tensor, p: HyperSideParams) -> ad.Tensor:
     """The map M that propagates hyperedge features back to nodes: a
     layer's output is its input times M.
 
     Roles swap relative to the forward direction: the node keys become
     queries, the hyperedge embedding slices become keys, and values are the
-    value-transformed hyperedge features. Keys are the input times Kᵀ, so
-    M is the attention with Kᵀ's d rows as queries. In the transformer
+    value-transformed hyperedge features. Keys are the input times K, so
+    M is the attention with K's d rows as queries. In the transformer
     ablation M is ``z_hat`` itself, applied to the N x K incidenceᵀ.
     """
     if p.incidence is not None:
         return z_hat
-    key_map, val_map = maps
-    return ad.linear_attention(key_map, p.z, ad.matmul(z_hat, val_map),
+    return ad.linear_attention(p.k_map, p.z, ad.matmul(z_hat, p.v_map),
                                p.heads)
 
 
@@ -119,7 +107,6 @@ class Tail:
     m: ad.Tensor                   # d x d last-layer map (K x d z_hat in
                                    # the transformer ablation)
     mask: Optional[tuple]          # last-layer dropout (scale, N x d keep)
-    key_map: Optional[ad.Tensor]   # Kᵀ (None in the transformer ablation)
     first_edges: ad.Tensor         # K x d first-layer hyperedge features
 
 
@@ -138,23 +125,21 @@ def forward(nodes0: ad.Tensor, p: HyperSideParams, num_layers: int,
     """
     if num_layers < 1:
         raise ValueError(f"need at least one layer, got {num_layers}")
-    maps = transposed_maps(p)
-    key_map = None if maps is None else maps[0]
-    incidence_t = ad.transpose(p.incidence) if maps is None else None
+    incidence_t = None if p.incidence is None else ad.transpose(p.incidence)
     current = nodes0
     partial = None
     first_edges = None
     for step in range(num_layers):
-        z_tilde = node_to_hyperedge(current, p, maps)
+        z_tilde = node_to_hyperedge(current, p)
         z_hat = hhgn(z_tilde, p, slope)
         if first_edges is None:
             first_edges = z_tilde
         mask = (None if dropout_mask is None
                 else dropout_mask(current.value.shape))
         source = current if incidence_t is None else incidence_t
-        m = hyperedge_to_node(z_hat, p, maps)
+        m = hyperedge_to_node(z_hat, p)
         if step == num_layers - 1:
-            return Tail(partial, source, m, mask, key_map, first_edges)
+            return Tail(partial, source, m, mask, first_edges)
         out = ad.matmul(source, m)
         if mask is not None:
             out = ad.scale(out, *mask)

@@ -21,6 +21,7 @@ from hypercf import trainer as T
 from hypercf import transformer as TR
 from hypercf.config import Config
 from hypercf.model import Model
+from rankings import user_list
 
 SEEDS = (0, 1, 2)
 
@@ -99,7 +100,7 @@ def _primitive_cases(rng):
                           dtype=np.float64)
     around_one = ad.parameter(1.0 + signed.value, dtype=np.float64)
     t3 = p((9, 3))
-    vec3 = p((3, 1))
+    vec3 = p((1, 3))
     # query rows differ from key rows; width 4 splits into 1 or 2 heads
     query, key, val = p((3, 4)), p((5, 4)), p((5, 4))
     sp = np.abs(rng.normal(size=(5, 4))).astype(np.float64)
@@ -227,21 +228,21 @@ def test_criterion_2_attention_oracle_equivalence():
                         z = rng.normal(size=(k, d))
                         k_map = rng.normal(size=(d, d))
                         v_map = rng.normal(size=(d, d))
+                        # the program takes the maps as right factors
                         p = TR.HyperSideParams(
                             z=ad.constant(z, dtype=np.float64),
-                            k_map=ad.constant(k_map, dtype=np.float64),
-                            v_map=ad.constant(v_map, dtype=np.float64),
+                            k_map=ad.constant(k_map.T, dtype=np.float64),
+                            v_map=ad.constant(v_map.T, dtype=np.float64),
                             h1=None, h2=None, heads=heads)
-                        maps = TR.transposed_maps(p)
                         node_t = ad.constant(nodes, dtype=np.float64)
-                        got_z = TR.node_to_hyperedge(node_t, p, maps)
+                        got_z = TR.node_to_hyperedge(node_t, p)
                         want_z, want_keys = _oracle_n2h(nodes, z, k_map,
                                                         v_map, heads)
                         worst = max(worst,
                                     np.abs(got_z.value - want_z).max())
                         z_hat = rng.normal(size=(k, d))
                         got_n = ad.matmul(node_t, TR.hyperedge_to_node(
-                            ad.constant(z_hat, dtype=np.float64), p, maps))
+                            ad.constant(z_hat, dtype=np.float64), p))
                         want_n = _oracle_h2n(z_hat, want_keys, z, v_map,
                                              heads)
                         worst = max(worst,
@@ -278,15 +279,20 @@ weights = [rng.normal(size=shape)
            for shape in ((K, D), (D, D), (D, D), (K, K), (K, K))]
 
 
-def params(dtype):
+def params(dtype, right_factors=False):
+    # K and V are drawn as the paper's W @ e maps; the program takes them
+    # as the right factors keys = x @ k_map and values = x @ v_map
+    z, k_map, v_map, h1, h2 = weights
+    if right_factors:
+        k_map, v_map = k_map.T, v_map.T
     return TR.HyperSideParams(
-        *(ad.constant(w, dtype=dtype) for w in weights), heads=H)
+        *(ad.constant(w, dtype=dtype) for w in (z, k_map, v_map, h1, h2)),
+        heads=H)
 
 
 def gram_layer(p, nodes):
-    maps = TR.transposed_maps(p)
-    z_hat = TR.hhgn(TR.node_to_hyperedge(nodes, p, maps), p, SLOPE)
-    return ad.matmul(nodes, TR.hyperedge_to_node(z_hat, p, maps)).value
+    z_hat = TR.hhgn(TR.node_to_hyperedge(nodes, p), p, SLOPE)
+    return ad.matmul(nodes, TR.hyperedge_to_node(z_hat, p)).value
 
 
 def naive_layer(p, nodes):
@@ -315,10 +321,10 @@ def best_ms(fn):
 
 with ad.recording(False):
     p32, x32 = params(np.float32), x.astype(np.float32)
-    nodes32 = ad.constant(x32)
+    f32, nodes32 = params(np.float32, right_factors=True), ad.constant(x32)
     naive_ms = best_ms(lambda: naive_layer(p32, x32))
-    gram_ms = best_ms(lambda: gram_layer(p32, nodes32))
-    fast = gram_layer(p32, nodes32)
+    gram_ms = best_ms(lambda: gram_layer(f32, nodes32))
+    fast = gram_layer(f32, nodes32)
     want = naive_layer(params(np.float64), x)
 error = float(np.abs(fast - want).max() / np.abs(want).max())
 print(json.dumps({"naive_ms": naive_ms, "gram_ms": gram_ms,
@@ -407,7 +413,7 @@ def test_criterion_4_metric_oracle():
         ranked = _brute_rank(scores, trained, n)
         result = E.rank_all(scores, train, n)
         for u in range(users):
-            assert result.user_list(u).tolist() == ranked[u]
+            assert user_list(result, u).tolist() == ranked[u]
         got = E.evaluate_scores(scores, train, test, (n,))
         want_r, want_n = _brute_metrics(ranked, test, n)
         # rankings match exactly; metric floats may differ by summation

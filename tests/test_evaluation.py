@@ -10,6 +10,7 @@ from numpy.random import default_rng
 
 from hypercf import evaluation as E
 from hypercf.data import InteractionDataset
+from rankings import user_list
 
 
 def dataset(edges, users, items):
@@ -73,7 +74,7 @@ class TestRankAll:
         train = dataset([[0, 1]], 1, 3)
         result = E.rank_all(np.array([[0.0, 9.0, 1.0]]), train, 3)
         assert 1 not in result.items[0]
-        assert result.user_list(0).tolist() == [2, 0]
+        assert user_list(result, 0).tolist() == [2, 0]
 
     def test_tie_break_ascending_index(self):
         train = dataset(np.empty((0, 2)), 1, 5)
@@ -85,7 +86,7 @@ class TestRankAll:
         train = dataset([[0, 0], [0, 1], [0, 2]], 1, 4)
         result = E.rank_all(np.zeros((1, 4)), train, 3)
         assert result.items[0].tolist() == [3, -1, -1]
-        assert len(result.user_list(0)) == min(3, 4 - 3)
+        assert len(user_list(result, 0)) == min(3, 4 - 3)
 
     def test_cutoff_beyond_item_count_pads(self):
         train = dataset(np.empty((0, 2)), 2, 3)
@@ -137,7 +138,7 @@ class TestRankAll:
             train = dataset(edges, users, items)
             result = E.rank_all(rng.normal(size=(users, items)), train, items)
             for u in range(users):
-                assert not set(train.items_of(u)) & set(result.user_list(u))
+                assert not set(train.items_of(u)) & set(user_list(result, u))
 
 
 class TestChunkedRanking:
@@ -458,7 +459,7 @@ class TestBruteForceEquivalence:
             result = E.rank_all(scores, train, n)
             oracle_lists = rank_loops(scores, train, n)
             for u in range(users):
-                assert result.user_list(u).tolist() == oracle_lists[u], trial
+                assert user_list(result, u).tolist() == oracle_lists[u], trial
             assert E.recall_at_n(result, test) == pytest.approx(
                 recall_loops(oracle_lists, test), abs=1e-12)
             assert E.ndcg_at_n(result, test) == pytest.approx(

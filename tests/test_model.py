@@ -1,6 +1,7 @@
 """Model assembly: full-loss gradients, ablation wiring, loss arithmetic."""
 
 import inspect
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -64,27 +65,43 @@ NON_RECORDING = frozenset({
     "set_default_dtype", "default_dtype", "tape_size", "clear_tape"})
 
 
+def step_ops(**overrides):
+    """Tape nodes per primitive in one recorded toy step."""
+    model, adj, main, sal = toy_setup(**overrides)
+    with ad.recording():
+        loss = model.total_loss(model.forward(adj), main, sal)
+    counts, seen, stack = Counter(), set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node.op != "leaf":
+            counts[node.op] += 1
+        stack.extend(node.parents)
+    return counts
+
+
 class TestPrimitiveCoverage:
     def test_one_step_records_every_primitive(self, float64_mode):
-        # a primitive no model step records is dead code in the autodiff
-        model, adj, main, sal = toy_setup()
-        with ad.recording():
-            loss = model.total_loss(model.forward(adj), main, sal)
-        recorded, seen, stack = set(), set(), [loss]
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            if node.op != "leaf":
-                recorded.add(node.op)
-            stack.extend(node.parents)
+        # a primitive that neither a default nor a transformer-ablation
+        # step records is dead code in the autodiff
+        default, trans = step_ops(), step_ops(ablate=("trans",))
+        recorded = set(default) | set(trans)
         public = {name for name, value in vars(ad).items()
                   if inspect.isfunction(value) and not name.startswith("_")
                   and value.__module__ == ad.__name__}
         assert NON_RECORDING <= public
         assert recorded == public - NON_RECORDING
         assert len(recorded) == 19
+        assert len(default) == 18 and "transpose" not in default
+
+    def test_only_the_incidence_is_transposed(self, float64_mode):
+        # every weight is stored as the right factor the forward multiplies
+        # by; the transformer ablation transposes its K x N incidence once
+        # per side
+        assert step_ops()["transpose"] == 0
+        assert step_ops(ablate=("trans",))["transpose"] == 2
 
 
 class TestLossComponents:
@@ -334,8 +351,8 @@ def full_table_loss(model, state, main, sal):
         gammas = []
         for side in ("user", "item"):
             s, p = state[side], model.meta[side]
-            keys = (s.fused if s.key_map is None
-                    else ad.matmul(s.fused, s.key_map))
+            k_map = model.hyper[side].k_map
+            keys = s.fused if k_map is None else ad.matmul(s.fused, k_map)
             gammas.append(solidity.plain_transform(keys, p, slope)
                           if "meta" in model.ablations else
                           solidity.meta_transform(keys, s.zsrc, p, slope))

@@ -11,10 +11,20 @@ def leak(x, slope=0.5):
     return np.where(x > 0, x, slope * x)
 
 
+def swap_v1(v1):
+    """Swap the first two index axes of a (d*d) x d contraction tensor:
+    the paper's layout, where row i*d + j adapts W[i, j], to the stored
+    right factor's, where row j*d + i does, and back."""
+    d = v1.shape[1]
+    return v1.reshape(d, d, d).transpose(1, 0, 2).reshape(d * d, d)
+
+
 def make_meta(d, rng):
+    """Weights drawn in the paper's W @ e orientation, handed to the
+    program as the right factors it stores."""
     return S.MetaNetParams(
-        v1=ad.constant(rng.normal(size=(d * d, d))),
-        w0=ad.constant(rng.normal(size=(d, d))),
+        v1=ad.constant(swap_v1(rng.normal(size=(d * d, d)))),
+        w0=ad.constant(rng.normal(size=(d, d)).T),
         v2=ad.constant(rng.normal(size=(d, d))),
         b0=ad.constant(rng.normal(size=(1, d))))
 
@@ -22,7 +32,7 @@ def make_meta(d, rng):
 def make_head(d, rng):
     return S.SolidityHead(
         d_vec=ad.constant(rng.normal(size=(d, 1))),
-        t=ad.constant(rng.normal(size=(d, 2 * d))),
+        t=ad.constant(rng.normal(size=(d, 2 * d)).T),
         c=ad.constant(rng.normal(size=(1, d))))
 
 
@@ -45,7 +55,8 @@ class TestMetaTransform:
         x = rng.normal(size=(3, d))
         z = ad.constant(np.zeros((2, d)))  # mean pooling gives 0
         out = S.meta_transform(ad.constant(x), z, p, 0.5)
-        expect = leak(x @ p.w0.value.T + p.b0.value)
+        w0 = p.w0.value.T  # the paper's W0
+        expect = leak(x @ w0.T + p.b0.value)
         np.testing.assert_allclose(out.value, expect, rtol=1e-12)
 
     def test_loop_contraction_oracle(self, float64_mode):
@@ -55,14 +66,15 @@ class TestMetaTransform:
         x = rng.normal(size=(3, d))
         z_table = rng.normal(size=(6, d))
         out = S.meta_transform(ad.constant(x), ad.constant(z_table), p, 0.5)
+        v1, w0 = swap_v1(p.v1.value), p.w0.value.T  # the paper's layout
 
         z_bar = z_table.mean(axis=0)
         w = np.zeros((d, d))
         for i in range(d):
             for j in range(d):
                 for k in range(d):
-                    w[i, j] += p.v1.value[i * d + j, k] * z_bar[k]
-        w += p.w0.value
+                    w[i, j] += v1[i * d + j, k] * z_bar[k]
+        w += w0
         b = p.v2.value @ z_bar + p.b0.value[0]
         expect = np.stack([leak(w @ x[r] + b) for r in range(3)])
         np.testing.assert_allclose(out.value, expect, rtol=1e-9)
@@ -73,8 +85,9 @@ class TestMetaTransform:
         p = make_meta(d, rng)
         x = rng.normal(size=(3, d))
         out = S.plain_transform(ad.constant(x), p, 0.5)
+        w0 = p.w0.value.T  # the paper's W0
         np.testing.assert_allclose(
-            out.value, leak(x @ p.w0.value.T + p.b0.value), rtol=1e-12)
+            out.value, leak(x @ w0.T + p.b0.value), rtol=1e-12)
 
     def test_shape_mismatch(self, float64_mode):
         p = make_meta(4, np.random.default_rng(7))
@@ -107,7 +120,7 @@ class TestSolidityLabel:
         rng = np.random.default_rng(10)
         head = make_head(d, rng)
         block = rng.normal(size=(d, d))
-        head.t = ad.constant(np.concatenate([block, block], axis=1))
+        head.t = ad.constant(np.concatenate([block, block], axis=1).T)
         a = ad.constant(rng.normal(size=(6, d)))
         b = ad.constant(rng.normal(size=(6, d)))
         np.testing.assert_allclose(
@@ -121,8 +134,9 @@ class TestSolidityLabel:
         ga = rng.normal(size=(3, d))
         gb = rng.normal(size=(3, d))
         s = S.solidity_label(ad.constant(ga), ad.constant(gb), head, 0.5)
+        t = head.t.value.T  # the paper's d x 2d T
         for r in range(3):
-            inner = head.t.value @ np.concatenate([ga[r], gb[r]]) \
+            inner = t @ np.concatenate([ga[r], gb[r]]) \
                 + ga[r] + gb[r] + head.c.value[0]
             expect = 1.0 / (1.0 + np.exp(-(head.d_vec.value[:, 0] @ leak(inner))))
             assert abs(s.value[r, 0] - expect) < 1e-10

@@ -9,6 +9,7 @@ from hypercf import encoder
 from hypercf import transformer as T
 from hypercf.config import Config
 from hypercf.model import Model
+from hypercf.rng import STREAM_INIT, spawn_rng
 
 
 def head_slices(d, heads):
@@ -46,20 +47,27 @@ def hyperedge_to_node_loops(z_hat, keys, z, v_map, heads):
 
 
 def to_hyperedges(nodes, p):
-    return T.node_to_hyperedge(ad.constant(nodes), p, T.transposed_maps(p))
+    return T.node_to_hyperedge(ad.constant(nodes), p)
 
 
 def to_nodes(z_hat, nodes, p):
     """A layer's output on ``nodes``: the nodes times the map of ``z_hat``."""
     return ad.matmul(ad.constant(nodes), T.hyperedge_to_node(
-        ad.constant(z_hat), p, T.transposed_maps(p)))
+        ad.constant(z_hat), p))
+
+
+def paper_maps(p):
+    """The key and value transforms in the paper's W @ e orientation, as
+    the loop oracles take them: the program stores their transposes."""
+    return p.k_map.value.T, p.v_map.value.T
 
 
 def make_params(num_k, d, heads, rng, deep=True):
+    # the maps are drawn as the paper's W and handed over as right factors
     return T.HyperSideParams(
         z=ad.constant(rng.normal(size=(num_k, d))),
-        k_map=ad.constant(rng.normal(size=(d, d))),
-        v_map=ad.constant(rng.normal(size=(d, d))),
+        k_map=ad.constant(rng.normal(size=(d, d)).T),
+        v_map=ad.constant(rng.normal(size=(d, d)).T),
         h1=ad.constant(rng.normal(size=(num_k, num_k))),
         h2=ad.constant(rng.normal(size=(num_k, num_k))) if deep else None,
         heads=heads)
@@ -90,7 +98,7 @@ class TestNodeToHyperedge:
             nodes = rng.normal(size=(7, 8))
             out = to_hyperedges(nodes, p)
             oracle = node_to_hyperedge_loops(
-                nodes, p.z.value, p.k_map.value, p.v_map.value, p.heads)
+                nodes, p.z.value, *paper_maps(p), p.heads)
             np.testing.assert_allclose(out.value, oracle, atol=1e-5)
 
     def test_homogeneity_degree_two(self, float64_mode):
@@ -103,15 +111,22 @@ class TestNodeToHyperedge:
         np.testing.assert_allclose(scaled.value, 9.0 * base.value, rtol=1e-9)
 
     def test_keys_equal_transform_product(self, float64_mode):
-        # the transposed maps turn node rows into their keys and values
-        rng = np.random.default_rng(2)
-        p = make_params(3, 8, 2, rng)
+        # the model draws each map as the paper's W, applied as W @ e, and
+        # stores its right factor: a node row times k_map is its key W @ e
+        model = Model(Config(d=8, hyperedges=3, heads=2, seed=2), 5, 4)
+        rng = spawn_rng(2, STREAM_INIT)
+        for shape in ((5, 8), (4, 8), (3, 8)):  # the embeddings, then Z
+            rng.normal(size=shape)
+        w_key, w_val = (rng.normal(0.0, 1.0 / np.sqrt(8), size=(8, 8))
+                        for _ in range(2))
+        p = model.hyper["user"]
+        np.testing.assert_array_equal(p.k_map.value, w_key.T)
+        np.testing.assert_array_equal(p.v_map.value, w_val.T)
         nodes = rng.normal(size=(4, 8))
-        key_map, val_map = T.transposed_maps(p)
-        keys = ad.matmul(ad.constant(nodes), key_map)
-        vals = ad.matmul(ad.constant(nodes), val_map)
-        np.testing.assert_allclose(keys.value, nodes @ p.k_map.value.T, rtol=1e-12)
-        np.testing.assert_allclose(vals.value, nodes @ p.v_map.value.T, rtol=1e-12)
+        keys = ad.matmul(ad.constant(nodes), p.k_map)
+        vals = ad.matmul(ad.constant(nodes), p.v_map)
+        np.testing.assert_allclose(keys.value, (w_key @ nodes.T).T, rtol=1e-12)
+        np.testing.assert_allclose(vals.value, (w_val @ nodes.T).T, rtol=1e-12)
 
 
     def test_float32_gram_form_at_4000_rows(self, tmp_path):
@@ -129,10 +144,10 @@ class TestNodeToHyperedge:
         embed = [model.params[f"{side}.embed"] for side in ("user", "item")]
         fused, _ = encoder.fuse_inputs(*embed, *encoder.topo_embed(*embed, adj))
         p = model.hyper["user"]
-        got = T.node_to_hyperedge(fused, p, T.transposed_maps(p)).value
+        got = T.node_to_hyperedge(fused, p).value
 
-        x, z, k_map, v_map = (t.value.astype(np.float64)
-                              for t in (fused, p.z, p.k_map, p.v_map))
+        x, z = (t.value.astype(np.float64) for t in (fused, p.z))
+        k_map, v_map = (w.astype(np.float64) for w in paper_maps(p))
         want = ad.linear_attention(
             *(ad.constant(a, dtype=np.float64)
               for a in (z, x @ k_map.T, x @ v_map.T)), p.heads).value
@@ -201,9 +216,9 @@ class TestHyperedgeToNode:
             nodes = rng.normal(size=(6, 8))
             z_hat = rng.normal(size=(4, 8))
             out = to_nodes(z_hat, nodes, p)
+            k_map, v_map = paper_maps(p)
             oracle = hyperedge_to_node_loops(
-                z_hat, nodes @ p.k_map.value.T, p.z.value, p.v_map.value,
-                p.heads)
+                z_hat, nodes @ k_map.T, p.z.value, v_map, p.heads)
             np.testing.assert_allclose(out.value, oracle, atol=1e-5)
 
 
@@ -230,14 +245,15 @@ class TestForward:
 
         current, acc = nodes, np.zeros_like(nodes)
         leak = lambda x: np.where(x > 0, x, 0.5 * x)
+        k_map, v_map = paper_maps(p)
         for step in range(3):
             z_t = node_to_hyperedge_loops(
-                current, p.z.value, p.k_map.value, p.v_map.value, p.heads)
+                current, p.z.value, k_map, v_map, p.heads)
             z_h = leak(p.h2.value @ leak(p.h1.value @ z_t + z_t)
                        + leak(p.h1.value @ z_t + z_t))
-            k_mat = current @ p.k_map.value.T
+            k_mat = current @ k_map.T
             out = hyperedge_to_node_loops(z_h, k_mat, p.z.value,
-                                          p.v_map.value, p.heads)
+                                          v_map, p.heads)
             if step == 0:
                 np.testing.assert_allclose(edges, z_t, atol=1e-8)
             acc += out
