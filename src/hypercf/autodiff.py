@@ -17,8 +17,9 @@ not own it), later arrivals are added in place, and nodes never reached are
 skipped by the backward walk, which pops each node off the tape and drops
 its ``grad``, VJP and parents: only leaves keep a ``grad`` after backward.
 Every VJP writes a leaf's ``grad`` in place, so a leaf may be a view into a
-packed vector: :func:`pack` moves leaves into one contiguous value vector
-and one contiguous gradient vector, and returns the leaf those vectors form.
+packed vector: a :class:`Store` holds named leaves in one contiguous value
+vector and one contiguous gradient vector, and ``Store.flat`` is the leaf
+those vectors form.
 
 Values are float32 by default; switch to float64 (``set_default_dtype``)
 for finite-difference gradient checking.
@@ -169,38 +170,52 @@ def constant(data, dtype=None) -> Tensor:
 parameter = constant
 
 
-def pack(leaves: Sequence[Tensor]) -> Tensor:
-    """Move ``leaves`` into one contiguous value vector and one contiguous
-    gradient vector, in the order given, and return the 1×P leaf they form.
+class Store(dict):
+    """A parameter registry, name -> leaf, packed into one value vector and
+    one gradient vector: the one place that lays parameters out.
 
-    Each leaf's ``value`` becomes a reshaped view into the value vector,
-    holding the same entries, and its ``grad`` one into the gradient
-    vector, which starts at zero. Neither may be rebound after, so that an
-    operation on the returned leaf (a sum of squares, a gradient reset, an
-    optimizer update) covers every packed leaf at once; the ``grad`` setter
-    refuses to. A leaf whose ``grad`` is already a view, as in a store
-    packed before, is refused.
+    Built from name -> array, it allocates both vectors once, in the working
+    dtype, and casts each array once into its slot; slots follow sorted-name
+    order, which is also the store's iteration order. Each leaf's ``value``
+    and ``grad`` are views into the vectors, and ``flat`` is the 1×P leaf
+    the vectors form, so an operation on ``flat`` (a sum of squares, a
+    gradient reset, an optimizer update) covers every leaf at once. Neither
+    view may be rebound; the ``grad`` setter refuses to.
     """
-    if len({id(t) for t in leaves}) != len(leaves) or not leaves:
-        raise ValueError("pack: leaves must be given once each")
-    for t in leaves:
-        if t.grad is None or t.grad.base is not None:
-            raise ValueError(f"pack: {t!r} does not own its grad "
-                             "(packed already?)")
-    dtypes = sorted({str(t.value.dtype) for t in leaves})
-    if len(dtypes) != 1:
-        raise ValueError(f"pack: leaves of mixed dtypes {dtypes}")
-    size = sum(t.value.size for t in leaves)
-    values, grads = np.empty(size, dtypes[0]), np.zeros(size, dtypes[0])
-    start = 0
-    for t in leaves:  # a leaf's own arrays are freed as soon as it moves
-        stop = start + t.value.size
-        value = values[start:stop].reshape(t.shape)
-        value[...] = t.value
-        t.value, t.grad = value, grads[start:stop].reshape(t.shape)
-        start = stop
-    return Tensor(values.reshape(1, -1), Node(
-        (1, values.size), values.dtype, grad=grads.reshape(1, -1)))
+
+    def __init__(self, arrays: dict):
+        super().__init__()
+        self._layout = {name: np.shape(arrays[name])
+                        for name in sorted(arrays)}
+        if not self._layout:
+            raise ValueError("Store: no arrays to hold")
+        for name, shape in self._layout.items():
+            if len(shape) != 2:
+                raise ShapeMismatchError(
+                    f"Store: {name!r} is not a 2-D matrix, shape {shape}")
+        size = sum(rows * cols for rows, cols in self._layout.values())
+        values = np.empty(size, _default_dtype)
+        grads = np.zeros(size, _default_dtype)
+        self.flat = Tensor(values.reshape(1, -1), Node(
+            (1, size), values.dtype, grad=grads.reshape(1, -1)))
+        grads = self.views(grads)
+        for name, value in self.views(values).items():
+            value[...] = arrays[name]
+            self[name] = Tensor(value, Node(value.shape, value.dtype,
+                                            grad=grads[name]))
+
+    def views(self, vector: np.ndarray) -> dict:
+        """Name -> that leaf's slot of ``vector``, a P-entry array laid out
+        as ``flat``, as a view of the leaf's shape."""
+        vector = _flat(vector)
+        if vector.size != self.flat.value.size:
+            raise ShapeMismatchError(f"Store: a vector of {vector.size} "
+                                     f"entries, not {self.flat.value.size}")
+        out, start = {}, 0
+        for name, (rows, cols) in self._layout.items():
+            out[name] = vector[start:start + rows * cols].reshape(rows, cols)
+            start += rows * cols
+        return out
 
 
 def _make(value: np.ndarray, parents: tuple, vjp, op: str) -> Tensor:
@@ -233,11 +248,11 @@ def _accumulate(t: Node, g, owned: bool = True) -> None:
 BLOCK = 32768
 
 
-def _flat(grad: np.ndarray) -> np.ndarray:
-    """The 1-D view of ``grad``, through which it is updated in place."""
-    if not grad.flags.c_contiguous:  # reshape would copy: update lost
-        raise RuntimeError("gradient is not C-contiguous")
-    return grad.reshape(-1)
+def _flat(array: np.ndarray) -> np.ndarray:
+    """The 1-D view of ``array``, through which it is updated in place."""
+    if not array.flags.c_contiguous:  # reshape would copy: update lost
+        raise RuntimeError("array is not C-contiguous")
+    return array.reshape(-1)
 
 
 def _shapes(op: str, a: Tensor, b: Tensor) -> str:

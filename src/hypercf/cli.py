@@ -165,6 +165,13 @@ def _checkpoint_setup(args):
         raise UsageError(f"checkpoint not found: {args.checkpoint!r}")
     ckpt = trainer.load_checkpoint(args.checkpoint)
     cfg = _effective_config(args, base=ckpt.config)
+    # the model is the checkpoint's: only the data and output paths may vary
+    for f in fields(Config):
+        saved, given = getattr(ckpt.config, f.name), getattr(cfg, f.name)
+        if f.name not in ("data", "out") and given != saved:
+            raise UsageError(f"{f.name} = {given} differs from the "
+                             f"checkpoint's {f.name} = {saved}; a checkpoint "
+                             f"command cannot apply it")
     splits = data_mod.split(_load_dataset(cfg), cfg.seed)
     model = trainer.build_model(ckpt)
     if (model.num_users, model.num_items) != (splits.num_users,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import data as data_mod
-from .config import ABLATIONS, Config
+from .config import ABLATIONS, Config, normalize_flag
 from .data import InteractionDataset, SplitDataset, build_normalized_adjacency
 from .evaluation import evaluate_model, group_metrics, rank_embeddings
 # not called here; kept because perfbench's patch tests read these bindings
@@ -96,8 +96,10 @@ def sparsity_report(model: Model, adj, splits: SplitDataset,
 
 
 def ablation_variants(flags=None) -> list:
-    """The full model plus one single-flag variant per component toggle."""
-    flags = list(ABLATIONS if flags is None else flags)
+    """The full model plus one single-flag variant per component toggle:
+    each distinct flag once, in the order given, however it is spelled."""
+    flags = dict.fromkeys(map(normalize_flag,
+                              ABLATIONS if flags is None else flags))
     return [("full", ())] + [(f"-{flag}", (flag,)) for flag in flags]
 
 

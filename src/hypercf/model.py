@@ -1,12 +1,11 @@
 """Full model assembly: parameters, forward pass, losses, ablation variants.
 
-Parameter tensors live in a flat name -> tensor registry so the optimizer,
-the regularizer and the checkpoint format all see one consistent view. At
-construction the registry is packed (``ad.pack``) into one value vector and
-one gradient vector in sorted-name order, the checkpoint's order: every
-registry tensor is a view into them, and ``Model.flat`` is the leaf they
-form, which the regularizer, the gradient reset, Adam and the checkpoint
-writer each treat as one vector.
+Parameter tensors live in one name -> tensor registry, an ``ad.Store``, so
+the optimizer, the regularizer and the checkpoint format all see one
+consistent view. The store lays the tensors out in one value vector and one
+gradient vector in sorted-name order, the checkpoint's order, and its leaf
+``params.flat`` is what the regularizer, the gradient reset, Adam and the
+checkpoint writer each treat as one vector.
 
 Ablation flags change which parameters exist and which computation paths run;
 the flag semantics are resolved here, not scattered over the submodules.
@@ -67,9 +66,7 @@ class Model:
         self.num_users = num_users
         self.num_items = num_items
         self.ablations = cfg.ablations
-        self.params: dict = {}
-        self._init_params()
-        self.flat = ad.pack([self.params[n] for n in sorted(self.params)])
+        self.params = ad.Store(self._init_values())
         # views over the registry: loading copies values into its tensors in
         # place, so these stay current; a name the ablations drop reads None
         get = self.params.get
@@ -87,55 +84,53 @@ class Model:
 
     # -- parameter construction ------------------------------------------
 
-    def _add(self, name: str, array) -> ad.Tensor:
-        t = ad.parameter(array)
-        self.params[name] = t
-        return t
-
-    def _init_params(self) -> None:
+    def _init_values(self) -> dict:
+        """Initial values by parameter name, drawn in a fixed order."""
         cfg = self.cfg
         rng = spawn_rng(cfg.seed, STREAM_INIT)
         d, k = cfg.d, cfg.hyperedges
+        values = {}
 
         def normal(shape, scale):
             return rng.normal(0.0, scale, size=shape)
 
         # weights are drawn as the paper's W, applied as W @ e, and stored
         # as the right factors the forward multiplies rows by
-        self._add("user.embed", normal((self.num_users, d), cfg.init_scale))
-        self._add("item.embed", normal((self.num_items, d), cfg.init_scale))
+        values["user.embed"] = normal((self.num_users, d), cfg.init_scale)
+        values["item.embed"] = normal((self.num_items, d), cfg.init_scale)
 
         if "hyper" in self.ablations:
-            return
+            return values
 
         map_scale = 1.0 / np.sqrt(d)
         mix_scale = 1.0 / np.sqrt(k)
         for side, n_nodes in zip(SIDES, (self.num_users, self.num_items)):
             base = f"{side}.hyper."
             if "trans" in self.ablations:
-                self._add(base + "incidence",
-                          normal((k, n_nodes), cfg.init_scale))
+                values[base + "incidence"] = normal((k, n_nodes),
+                                                    cfg.init_scale)
             else:
-                self._add(base + "Z", normal((k, d), cfg.init_scale))
-                self._add(base + "K", normal((d, d), map_scale).T)
-                self._add(base + "V", normal((d, d), map_scale).T)
-            self._add(base + "H1", normal((k, k), mix_scale))
+                values[base + "Z"] = normal((k, d), cfg.init_scale)
+                values[base + "K"] = normal((d, d), map_scale).T
+                values[base + "V"] = normal((d, d), map_scale).T
+            values[base + "H1"] = normal((k, k), mix_scale)
             if "deeph" not in self.ablations:
-                self._add(base + "H2", normal((k, k), mix_scale))
+                values[base + "H2"] = normal((k, k), mix_scale)
 
         if "sal" in self.ablations:
-            return
+            return values
         for side in SIDES:
             base = f"{side}.meta."
             if "meta" not in self.ablations:
                 v1 = normal((d * d, d), 1.0 / d).reshape(d, d, d)
-                self._add(base + "V1", v1.transpose(1, 0, 2).reshape(-1, d))
-                self._add(base + "V2", normal((d, d), map_scale))
-            self._add(base + "W0", normal((d, d), map_scale).T)
-            self._add(base + "b0", np.zeros((1, d)))
-        self._add("sal.d", normal((d, 1), map_scale))
-        self._add("sal.T", normal((d, 2 * d), 1.0 / np.sqrt(2 * d)).T)
-        self._add("sal.c", np.zeros((1, d)))
+                values[base + "V1"] = v1.transpose(1, 0, 2).reshape(-1, d)
+                values[base + "V2"] = normal((d, d), map_scale)
+            values[base + "W0"] = normal((d, d), map_scale).T
+            values[base + "b0"] = np.zeros((1, d))
+        values["sal.d"] = normal((d, 1), map_scale)
+        values["sal.T"] = normal((d, 2 * d), 1.0 / np.sqrt(2 * d)).T
+        values["sal.c"] = np.zeros((1, d))
+        return values
 
     @property
     def supports_solidity(self) -> bool:
@@ -258,7 +253,7 @@ class Model:
     def reg_loss(self) -> ad.Tensor:
         """Squared Frobenius norm summed over every parameter, as one tape
         node over the packed vector."""
-        return ad.sum_squares([self.flat])
+        return ad.sum_squares([self.params.flat])
 
     def total_loss(self, state: dict, main_batch,
                    sal_batch=None, parts: Optional[dict] = None) -> ad.Tensor:

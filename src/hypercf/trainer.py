@@ -59,45 +59,28 @@ def learning_rate(lr0: float, decay: float, epoch: int) -> float:
     return lr0 * decay ** epoch
 
 
-def _packed(params: dict):
-    """The value and gradient vectors that ``ad.pack`` moved the registry
-    ``params`` into, checked to hold exactly its tensors, in sorted-name
-    order."""
-    tensors = [params[name] for name in sorted(params)]
-    vectors = tensors[0].value.base, tensors[0].grad.base
-    starts = np.cumsum([0] + [t.value.size for t in tensors])
-    packed = all(vector is not None and vector.size == starts[-1]
-                 for vector in vectors) and all(
-        view.base is vector and view.ctypes.data == vector[start:].ctypes.data
-        for t, start in zip(tensors, starts)
-        for view, vector in zip((t.value, t.grad), vectors))
-    if not packed:
-        raise ValueError("Adam needs a registry packed by ad.pack in "
-                         "sorted-name order")
-    return vectors
-
-
 class Adam:
-    """Adam with bias correction over a packed parameter registry.
+    """Adam with bias correction over a parameter store (``ad.Store``).
 
-    The registry's tensors are views into one value vector and one gradient
-    vector, in sorted-name order (``ad.pack``; ``Model`` packs its registry
-    at construction). The optimizer owns exactly the moments ``m`` and
-    ``v``, two vectors beside those. A step runs the update over the
-    vectors in blocks of ``ad.BLOCK`` entries, each block's intermediates
-    in one scratch pair of that size, allocated per step and freed on
-    return.
+    The store holds every parameter in one value vector and one gradient
+    vector, the leaf ``params.flat``. The optimizer keeps the store it was
+    built on and owns exactly the moments ``m`` and ``v``, two vectors laid
+    out as the store's. A step runs the update over the vectors in blocks of
+    ``ad.BLOCK`` entries, each block's intermediates in one scratch pair of
+    that size, allocated per step and freed on return.
     """
 
-    def __init__(self, params: dict, lr: float):
+    def __init__(self, params: ad.Store, lr: float):
+        if not isinstance(params, ad.Store):
+            raise ValueError("Adam needs a parameter registry built as an "
+                             f"ad.Store, got {type(params).__name__}")
         self.lr = lr
         self.steps = 0
-        self.values, self.grads = _packed(params)
-        self.shapes = {name: params[name].shape for name in sorted(params)}
-        self.m = np.zeros_like(self.values)
-        self.v = np.zeros_like(self.values)
+        self.params = params
+        self.m = np.zeros(params.flat.value.size, params.flat.value.dtype)
+        self.v = np.zeros_like(self.m)
 
-    def step(self, params: dict) -> None:
+    def step(self, params: ad.Store) -> None:
         """One update of every parameter of the registry ``params``, the
         one this optimizer was built on.
 
@@ -106,15 +89,16 @@ class Adam:
         corrections; each operation in this order, in the parameters'
         dtype, so the result does not depend on the blocking.
         """
-        if next(iter(params.values())).value.base is not self.values:
+        if params is not self.params:
             raise ValueError("Adam.step: not the registry it was built on")
         self.steps += 1
         c1 = 1.0 - BETA1 ** self.steps
         c2 = 1.0 - BETA2 ** self.steps
         scratch = np.empty((2, min(ad.BLOCK, self.m.size)), self.m.dtype)
+        vectors = (params.flat.value.reshape(-1),
+                   params.flat.grad.reshape(-1), self.m, self.v)
         for lo in range(0, self.m.size, ad.BLOCK):
-            p, g, m, v = (a[lo:lo + ad.BLOCK] for a in
-                          (self.values, self.grads, self.m, self.v))
+            p, g, m, v = (a[lo:lo + ad.BLOCK] for a in vectors)
             step, denom = scratch[:, :len(m)]
             m *= BETA1
             np.multiply(g, 1.0 - BETA1, out=step)
@@ -135,15 +119,9 @@ class Adam:
         """Each parameter's moments, as views into ``m`` and ``v`` named
         ``adam.m.<name>`` and ``adam.v.<name>``; in sorted-name order, that
         is all of ``m`` then all of ``v``."""
-        out = {}
-        for key, vector in (("m.", self.m), ("v.", self.v)):
-            start = 0
-            for name, shape in self.shapes.items():
-                stop = start + math.prod(shape)
-                out[MOMENT_PREFIX + key + name] = vector[start:stop].reshape(
-                    shape)
-                start = stop
-        return out
+        return {MOMENT_PREFIX + key + name: view
+                for key, vector in (("m.", self.m), ("v.", self.v))
+                for name, view in self.params.views(vector).items()}
 
     def load_moments(self, tensors: dict) -> None:
         """Strict copy of the moment tensors among ``tensors`` (named as
@@ -190,7 +168,7 @@ def train_epoch(model: Model, adj, train_ds, optimizer: Adam,
             ad.clear_tape()
             raise DivergenceError(epoch, batches + skipped, value)
         # parameters are persistent leaves: drop the previous batch's grads
-        model.flat.zero_grad()
+        model.params.flat.zero_grad()
         sums["tape_nodes"] += ad.tape_size()
         ad.backward(loss)
         optimizer.step(model.params)
@@ -389,11 +367,10 @@ def save_checkpoint(path: str, model: Model, progress: Progress = None,
     an optimizer and an rng can be resumed."""
     # sorted-name order: every "adam.m." name, every "adam.v." name, then
     # the parameters, which is m, v and the value vector back to back
-    layout = [[name, list(model.params[name].shape)]
-              for name in sorted(model.params)]
-    buffers = [model.flat.value]
+    layout = [[name, list(p.shape)] for name, p in model.params.items()]
+    buffers = [model.params.flat.value]
     if optimizer is not None:
-        if optimizer.values is not model.flat.value.base:
+        if optimizer.params is not model.params:
             raise ValueError("the optimizer does not update this model")
         layout = [[MOMENT_PREFIX + key + name, shape] for key in ("m.", "v.")
                   for name, shape in layout] + layout

@@ -292,41 +292,61 @@ class TestBackward:
         assert np.array_equal(v1, v2) and np.array_equal(g1, g2)
 
 
-class TestPack:
-    def test_leaves_become_views_in_the_order_given(self):
+class TestStore:
+    def test_sorted_layout_whatever_the_dict_order(self):
         rng = np.random.default_rng(7)
-        a = ad.parameter(rng.normal(size=(2, 3)))
-        b = ad.parameter(rng.normal(size=(1, 4)))
-        a.grad[...] = 1.0
-        values = np.concatenate([b.value.ravel(), a.value.ravel()])
-        flat = ad.pack([b, a])
-        assert flat.shape == (1, 10) and flat.value.dtype == np.float32
-        assert np.array_equal(flat.value[0], values)
-        assert flat.grad.shape == (1, 10) and not flat.grad.any()
-        assert a.shape == (2, 3) and b.shape == (1, 4)
-        # writes through the packed leaf reach the leaves, and back
-        flat.value[...] = np.arange(10)
-        assert b.value.tolist() == [[0, 1, 2, 3]]
-        assert a.value.tolist() == [[4, 5, 6], [7, 8, 9]]
-        a.grad[1, 2] = 5.0
-        assert flat.grad[0, 9] == 5.0
-        flat.zero_grad()
-        assert not a.grad.any() and not b.grad.any()
+        a, b = rng.normal(size=(2, 3)), rng.normal(size=(1, 4))
+        values = np.concatenate([a.ravel(), b.ravel()]).astype(np.float32)
+        for arrays in ({"b": b, "a": a}, {"a": a, "b": b}):
+            store = ad.Store(arrays)
+            assert list(store) == ["a", "b"]
+            assert store.flat.shape == (1, 10)
+            assert np.array_equal(store.flat.value[0], values)
+            assert store.flat.grad.shape == (1, 10)
+            assert not store.flat.grad.any()
+            assert store["a"].shape == (2, 3) and store["b"].shape == (1, 4)
+            views = store.views(np.arange(10))
+            assert views["a"].tolist() == [[0, 1, 2], [3, 4, 5]]
+            assert views["b"].tolist() == [[6, 7, 8, 9]]
 
-    def test_refuses_a_leaf_in_a_store(self):
-        a, b = ad.parameter(np.ones((2, 2))), ad.parameter(np.ones((1, 2)))
-        with pytest.raises(ValueError, match="once each"):
-            ad.pack([a, a])
-        flat = ad.pack([a])
-        for leaves in ([a], [b, a], [flat]):
-            with pytest.raises(ValueError, match="packed already"):
-                ad.pack(leaves)
-        assert b.grad.base is None  # a refused call moves nothing
+    def test_writes_through_flat_reach_the_leaves(self):
+        store = ad.Store({"a": np.ones((2, 3)), "b": np.ones((1, 4))})
+        store.flat.value[...] = np.arange(10)
+        assert store["a"].value.tolist() == [[0, 1, 2], [3, 4, 5]]
+        assert store["b"].value.tolist() == [[6, 7, 8, 9]]
+        store["b"].grad[0, 3] = 5.0
+        assert store.flat.grad[0, 9] == 5.0
+        store.flat.zero_grad()
+        assert not store["a"].grad.any() and not store["b"].grad.any()
 
-    def test_refuses_mixed_dtypes(self):
-        with pytest.raises(ValueError, match="mixed dtypes"):
-            ad.pack([ad.parameter(np.ones((1, 2))),
-                     ad.parameter(np.ones((1, 2)), dtype=np.float64)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_casts_every_array_to_one_dtype(self, dtype):
+        ad.set_default_dtype(dtype)
+        try:
+            store = ad.Store({"f": np.full((1, 2), 0.1),
+                              "h": np.ones((2, 2), np.float16),
+                              "i": np.arange(3).reshape(3, 1)})
+        finally:
+            ad.set_default_dtype(np.float32)
+        arrays = [store.flat.value, store.flat.grad] + [
+            a for p in store.values() for a in (p.value, p.grad)]
+        assert {a.dtype for a in arrays} == {np.dtype(dtype)}
+        assert store["f"].value[0, 0] == dtype(0.1)  # one cast of 0.1
+        assert store["i"].value.ravel().tolist() == [0, 1, 2]
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="no arrays"):
+            ad.Store({})
+        with pytest.raises(ad.ShapeMismatchError, match="2-D"):
+            ad.Store({"x": np.ones(3)})
+        store = ad.Store({"x": np.zeros((2, 3))})
+        with pytest.raises(ad.ShapeMismatchError, match="6"):
+            store.views(np.zeros(5))
+        with pytest.raises(ValueError, match="in place"):
+            store["x"].grad = np.ones((2, 3))
+        with pytest.raises(ValueError, match="in place"):
+            store.flat.grad = np.ones((1, 6))
+        assert store["x"].grad.base is store.flat.grad.base
 
 
 class TestLazyGrad:

@@ -192,6 +192,43 @@ class TestBadFlagValues:
         assert not out.exists()
 
 
+def checkpoint_argv(command, trained, out):
+    """A checkpoint command on the trained run, with its required flags."""
+    argv = [command, trained["checkpoint"], "--data", trained["data"],
+            "--out", str(out)]
+    return argv + (["--user-bounds", "6"] if command == "sparsity-report"
+                   else [])
+
+
+class TestCheckpointOverrides:
+    """A checkpoint command evaluates the checkpoint's model on its split:
+    an override that would change either is a usage error naming its key,
+    raised before the run directory exists."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "sparsity-report"])
+    @pytest.mark.parametrize("extra, key", [
+        (["--seed", "3"], "seed"),
+        (["--d", "64"], "d"),
+        (["--config", "FILE"], "hyperedges"),
+    ], ids=["seed", "d", "config-file"])
+    def test_rejected_before_any_work(self, command, extra, key, trained,
+                                      tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("d = 8\nhyperedges = 16\n")
+        extra = [str(config) if a == "FILE" else a for a in extra]
+        out = tmp_path / "out"
+        rc = main(checkpoint_argv(command, trained, out) + extra)
+        assert rc == 1
+        assert f"usage error: {key} = " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "sparsity-report"])
+    def test_matching_values_and_paths_are_accepted(self, command, trained,
+                                                    tmp_path, capsys):
+        rc = main(checkpoint_argv(command, trained, tmp_path) + FAST)
+        assert rc == 0, capsys.readouterr().err
+
+
 class TestTrainArtifacts:
     def test_run_dir_contents(self, trained):
         names = set(os.listdir(trained["run_dir"]))

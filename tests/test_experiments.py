@@ -114,6 +114,11 @@ class TestAblationStudy:
         assert ablation_variants(["hyper"]) == [("full", ()),
                                                 ("-hyper", ("hyper",))]
 
+    def test_each_distinct_flag_once(self):
+        # a repeated or re-spelled flag would train the same variant again
+        assert ablation_variants(["sal", "sal", "-sal", " Hyper"]) == [
+            ("full", ()), ("-sal", ("sal",)), ("-hyper", ("hyper",))]
+
     def test_trains_each_variant(self, tiny_splits):
         rows = ablation_study(tiny_splits, tiny_config(epochs=1),
                               flags=["sal", "hyper"])

@@ -1,5 +1,6 @@
 """Model assembly: full-loss gradients, ablation wiring, loss arithmetic."""
 
+import hashlib
 import inspect
 from collections import Counter
 
@@ -61,7 +62,7 @@ class TestFullLossGradient:
 
 # public autodiff functions that record no tape node
 NON_RECORDING = frozenset({
-    "constant", "parameter", "pack", "matrix", "grad_check", "backward",
+    "constant", "parameter", "matrix", "grad_check", "backward",
     "set_default_dtype", "default_dtype", "tape_size", "clear_tape"})
 
 
@@ -269,6 +270,28 @@ class TestParameterViews:
                 assert views[name] is tensor, name
         assert all(views[name] is None for name in views
                    if name not in model.params)
+
+    # SHA-256 of the initial value vector at seed 0, 48 users x 24 items,
+    # d=8, K=4, in float32: pins the draw order and the single cast into
+    # the store
+    INITIAL = {
+        "default": "4368efbda4419a824ee4e2b7d56e929475e646750983562c013732eae4231b12",
+        "trans": "66a9e4a47880232842a94e99ddaf0ea4ac5fc1d8e4284ccb9fc6c6f6be6a0a53",
+        "deeph": "1bb27351c60ea091ccb4888781d47d7661f56b1fd91dc84c20a963e2dad65365",
+        "meta": "9ddda7ba93c9a79fe127b55766633d9c387432479a8acdc125d8f1435f57abc1",
+        "sal": "0ae91ec05f19ca071997996c9ce7eb377d77cb2c7b3c71394900cda5f8eedbf3",
+        "hyper": "ad8c81c39f9cabb6e7d6122e901f613cd53225825786d12edc8872e8b9a105b6",
+    }
+
+    @pytest.mark.parametrize("flag", sorted(INITIAL))
+    def test_initial_vector_is_pinned(self, flag):
+        ablate = () if flag == "default" else (flag,)
+        cfg = Config(d=8, hyperedges=4, heads=2, layers=2, seed=0,
+                     ablate=ablate)
+        flat = Model(cfg, 48, 24).params.flat.value
+        assert flat.dtype == np.float32
+        assert hashlib.sha256(flat.tobytes()).hexdigest() == \
+            self.INITIAL[flag]
 
 
 class TestInference:

@@ -76,9 +76,10 @@ def tiny_graph(**overrides):
 
 
 def assert_packed(model):
-    """Every registry tensor's value and grad are views into the model's
+    """Every registry tensor's value and grad are views into the store's
     flat vectors, back to back in sorted-name order."""
-    vectors = model.flat.value.reshape(-1), model.flat.grad.reshape(-1)
+    flat = model.params.flat
+    vectors = flat.value.reshape(-1), flat.grad.reshape(-1)
     start = 0
     for name in sorted(model.params):
         p = model.params[name]
@@ -109,27 +110,27 @@ class TestAdam:
     def test_first_step_bound_on_quadratic_bowl(self, float64_mode):
         # f(x) = 0.5 ||x - c||^2, gradient x - c
         rng = default_rng(0)
-        x = ad.parameter(rng.normal(0, 2, size=(3, 4)).astype(np.float64))
+        params = ad.Store({"x": rng.normal(0, 2, size=(3, 4))})
+        x = params["x"]
         c = rng.normal(0, 2, size=(3, 4))
         lr = 0.01
-        ad.pack([x])
-        opt = T.Adam({"x": x}, lr=lr)
+        opt = T.Adam(params, lr=lr)
         before = x.value.copy()
         x.grad[...] = before - c
-        opt.step({"x": x})
+        opt.step(params)
         delta = x.value - before
         # every coordinate moves toward the minimum, by at most lr
         assert (np.sign(delta) == -np.sign(before - c)).all()
         assert np.abs(delta).max() <= lr * (1 + 1e-12)
 
     def test_converges_on_bowl(self):
-        x = ad.parameter(np.full((2, 2), 5.0))
+        params = ad.Store({"x": np.full((2, 2), 5.0)})
+        x = params["x"]
         c = np.array([[1.0, -2.0], [0.5, 3.0]])
-        ad.pack([x])
-        opt = T.Adam({"x": x}, lr=0.05)
+        opt = T.Adam(params, lr=0.05)
         for _ in range(800):
             x.grad[...] = x.value - c
-            opt.step({"x": x})
+            opt.step(params)
         assert np.abs(x.value - c).max() < 1e-2
 
     def test_matches_scalar_oracle(self, float64_mode):
@@ -144,24 +145,23 @@ class TestAdam:
             vhat = v / (1 - b2 ** t)
             theta -= lr * mhat / (math.sqrt(vhat) + eps)
 
-        x = ad.parameter(np.array([[2.0]]))
-        ad.pack([x])
-        opt = T.Adam({"x": x}, lr=lr)
+        params = ad.Store({"x": np.array([[2.0]])})
+        x = params["x"]
+        opt = T.Adam(params, lr=lr)
         for g in grads:
             x.grad[...] = g
-            opt.step({"x": x})
+            opt.step(params)
         assert x.value.item() == pytest.approx(theta, abs=1e-14)
 
     def test_bit_identical_to_allocating_formula(self):
         # the update written with temporaries, as before the scratch buffers
         rng = default_rng(4)
         shapes = {"a": (4, 3), "b": (1, 7), "c": (60, 5)}
-        params = {n: ad.parameter(rng.normal(size=s).astype(np.float32))
-                  for n, s in shapes.items()}
+        params = ad.Store({n: rng.normal(size=s).astype(np.float32)
+                           for n, s in shapes.items()})
         ref = {n: p.value.copy() for n, p in params.items()}
         m = {n: np.zeros_like(v) for n, v in ref.items()}
         v = {n: np.zeros_like(val) for n, val in ref.items()}
-        ad.pack([params[n] for n in sorted(params)])
         opt = T.Adam(params, lr=3e-3)
         b1, b2, eps, lr = T.BETA1, T.BETA2, T.EPS, opt.lr
         for step in range(1, 7):
@@ -193,9 +193,7 @@ class TestAdam:
         # pair is freed when the step returns
         rng = default_rng(5)
         shapes = {"a": (300, 16), "b": (1, 16), "c": (40, 16)}
-        params = {n: ad.parameter(rng.normal(size=s))
-                  for n, s in shapes.items()}
-        ad.pack([params[n] for n in sorted(params)])
+        params = ad.Store({n: rng.normal(size=s) for n, s in shapes.items()})
         tracemalloc.start()
         try:
             opt = T.Adam(params, lr=1e-3)
@@ -206,10 +204,9 @@ class TestAdam:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert set(vars(opt)) == {"lr", "steps", "m", "v", "values", "grads",
-                                  "shapes"}
+        assert set(vars(opt)) == {"lr", "steps", "m", "v", "params"}
         moments = [opt.m, opt.v]
-        assert opt.m.shape == opt.v.shape == opt.values.shape
+        assert opt.m.shape == opt.v.shape == (params.flat.value.size,)
         assert opt.m.base is None and opt.v.base is None
         assert [a.shape for a in opt.moment_tensors().values()] == \
             list(shapes.values()) * 2
@@ -220,23 +217,22 @@ class TestAdam:
 
     def test_missing_grad_means_no_motion(self):
         # a parameter the loss never reached keeps its zero grad
-        x = ad.parameter(np.ones((2, 2)))
-        ad.pack([x])
-        opt = T.Adam({"x": x}, lr=0.5)
+        params = ad.Store({"x": np.ones((2, 2))})
+        x = params["x"]
+        opt = T.Adam(params, lr=0.5)
         x.grad[...] = 0.0
-        opt.step({"x": x})
+        opt.step(params)
         assert (x.value == 1.0).all()
 
     def test_moment_tensors_round_trip(self):
-        x = ad.parameter(np.ones((2, 3)))
-        ad.pack([x])
-        opt = T.Adam({"x": x}, lr=0.1)
-        x.grad[...] = 0.25
-        opt.step({"x": x})
+        params = ad.Store({"x": np.ones((2, 3))})
+        opt = T.Adam(params, lr=0.1)
+        params["x"].grad[...] = 0.25
+        opt.step(params)
         stored = opt.moment_tensors()
         assert set(stored) == {"adam.m.x", "adam.v.x"}
         assert stored["adam.m.x"].all() and stored["adam.v.x"].all()
-        opt2 = T.Adam({"x": x}, lr=0.1)
+        opt2 = T.Adam(params, lr=0.1)
         opt2.load_moments(stored)
         assert np.array_equal(opt2.m, opt.m)
         assert np.array_equal(opt2.v, opt.v)
@@ -268,36 +264,44 @@ class TestParameterStore:
         model, _, _ = small_setup()
         loose = {"x": ad.parameter(np.ones((2, 2)))}
         part = {"user.embed": model.params["user.embed"]}
-        a, b = (ad.parameter(np.ones((1, 2))) for _ in range(2))
-        ad.pack([b, a])
-        for params in (loose, part, {"a": a, "b": b}):
+        for params in (loose, part, dict(model.params)):
             with pytest.raises(ValueError, match="registry"):
                 T.Adam(params, lr=0.1)
         opt = T.Adam(model.params, lr=0.1)
-        with pytest.raises(ValueError, match="registry"):
-            opt.step(small_setup()[0].params)
+        # another model's store, even of the same config, is refused too
+        for params in (small_setup()[0].params, dict(model.params)):
+            with pytest.raises(ValueError, match="registry"):
+                opt.step(params)
+        assert opt.steps == 0
+
+    def test_checkpoint_refuses_another_models_optimizer(self, tmp_path):
+        model, other = small_setup()[0], small_setup()[0]
+        opt = T.Adam(other.params, lr=0.1)
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match="does not update this model"):
+            T.save_checkpoint(str(path), model, optimizer=opt)
+        assert not os.path.exists(path)
+        T.save_checkpoint(str(path), other, optimizer=opt)
 
     def test_packed_grad_is_written_in_place_not_rebound(self):
         # a rebound grad would leave the gradient vector Adam reads stale
-        x = ad.parameter(np.zeros((2, 3)))
-        ad.pack([x])
-        opt = T.Adam({"x": x}, lr=0.1)
+        params = ad.Store({"x": np.zeros((2, 3))})
+        x = params["x"]
+        opt = T.Adam(params, lr=0.1)
         with pytest.raises(ValueError, match="in place") as caught:
             x.grad = np.full((2, 3), 0.25)
         assert repr(x) in str(caught.value)
         x.grad[...] = 0.25
-        opt.step({"x": x})
+        opt.step(params)
         assert (opt.m != 0).all() and (x.value < 0).all()
 
     def test_step_scratch_is_one_block(self):
         # the update runs block by block: a step peaks one scratch pair of
         # ad.BLOCK entries above the moments, not one of the vector's size
         rng = default_rng(6)
-        params = {n: ad.parameter(rng.normal(size=(ad.BLOCK, 2)))
-                  for n in "abc"}
-        ad.pack([params[n] for n in sorted(params)])
+        params = ad.Store({n: rng.normal(size=(ad.BLOCK, 2)) for n in "abc"})
         opt = T.Adam(params, lr=1e-3)
-        opt.grads[...] = rng.normal(size=opt.grads.shape)
+        params.flat.grad[...] = rng.normal(size=params.flat.grad.shape)
         tracemalloc.start()
         try:
             opt.step(params)
@@ -543,7 +547,7 @@ class TestCheckpointFormat:
                                            "little"):]
         assert opt.m.any() and opt.v.any()
         assert blob == b"".join(a.astype("<f4").tobytes() for a in
-                                (opt.m, opt.v, model.flat.value))
+                                (opt.m, opt.v, model.params.flat.value))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "junk.ckpt")
