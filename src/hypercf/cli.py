@@ -96,13 +96,17 @@ def _report(run_dir: str, filename: str, rows: list) -> int:
     return 0
 
 
-def _metric_rows(model, adj, splits, split_name: str, cutoffs) -> list:
-    test = getattr(splits, split_name)
-    metrics = evaluation.evaluate_model(model, adj, splits.train, test,
-                                        cutoffs)
-    return [{"split": split_name, "cutoff": c,
-             "recall": metrics[f"recall@{c}"], "ndcg": metrics[f"ndcg@{c}"]}
-            for c in sorted(set(int(c) for c in cutoffs))]
+def _metric_rows(model, adj, splits, split_names, cutoffs) -> list:
+    """Recall and NDCG per split and cutoff, from one embedding pass and
+    one ranking at the deepest cutoff."""
+    cutoffs = sorted(set(int(c) for c in cutoffs))
+    ranked = evaluation.rank_embeddings(*model.embedding_tables(adj),
+                                        splits.train, cutoffs[-1])
+    tests = {name: getattr(splits, name) for name in split_names}
+    return [{"split": name, "cutoff": c,
+             "recall": evaluation.recall_at_n(ranked, test, c),
+             "ndcg": evaluation.ndcg_at_n(ranked, test, c)}
+            for name, test in tests.items() for c in cutoffs]
 
 
 def _parse_list(raw: str, flag: str, kind=int) -> list:
@@ -199,9 +203,8 @@ def cmd_train(args) -> int:
                                          log_fn=log)
     finally:
         flush()
-    rows = [row for split_name in ("validation", "test")
-            for row in _metric_rows(run.model, run.adj, run.splits,
-                                    split_name, (20, 40))]
+    rows = _metric_rows(run.model, run.adj, run.splits,
+                        ("validation", "test"), (20, 40))
     print(f"best epoch {run.result.best_epoch} "
           f"(validation recall@{trainer.SELECTION_CUTOFF} = "
           f"{run.result.best_metric})")
@@ -215,7 +218,7 @@ def cmd_evaluate(args) -> int:
     _check("--cutoffs", args.cutoffs, cutoffs and min(cutoffs) >= 1,
            "need one or more cutoffs >= 1")
     model, cfg, splits, adj = _checkpoint_setup(args)
-    rows = _metric_rows(model, adj, splits, args.split, cutoffs)
+    rows = _metric_rows(model, adj, splits, (args.split,), cutoffs)
     return _report(_run_dir(cfg, "evaluate"), "metrics.csv", rows)
 
 

@@ -263,9 +263,9 @@ def group_metrics(result: RankingResult, test: InteractionDataset,
         sub = subset_by_group(test, assignment, g, axis)
         row = {"group": g, "axis": axis, "test_edges": sub.num_edges}
         try:
-            row["recall"] = recall_at_n(result, sub, n)
-            row["ndcg"] = ndcg_at_n(result, sub, n)
-            row["users"] = int(np.count_nonzero(sub.user_degree()))
+            hit, degree = _hits(result, sub, n)
+            row.update(recall=_recall(hit, degree), ndcg=_ndcg(hit, degree),
+                       users=len(degree))
         except EvaluationError:
             row["recall"] = float("nan")
             row["ndcg"] = float("nan")

@@ -46,6 +46,17 @@ def train_on_split(splits: SplitDataset, cfg: Config, out_dir: str = None,
     return TrainedRun(model, adj, splits, result)
 
 
+def _test_metrics(splits: SplitDataset, cfg: Config, cutoffs,
+                  log_fn) -> dict:
+    """Fit a fresh model on the split; its best epoch's test metrics."""
+    return train_on_split(splits, cfg, log_fn=log_fn).test_metrics(cutoffs)
+
+
+def _relative(x: float, base: float) -> float:
+    """``x`` as a fraction of ``base``; nan when ``base`` is 0."""
+    return x / base if base else float("nan")
+
+
 def noise_robustness(dataset: InteractionDataset, ratios, cfg: Config,
                      cutoff: int = 20, log_fn=None) -> list:
     """Retrain per corruption ratio; evaluate every run on the clean test set.
@@ -61,18 +72,15 @@ def noise_robustness(dataset: InteractionDataset, ratios, cfg: Config,
     rows = []
     for ratio in ratios:
         noisy, _ = data_mod.inject_noise(splits.train, ratio, seed=cfg.seed)
-        run = train_on_split(
+        metrics = _test_metrics(
             SplitDataset(noisy, splits.validation, splits.test, cfg.seed),
-            cfg, log_fn=log_fn)
-        metrics = run.test_metrics((cutoff,))
+            cfg, (cutoff,), log_fn)
         recall, ndcg = metrics[f"recall@{cutoff}"], metrics[f"ndcg@{cutoff}"]
         if ratio == 0.0:
             base_recall, base_ndcg = recall, ndcg
-        rows.append({
-            "ratio": ratio, "recall": recall, "ndcg": ndcg,
-            "recall_rel": recall / base_recall if base_recall else float("nan"),
-            "ndcg_rel": ndcg / base_ndcg if base_ndcg else float("nan"),
-        })
+        rows.append({"ratio": ratio, "recall": recall, "ndcg": ndcg,
+                     "recall_rel": _relative(recall, base_recall),
+                     "ndcg_rel": _relative(ndcg, base_ndcg)})
     return rows
 
 
@@ -106,14 +114,10 @@ def ablation_variants(flags=None) -> list:
 def ablation_study(splits: SplitDataset, cfg: Config, flags=None,
                    cutoffs=(20,), log_fn=None) -> list:
     """Train the full model and each ablated variant on the same split."""
-    rows = []
-    for label, ablate in ablation_variants(flags):
-        run = train_on_split(splits, replace(cfg, ablate=ablate),
-                             log_fn=log_fn)
-        row = {"variant": label}
-        row.update(run.test_metrics(cutoffs))
-        rows.append(row)
-    return rows
+    return [{"variant": label,
+             **_test_metrics(splits, replace(cfg, ablate=ablate), cutoffs,
+                             log_fn)}
+            for label, ablate in ablation_variants(flags)]
 
 
 def sweep(splits: SplitDataset, cfg: Config, grid: dict, cutoff: int = 20,
@@ -124,25 +128,20 @@ def sweep(splits: SplitDataset, cfg: Config, grid: dict, cutoff: int = 20,
     metric and its relative decrease versus the base run, mirroring the
     usual "how much do we lose by shrinking d / K / L" tables.
     """
-    base = train_on_split(splits, cfg, log_fn=log_fn)
-    base_metrics = base.test_metrics((cutoff,))
-    base_recall = base_metrics[f"recall@{cutoff}"]
-    base_ndcg = base_metrics[f"ndcg@{cutoff}"]
-    rows = [{"param": "base", "value": "", "recall": base_recall,
-             "ndcg": base_ndcg, "recall_drop": 0.0, "ndcg_drop": 0.0}]
+    def row(param, value, change):
+        metrics = _test_metrics(splits, replace(cfg, **change), (cutoff,),
+                                log_fn)
+        return {"param": param, "value": value,
+                "recall": metrics[f"recall@{cutoff}"],
+                "ndcg": metrics[f"ndcg@{cutoff}"]}
+
+    base = row("base", "", {})
+    base.update(recall_drop=0.0, ndcg_drop=0.0)
+    rows = [base]
     for param in sorted(grid):
         for value in grid[param]:
-            run = train_on_split(splits, replace(cfg, **{param: value}),
-                                 log_fn=log_fn)
-            metrics = run.test_metrics((cutoff,))
-            recall = metrics[f"recall@{cutoff}"]
-            ndcg = metrics[f"ndcg@{cutoff}"]
-            rows.append({
-                "param": param,
-                "value": value,
-                "recall": recall,
-                "ndcg": ndcg,
-                "recall_drop": 1.0 - recall / base_recall if base_recall else float("nan"),
-                "ndcg_drop": 1.0 - ndcg / base_ndcg if base_ndcg else float("nan"),
-            })
+            r = row(param, value, {param: value})
+            r["recall_drop"] = 1.0 - _relative(r["recall"], base["recall"])
+            r["ndcg_drop"] = 1.0 - _relative(r["ndcg"], base["ndcg"])
+            rows.append(r)
     return rows

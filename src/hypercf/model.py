@@ -7,13 +7,14 @@ gradient vector in sorted-name order, the checkpoint's order, and its leaf
 ``params.flat`` is what the regularizer, the gradient reset, Adam and the
 checkpoint writer each treat as one vector.
 
-Ablation flags change which parameters exist and which computation paths run;
-the flag semantics are resolved here, not scattered over the submodules.
+Ablation flags decide which parameters exist, here in ``_init_values``; past
+that, a component is off because its parameters are missing, which the
+submodules read as a None field. Only ``pos`` (in ``forward``) and ``highh``
+(``Config.effective_layers``) are read as flags after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,21 +27,6 @@ from .rng import STREAM_INIT, spawn_rng
 
 
 SIDES = ("user", "item")  # every per-side loop runs user first
-
-
-@dataclass
-class Side:
-    """One side's whole-graph part of a recorded forward pass.
-
-    Prediction embeddings are not tables here: ``Model.final_rows`` reads
-    out the rows a loss needs from the transformer tail, and the label
-    branch maps only the fused rows it scores to keys. Under the graph-only
-    ablation only ``fused`` is set.
-    """
-
-    fused: ad.Tensor                           # id + topology embeddings
-    tail: Optional[transformer.Tail] = None
-    zsrc: Optional[ad.Tensor] = None           # label-branch summary source
 
 
 def _compact(*indices):
@@ -134,7 +120,7 @@ class Model:
 
     @property
     def supports_solidity(self) -> bool:
-        return not (self.ablations & {"sal", "hyper"})
+        return "sal.d" in self.params
 
     # -- forward ----------------------------------------------------------
 
@@ -153,7 +139,8 @@ class Model:
 
     def forward(self, adj: NormalizedAdjacency,
                 training: bool = False, dropout_rng=None) -> dict:
-        """Record the whole-graph part of a forward pass: {side: Side}."""
+        """Record the whole-graph part of a forward pass: one
+        ``transformer.Tail`` per side."""
         cfg = self.cfg
         embed = [self.params[f"{side}.embed"] for side in SIDES]
         if "pos" in self.ablations:
@@ -161,29 +148,11 @@ class Model:
         else:
             fused = encoder.fuse_inputs(
                 *embed, *encoder.topo_embed(*embed, adj))
-        if "hyper" in self.ablations:
-            return {side: Side(f) for side, f in zip(SIDES, fused)}
-
         drop = self._dropout_fn(training, dropout_rng)
-        state = {}
-        for side, f in zip(SIDES, fused):
-            p = self.hyper[side]
-            tail = transformer.forward(f, p, cfg.effective_layers, cfg.slope,
-                                       dropout_mask=drop)
-            # under the transformer ablation no key map or Z exists:
-            # labels read the fused embeddings and summarize the computed
-            # first-layer hyperedge features
-            zsrc = tail.first_edges if p.z is None else p.z
-            state[side] = Side(f, tail, zsrc)
-        return state
-
-    def final_rows(self, state: dict, side: str, rows) -> ad.Tensor:
-        """Prediction embeddings of one side's nodes ``rows``, read out of
-        that side's transformer tail (the fused rows under ``hyper``)."""
-        s = state[side]
-        if s.tail is None:
-            return ad.gather_rows(s.fused, rows)
-        return transformer.readout(s.tail, rows)
+        return {side: transformer.forward(f, self.hyper[side],
+                                          cfg.effective_layers, cfg.slope,
+                                          dropout_mask=drop)
+                for side, f in zip(SIDES, fused)}
 
     # -- losses -----------------------------------------------------------
 
@@ -203,8 +172,8 @@ class Model:
         """
         users, (u1, u2) = _compact(batch.u1, batch.u2)
         items, (v1, v2) = _compact(batch.v1, batch.v2)
-        final_user = self.final_rows(state, "user", users)
-        final_item = self.final_rows(state, "item", items)
+        final_user = transformer.readout(state["user"], users)
+        final_item = transformer.readout(state["item"], items)
         pos = self.dot_pairs(final_user, final_item, u1, v1)
         neg = self.dot_pairs(final_user, final_item, u2, v2)
         return solidity.margin_loss(ad.sub(pos, neg))
@@ -212,18 +181,14 @@ class Model:
     def _gamma_rows(self, state: dict, users, items):
         """Adapted keys of the nodes ``users`` and ``items``, one table per
         side, each row mapped and transformed once."""
-        slope = self.cfg.slope
         out = []
         for side, rows in zip(SIDES, (users, items)):
-            s, p = state[side], self.meta[side]
-            keys = ad.gather_rows(s.fused, rows)
-            k_map = self.hyper[side].k_map
+            tail, k_map = state[side], self.hyper[side].k_map
+            keys = ad.gather_rows(tail.fused, rows)
             if k_map is not None:
                 keys = ad.matmul(keys, k_map)
-            if "meta" in self.ablations:
-                out.append(solidity.plain_transform(keys, p, slope))
-            else:
-                out.append(solidity.meta_transform(keys, s.zsrc, p, slope))
+            out.append(solidity.meta_transform(
+                keys, tail.edges, self.meta[side], self.cfg.slope))
         return out
 
     def _labels(self, gammas, users, items) -> ad.Tensor:
@@ -277,8 +242,8 @@ class Model:
         """Prediction embeddings as plain arrays, recording disabled."""
         with ad.recording(False):
             state = self.forward(adj, training=False)
-            user, item = (self.final_rows(state, side, np.arange(s.fused.rows))
-                          for side, s in state.items())
+            user, item = (transformer.readout(t, np.arange(t.fused.rows))
+                          for t in state.values())
         return user.value, item.value
 
     def solidity_of_edges(self, adj, edges: np.ndarray) -> np.ndarray:

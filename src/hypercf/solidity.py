@@ -55,21 +55,19 @@ def meta_transform(x: ad.Tensor, z_table: ad.Tensor, p: MetaNetParams,
 
     Rows of ``x`` are key vectors; the output row i is sigma(x_i W + b),
     W = contract(v1, z-mean) + w0 and b = contract(v2, z-mean) + b0.
+    Without ``v1`` and ``v2`` (the meta-network ablation) W = w0 and
+    b = b0: a fixed shared perceptron that never reads ``z_table``.
     """
     d = p.w0.rows
     if x.cols != d:
         raise ad.ShapeMismatchError(
             f"meta_transform: keys {x.value.shape} vs weight dim {d}")
-    z_bar = mean_hyperedge(z_table)
-    w = ad.add(ad.tensor_contract(p.v1, z_bar, out_rows=d), p.w0)
-    b = ad.add(ad.tensor_contract(p.v2, z_bar, out_rows=1), p.b0)
+    w, b = p.w0, p.b0
+    if p.v1 is not None:
+        z_bar = mean_hyperedge(z_table)
+        w = ad.add(ad.tensor_contract(p.v1, z_bar, out_rows=d), w)
+        b = ad.add(ad.tensor_contract(p.v2, z_bar, out_rows=1), b)
     return ad.leaky_relu(ad.add_bias(ad.matmul(x, w), b), slope)
-
-
-def plain_transform(x: ad.Tensor, p: MetaNetParams,
-                    slope: float) -> ad.Tensor:
-    """Meta-network ablation: a fixed shared perceptron on the keys."""
-    return ad.leaky_relu(ad.add_bias(ad.matmul(x, p.w0), p.b0), slope)
 
 
 def solidity_label(gamma_u: ad.Tensor, gamma_v: ad.Tensor, head: SolidityHead,

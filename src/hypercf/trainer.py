@@ -151,12 +151,11 @@ def train_epoch(model: Model, adj, train_ds, optimizer: Adam,
     batches = skipped = 0
     for start in range(0, len(perm), cfg.batch):
         users = perm[start:start + cfg.batch]
-        active = users[degrees[users] > 0]
-        if not len(active):
+        if not degrees[users].any():
             skipped += 1
             continue
         main = sample_main_pairs(train_ds, cfg.main_pair_count, rng,
-                                 users=active)
+                                 users=users)
         sal = (sample_sal_pairs(train_ds, cfg.sal_pair_count, rng)
                if model.supports_solidity else None)
         parts: dict = {}

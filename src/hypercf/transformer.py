@@ -40,7 +40,8 @@ class HyperSideParams:
     z: Optional[ad.Tensor]        # K x d hyperedge embedding table
     k_map: Optional[ad.Tensor]    # d x d right factor: keys = x @ k_map
     v_map: Optional[ad.Tensor]    # d x d right factor: values = x @ v_map
-    h1: ad.Tensor                 # K x K hierarchical mixing, first step
+    h1: Optional[ad.Tensor]       # K x K hierarchical mixing, first step
+                                  # (None: no transformer, graph-only)
     h2: Optional[ad.Tensor]       # K x K second step (None: single-step mode)
     heads: int
     incidence: Optional[ad.Tensor] = None  # K x N, transformer ablation only
@@ -94,20 +95,22 @@ def hyperedge_to_node(z_hat: ad.Tensor, p: HyperSideParams) -> ad.Tensor:
 
 @dataclass
 class Tail:
-    """What a forward pass leaves for :func:`readout`.
+    """One side's recorded forward pass, what :func:`readout` reads.
 
     Layers 1..L-1 are complete in ``partial``; the last layer stops at its
     map ``m``. Its output row n is row n of ``source`` times ``m``, so any
-    subset of final rows can be read out without the rest.
+    subset of final rows can be read out without the rest. In the
+    transformer ablation ``source`` is the N x K incidenceᵀ, ``m`` is z_hat
+    and ``edges`` holds the first layer's hyperedge features, there being
+    no Z. A side without transformer parameters sets only ``fused``.
     """
 
-    partial: Optional[ad.Tensor]   # N x d sum of layers 1..L-1 (None: L = 1)
-    source: ad.Tensor              # N x d last-layer input (N x K
-                                   # incidenceᵀ in the transformer ablation)
-    m: ad.Tensor                   # d x d last-layer map (K x d z_hat in
-                                   # the transformer ablation)
-    mask: Optional[tuple]          # last-layer dropout (scale, N x d keep)
-    first_edges: ad.Tensor         # K x d first-layer hyperedge features
+    fused: ad.Tensor                      # N x d layer-0 input
+    edges: Optional[ad.Tensor] = None     # K x d table the labels summarize
+    partial: Optional[ad.Tensor] = None   # N x d sum of layers 1..L-1
+    source: Optional[ad.Tensor] = None    # N x d last-layer input
+    m: Optional[ad.Tensor] = None         # d x d last-layer map
+    mask: Optional[tuple] = None          # last-layer dropout (scale, keep)
 
 
 def forward(nodes0: ad.Tensor, p: HyperSideParams, num_layers: int,
@@ -121,25 +124,27 @@ def forward(nodes0: ad.Tensor, p: HyperSideParams, num_layers: int,
     that ``ad.scale`` applies to each layer output; the last layer's mask is
     drawn here too, so the rng advances by the full N x d draws whichever
     rows are read out. Returns the :class:`Tail` that :func:`readout` turns
-    into final embeddings.
+    into final embeddings; without ``p.h1`` (no transformer parameters) that
+    is ``nodes0`` alone, and no mask is drawn.
     """
+    if p.h1 is None:
+        return Tail(nodes0)
     if num_layers < 1:
         raise ValueError(f"need at least one layer, got {num_layers}")
     incidence_t = None if p.incidence is None else ad.transpose(p.incidence)
     current = nodes0
-    partial = None
-    first_edges = None
+    partial, edges = None, p.z
     for step in range(num_layers):
         z_tilde = node_to_hyperedge(current, p)
         z_hat = hhgn(z_tilde, p, slope)
-        if first_edges is None:
-            first_edges = z_tilde
+        if edges is None:  # no Z under the transformer ablation
+            edges = z_tilde
         mask = (None if dropout_mask is None
                 else dropout_mask(current.value.shape))
         source = current if incidence_t is None else incidence_t
         m = hyperedge_to_node(z_hat, p)
         if step == num_layers - 1:
-            return Tail(partial, source, m, mask, first_edges)
+            return Tail(nodes0, edges, partial, source, m, mask)
         out = ad.matmul(source, m)
         if mask is not None:
             out = ad.scale(out, *mask)
@@ -150,11 +155,13 @@ def forward(nodes0: ad.Tensor, p: HyperSideParams, num_layers: int,
 def readout(tail: Tail, rows) -> ad.Tensor:
     """Final embeddings of the nodes ``rows``, the sum of their layer
     outputs: the last layer's output for those rows, masked, plus their
-    partial sum.
+    partial sum; the fused rows when the side has no transformer.
 
     The last layer maps the gathered source rows only, so a loss that reads
     r rows pays for r rows.
     """
+    if tail.m is None:
+        return ad.gather_rows(tail.fused, rows)
     out = ad.matmul(ad.gather_rows(tail.source, rows), tail.m)
     if tail.mask is not None:
         kept, keep = tail.mask
@@ -162,4 +169,3 @@ def readout(tail: Tail, rows) -> ad.Tensor:
     if tail.partial is not None:
         out = ad.add(ad.gather_rows(tail.partial, rows), out)
     return out
-

@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 
 from hypercf import data as D
+from hypercf import experiments
 from hypercf.cli import _epoch_log, build_parser, main
+from hypercf.evaluation import evaluate_model
+from hypercf.model import Model
 
 FAST = ["--d", "8", "--hyperedges", "4", "--heads", "2", "--batch", "32",
         "--epochs", "2", "--lambda1", "1e-2", "--lambda2", "1e-4",
@@ -260,6 +263,41 @@ class TestTrainArtifacts:
         # the faults since the previous row, not the process's total
         total = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         assert 0 < int(written[1]["minor_faults"]) < total
+
+    def test_ranks_once_for_both_splits(self, data_path, tmp_path,
+                                        monkeypatch, capsys):
+        # the validation and test rows share one embedding pass and one
+        # ranking, and read as evaluate_model reads each split
+        fitted, calls = [], []
+        fit, tables = experiments.fit, Model.embedding_tables
+
+        def logged_fit(*args, **kwargs):
+            result = fit(*args, **kwargs)
+            fitted.append(True)
+            return result
+
+        def logged_tables(model, adj):
+            if fitted:
+                calls.append((model, adj))
+            return tables(model, adj)
+
+        monkeypatch.setattr(experiments, "fit", logged_fit)
+        monkeypatch.setattr(Model, "embedding_tables", logged_tables)
+        rc = main(["train", "--data", data_path, "--out", str(tmp_path)]
+                  + FAST)
+        assert rc == 0 and len(calls) == 1
+        rows = read_csv(os.path.join(run_dir_of(capsys.readouterr().out),
+                                     "metrics.csv"))
+        model, adj = calls[0]
+        splits = D.split(D.load_interactions(data_path), 0)
+        want = []
+        for name in ("validation", "test"):
+            metrics = evaluate_model(model, adj, splits.train,
+                                     getattr(splits, name), (20, 40))
+            want += [{"split": name, "cutoff": str(c),
+                      "recall": str(metrics[f"recall@{c}"]),
+                      "ndcg": str(metrics[f"ndcg@{c}"])} for c in (20, 40)]
+        assert rows == want
 
     def test_effective_config_echoed(self, trained):
         text = open(os.path.join(trained["run_dir"], "config.txt")).read()

@@ -216,6 +216,27 @@ class TestAblations:
             ad.backward(loss)
             assert model.params["user.embed"].grad.any(), flag
 
+    @pytest.mark.parametrize("flag", ["trans", "deeph", "hyper", "meta",
+                                      "sal"])
+    def test_flags_are_not_read_past_init(self, float64_mode, flag):
+        # past construction an ablation is the parameters it lacks: with
+        # its flags cleared, the model records the same step
+        model, adj, main, sal = toy_setup(ablate=(flag,), dropout=0.25)
+
+        def step():
+            model.params.flat.zero_grad()
+            with ad.recording():
+                state = model.forward(adj, training=True,
+                                      dropout_rng=default_rng(4))
+                loss = model.total_loss(
+                    state, main, sal if model.supports_solidity else None)
+            ad.backward(loss)
+            return loss.value.tobytes(), model.params.flat.grad.tobytes()
+
+        recorded = step()
+        model.ablations = frozenset()
+        assert step() == recorded
+
     def test_trans_grad_check(self, float64_mode):
         # seed pinned away from leaky-relu kink crossings at this step size
         model, adj, main, sal = toy_setup(ablate=("trans",), seed=6)
@@ -348,7 +369,7 @@ class TestInference:
             eval_b = model.forward(adj, training=False)
             train = model.forward(adj, training=True,
                                   dropout_rng=default_rng(3))
-            finals = [model.final_rows(s, "user", np.arange(6)).value
+            finals = [T.readout(s["user"], np.arange(6)).value
                       for s in (eval_a, eval_b, train)]
         np.testing.assert_array_equal(finals[0], finals[1])
         assert not np.array_equal(finals[2], finals[0])
@@ -364,8 +385,8 @@ SUBSET_SAL = D.EdgePairBatch(np.array([1, 3, 3]), np.array([1, 4, 2]),
 def full_table_loss(model, state, main, sal):
     """Total loss with every final and adapted-key row computed first and
     the pairs gathered from those whole tables."""
-    user = model.final_rows(state, "user", np.arange(model.num_users))
-    item = model.final_rows(state, "item", np.arange(model.num_items))
+    user = T.readout(state["user"], np.arange(model.num_users))
+    item = T.readout(state["item"], np.arange(model.num_items))
     loss = solidity.margin_loss(ad.sub(
         model.dot_pairs(user, item, main.u1, main.v1),
         model.dot_pairs(user, item, main.u2, main.v2)))
@@ -376,9 +397,7 @@ def full_table_loss(model, state, main, sal):
             s, p = state[side], model.meta[side]
             k_map = model.hyper[side].k_map
             keys = s.fused if k_map is None else ad.matmul(s.fused, k_map)
-            gammas.append(solidity.plain_transform(keys, p, slope)
-                          if "meta" in model.ablations else
-                          solidity.meta_transform(keys, s.zsrc, p, slope))
+            gammas.append(solidity.meta_transform(keys, s.edges, p, slope))
         labels = [solidity.solidity_label(
             ad.gather_rows(gammas[0], u), ad.gather_rows(gammas[1], v),
             model.head, slope)
@@ -465,7 +484,7 @@ class TestGatheredReadout:
         last = max(i for i, (name, *_) in enumerate(events)
                    if name == "hhgn")
         tail = events[last + 1:]
-        maps = [state[side].tail.m for side in ("user", "item")]
+        maps = [state[side].m for side in ("user", "item")]
         readouts = [rows for name, rows, args in tail
                     if name == "matmul" and any(args[1] is m for m in maps)]
         # the distinct users and items of SUBSET_MAIN

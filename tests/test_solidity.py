@@ -83,8 +83,11 @@ class TestMetaTransform:
         d = 4
         rng = np.random.default_rng(6)
         p = make_meta(d, rng)
+        p = S.MetaNetParams(v1=None, w0=p.w0, v2=None, b0=p.b0)
         x = rng.normal(size=(3, d))
-        out = S.plain_transform(ad.constant(x), p, 0.5)
+        # the meta-network ablation never reads the hyperedge summary
+        z = ad.constant(np.full((5, d), np.nan))
+        out = S.meta_transform(ad.constant(x), z, p, 0.5)
         w0 = p.w0.value.T  # the paper's W0
         np.testing.assert_allclose(
             out.value, leak(x @ w0.T + p.b0.value), rtol=1e-12)

@@ -1,5 +1,7 @@
 """Hypergraph transformer: attention factorization, mixing, stacking."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -225,8 +227,9 @@ class TestHyperedgeToNode:
 class TestForward:
     def run_layers(self, nodes, p, n, slope=0.5):
         tail = T.forward(ad.constant(nodes), p, n, slope)
+        assert tail.edges is p.z  # the label branch summarizes Z
         return (T.readout(tail, np.arange(len(nodes))).value,
-                tail.first_edges.value)
+                T.node_to_hyperedge(ad.constant(nodes), p).value)
 
     def test_one_layer_is_single_output(self, float64_mode):
         rng = np.random.default_rng(10)
@@ -287,6 +290,23 @@ class TestForward:
         base, _ = self.run_layers(nodes, p, 2)
         shuffled, _ = self.run_layers(nodes, p2, 2)
         np.testing.assert_allclose(shuffled, base, rtol=1e-9)
+
+    def test_no_transformer_reads_the_fused_rows(self, float64_mode):
+        # the graph-only ablation: no transformer parameters, no mask draw
+        nodes = ad.constant(np.random.default_rng(17).normal(size=(5, 8)))
+        p = T.HyperSideParams(z=None, k_map=None, v_map=None, h1=None,
+                              h2=None, heads=2)
+        drawn = []
+        with ad.recording():
+            tail = T.forward(nodes, p, 2, 0.5, dropout_mask=drawn.append)
+            assert ad.tape_size() == 0
+            out = T.readout(tail, np.array([3, 0, 3]))
+            assert ad.tape_size() == 1
+        assert drawn == [] and tail.fused is nodes
+        assert all(getattr(tail, f.name) is None
+                   for f in fields(T.Tail) if f.name != "fused")
+        assert out.op == "gather_rows"
+        np.testing.assert_array_equal(out.value, nodes.value[[3, 0, 3]])
 
     def test_grad_check_through_layer(self, float64_mode):
         rng = np.random.default_rng(16)
