@@ -311,12 +311,14 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.value.shape != b.value.shape:
+    """Elementwise sum, or ``b`` a 1×d row added to every row of ``a``."""
+    row = a.value.shape != b.value.shape
+    if row and b.value.shape != (1, a.cols):
         raise ShapeMismatchError(_shapes("add", a, b))
 
     def vjp(g, a=a.node, b=b.node):
         _accumulate(a, g, owned=False)
-        _accumulate(b, g, owned=False)
+        _accumulate(b, g.sum(axis=0, keepdims=True) if row else g, owned=row)
 
     return _make(a.value + b.value, (a.node, b.node), vjp, "add")
 
@@ -363,18 +365,6 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.value * b.value, (a.node, b.node), vjp, "hadamard")
 
 
-def add_bias(a: Tensor, b: Tensor) -> Tensor:
-    """Row-broadcast add: ``a`` is n×d, ``b`` is 1×d."""
-    if b.rows != 1 or a.cols != b.cols:
-        raise ShapeMismatchError(_shapes("add_bias", a, b))
-
-    def vjp(g, a=a.node, b=b.node):
-        _accumulate(a, g, owned=False)
-        _accumulate(b, g.sum(axis=0, keepdims=True))
-
-    return _make(a.value + b.value, (a.node, b.node), vjp, "add_bias")
-
-
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     if a.rows != b.rows:
         raise ShapeMismatchError(_shapes("concat_cols", a, b))
@@ -388,16 +378,18 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
                  vjp, "concat_cols")
 
 
-def gather_rows(a: Tensor, indices) -> Tensor:
-    """Select rows by integer index; duplicate indices accumulate gradient."""
+def _row_scatter(op: str, a: Tensor, indices):
+    """Check ``indices`` as rows of ``a``; return them as a 1-D int64 array,
+    and the VJP that adds row r of a gradient into row ``indices[r]`` of
+    a's grad, in order, so duplicate indices accumulate."""
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
-        raise ShapeMismatchError(f"gather_rows: indices must be 1-D, got {idx.shape}")
+        raise ShapeMismatchError(f"{op}: indices must be 1-D, got {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= a.rows):
         raise ShapeMismatchError(
-            f"gather_rows: index out of range for {a.rows} rows")
+            f"{op}: index out of range for {a.rows} rows")
 
-    def vjp(g, a=a.node):
+    def scatter(g, a=a.node):
         if a.grad is None:  # adds into part of the grad: zeros first
             a.grad = np.zeros(a.shape, a.dtype)
         # entry (idx[r], c) of the grad is entry idx[r]·d + c of its 1-D
@@ -406,6 +398,12 @@ def gather_rows(a: Tensor, indices) -> Tensor:
         flat_idx = (idx[:, None] * d + np.arange(d)).ravel()
         np.add.at(_flat(a.grad), flat_idx, g.ravel())
 
+    return idx, scatter
+
+
+def gather_rows(a: Tensor, indices) -> Tensor:
+    """Select rows by integer index; duplicate indices accumulate gradient."""
+    idx, vjp = _row_scatter("gather_rows", a, indices)
     return _make(a.value[idx], (a.node,), vjp, "gather_rows")
 
 
@@ -461,17 +459,23 @@ def hinge(a: Tensor) -> Tensor:
     return _make(margin * mask, (a.node,), vjp, "hinge")
 
 
-def dot_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise dot products of two equally shaped matrices, as an n×1 column."""
-    if a.value.shape != b.value.shape:
-        raise ShapeMismatchError(_shapes("dot_rows", a, b))
+def dot_pairs(a: Tensor, b: Tensor, rows_a, rows_b) -> Tensor:
+    """Scores of n pairs, as an n×1 column: row r is the dot product of a's
+    row ``rows_a[r]`` with b's row ``rows_b[r]``. Repeated rows accumulate
+    gradient, into b's table first."""
+    ia, scatter_a = _row_scatter("dot_pairs", a, rows_a)
+    ib, scatter_b = _row_scatter("dot_pairs", b, rows_b)
+    if ia.size != ib.size or a.cols != b.cols:
+        raise ShapeMismatchError(f"dot_pairs: {ia.size} rows of {a.value.shape}"
+                                 f" with {ib.size} of {b.value.shape}")
+    x, y = a.value[ia], b.value[ib]
 
-    def vjp(g, a=a.node, b=b.node, x=a.value, y=b.value):
-        _accumulate(a, g * y)
-        _accumulate(b, g * x)
+    def vjp(g):
+        scatter_b(g * x)
+        scatter_a(g * y)
 
-    return _make((a.value * b.value).sum(axis=1, keepdims=True),
-                 (a.node, b.node), vjp, "dot_rows")
+    return _make((x * y).sum(axis=1, keepdims=True), (a.node, b.node), vjp,
+                 "dot_pairs")
 
 
 def tensor_contract(t3: Tensor, v: Tensor, out_rows: int) -> Tensor:

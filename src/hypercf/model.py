@@ -32,15 +32,8 @@ SIDES = ("user", "item")  # every per-side loop runs user first
 def _compact(*indices):
     """The sorted distinct values of the index arrays ``indices`` and, per
     array, the position of each entry among them."""
-    joined = np.concatenate(indices)
-    order = np.argsort(joined, kind="stable")
-    ordered = joined[order]
-    first = np.ones(len(ordered), dtype=bool)  # first of a run of equals
-    first[1:] = ordered[1:] != ordered[:-1]
-    inverse = np.empty(len(joined), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return (ordered[first],
-            np.split(inverse, np.cumsum([len(a) for a in indices[:-1]])))
+    rows, inverse = np.unique(np.concatenate(indices), return_inverse=True)
+    return rows, np.split(inverse, np.cumsum([len(a) for a in indices[:-1]]))
 
 
 class Model:
@@ -156,14 +149,6 @@ class Model:
 
     # -- losses -----------------------------------------------------------
 
-    @staticmethod
-    def dot_pairs(user_table: ad.Tensor, item_table: ad.Tensor,
-                  users, items) -> ad.Tensor:
-        """Scores of (user, item) pairs: row dot products of the gathered
-        rows of a user table and an item table."""
-        return ad.dot_rows(ad.gather_rows(user_table, users),
-                           ad.gather_rows(item_table, items))
-
     def main_loss(self, state: dict, batch) -> ad.Tensor:
         """Pairwise margin: sum of max(0, 1 - (positive - negative)).
 
@@ -174,8 +159,8 @@ class Model:
         items, (v1, v2) = _compact(batch.v1, batch.v2)
         final_user = transformer.readout(state["user"], users)
         final_item = transformer.readout(state["item"], items)
-        pos = self.dot_pairs(final_user, final_item, u1, v1)
-        neg = self.dot_pairs(final_user, final_item, u2, v2)
+        pos = ad.dot_pairs(final_user, final_item, u1, v1)
+        neg = ad.dot_pairs(final_user, final_item, u2, v2)
         return solidity.margin_loss(ad.sub(pos, neg))
 
     def _gamma_rows(self, state: dict, users, items):
@@ -206,8 +191,8 @@ class Model:
         if not self.supports_solidity:
             raise RuntimeError("solidity branch disabled by ablation")
         user, item = state["user"].fused, state["item"].fused
-        pred_1 = self.dot_pairs(user, item, batch.u1, batch.v1)
-        pred_2 = self.dot_pairs(user, item, batch.u2, batch.v2)
+        pred_1 = ad.dot_pairs(user, item, batch.u1, batch.v1)
+        pred_2 = ad.dot_pairs(user, item, batch.u2, batch.v2)
         users, (u1, u2) = _compact(batch.u1, batch.u2)
         items, (v1, v2) = _compact(batch.v1, batch.v2)
         gammas = self._gamma_rows(state, users, items)

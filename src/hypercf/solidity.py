@@ -67,7 +67,7 @@ def meta_transform(x: ad.Tensor, z_table: ad.Tensor, p: MetaNetParams,
         z_bar = mean_hyperedge(z_table)
         w = ad.add(ad.tensor_contract(p.v1, z_bar, out_rows=d), w)
         b = ad.add(ad.tensor_contract(p.v2, z_bar, out_rows=1), b)
-    return ad.leaky_relu(ad.add_bias(ad.matmul(x, w), b), slope)
+    return ad.leaky_relu(ad.add(ad.matmul(x, w), b), slope)
 
 
 def solidity_label(gamma_u: ad.Tensor, gamma_v: ad.Tensor, head: SolidityHead,
@@ -77,7 +77,7 @@ def solidity_label(gamma_u: ad.Tensor, gamma_v: ad.Tensor, head: SolidityHead,
         raise ad.ShapeMismatchError(
             f"solidity_label: {gamma_u.value.shape} vs {gamma_v.value.shape}")
     both = ad.concat_cols(gamma_u, gamma_v)
-    inner = ad.add_bias(
+    inner = ad.add(
         ad.add(ad.matmul(both, head.t),
                ad.add(gamma_u, gamma_v)),
         head.c)

@@ -117,8 +117,8 @@ def _primitive_cases(rng):
         "scale": ({"a": a}, lambda: ad.sum_all(ad.scale(a, -1.7))),
         "hadamard": ({"a": a, "b": b},
                      lambda: ad.sum_all(ad.hadamard(a, b))),
-        "add_bias": ({"a": a, "bias": bias},
-                     lambda: ad.sum_all(ad.add_bias(a, bias))),
+        "add_row": ({"a": a, "bias": bias},
+                    lambda: ad.sum_all(ad.add(a, bias))),
         "concat_cols": ({"a": a, "b": b},
                         lambda: ad.sum_all(ad.concat_cols(a, b))),
         "gather_rows": ({"a": a},
@@ -130,8 +130,9 @@ def _primitive_cases(rng):
                        lambda: ad.sum_all(ad.leaky_relu(signed, 0.5))),
         "hinge": ({"around_one": around_one},
                   lambda: ad.sum_all(ad.hinge(around_one))),
-        "dot_rows": ({"a": a, "b": b},
-                     lambda: ad.sum_all(ad.dot_rows(a, b))),
+        "dot_pairs": ({"a": a, "b": b},
+                      lambda: ad.sum_all(ad.dot_pairs(a, b, [2, 0, 2],
+                                                      [1, 1, 3]))),
         "tensor_contract": ({"t3": t3, "vec3": vec3},
                             lambda: ad.sum_all(
                                 ad.tensor_contract(t3, vec3, 3))),

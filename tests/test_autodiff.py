@@ -142,13 +142,14 @@ class TestForward:
         np.testing.assert_array_equal(cat.value[:, :2], a.value)
         np.testing.assert_array_equal(cat.value[:, 2:], b.value)
 
-    def test_dot_rows_loop_oracle(self):
+    def test_dot_pairs_loop_oracle(self):
         rng = np.random.default_rng(1)
-        a, b = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
-        out = ad.dot_rows(ad.constant(a), ad.constant(b))
+        a, b = rng.normal(size=(5, 4)), rng.normal(size=(3, 4))
+        rows_a, rows_b = [4, 0, 4, 2, 1], [0, 2, 2, 1, 0]
+        out = ad.dot_pairs(ad.constant(a), ad.constant(b), rows_a, rows_b)
         assert out.value.shape == (5, 1)
-        for i in range(5):
-            assert abs(out.value[i, 0] - float(a[i] @ b[i])) < 1e-6
+        for r, (i, j) in enumerate(zip(rows_a, rows_b)):
+            assert abs(out.value[r, 0] - float(a[i] @ b[j])) < 1e-6
 
     def test_spmm_matches_dense(self):
         rng = np.random.default_rng(2)
@@ -254,6 +255,48 @@ class TestBackward:
             tracemalloc.stop()
         assert np.array_equal(x.grad.view(np.uint32), want.view(np.uint32))
         assert peak <= ad.BLOCK * x.value.itemsize + 4096, peak
+
+    @pytest.mark.parametrize("same_table", [False, True])
+    def test_dot_pairs_matches_gather_scatter_reference(self, same_table):
+        # float32, rows repeated in both lists: the value is the gathered
+        # rows' product summed per row, and the grads are np.add.at into
+        # zeros, b's rows first (which shows when a table is scored against
+        # itself), bit for bit
+        rng = np.random.default_rng(9)
+        a = ad.constant(rng.normal(size=(7, 16)))
+        b = a if same_table else ad.constant(rng.normal(size=(5, 16)))
+        i, j = np.array([2, 0, 2, 6, 2, 1]), np.array([2, 4, 2, 1, 4, 2])
+        w = ad.constant(rng.normal(size=(6, 1))
+                        * 10.0 ** rng.integers(-4, 5, size=(6, 1)))
+        with ad.recording():
+            out = ad.dot_pairs(a, b, i, j)
+            ad.backward(ad.sum_all(ad.hadamard(out, w)))
+        x, y = a.value[i], b.value[j]
+        grad_a, grad_b = np.zeros_like(a.value), np.zeros_like(b.value)
+        if same_table:
+            grad_a = grad_b
+        np.add.at(grad_b, j, w.value * x)
+        np.add.at(grad_a, i, w.value * y)
+        for got, want in ((out.value, (x * y).sum(1, keepdims=True)),
+                          (a.grad, grad_a), (b.grad, grad_b)):
+            assert got.dtype == np.float32
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_add_takes_a_bias_row(self, float64_mode):
+        # a 1×d second operand is added to every row; its grad is the
+        # column sums of the upstream gradient
+        rng = np.random.default_rng(10)
+        a, b, w = tensors(rng.normal(size=(5, 4)), rng.normal(size=(1, 4)),
+                          rng.normal(size=(5, 4)))
+        with ad.recording():
+            out = ad.add(a, b)
+            ad.backward(ad.sum_all(ad.hadamard(out, w)))
+        np.testing.assert_array_equal(out.value, a.value + b.value[0])
+        np.testing.assert_array_equal(a.grad, w.value)
+        np.testing.assert_array_equal(b.grad, w.value.sum(0, keepdims=True))
+        for shape in ((5, 1), (2, 4)):
+            with pytest.raises(ad.ShapeMismatchError, match="add"):
+                ad.add(a, ad.constant(np.ones(shape)))
 
     def test_gather_rows_refuses_a_grad_it_cannot_update_in_place(self):
         x = ad.constant(np.ones((4, 3)))
@@ -381,10 +424,10 @@ class TestLazyGrad:
             s = ad.add(y, y)
             d = ad.sub(s, y)
             t = ad.add(d, d)
-            u = ad.add_bias(t, b)
+            u = ad.add(t, b)
             w = ad.transpose(u)
             c = ad.concat_cols(w, w)
-            r = ad.dot_rows(c, c)
+            r = ad.dot_pairs(c, c, [0, 1, 2, 3], [3, 2, 1, 0])
             half = ad.scale(r, 0.5)
             rs = ad.add(r, r)  # walked before half: r adopts a copy
             loss = ad.sum_all(ad.add(rs, half))
@@ -570,11 +613,11 @@ class TestGradCheckPerPrimitive:
         b = ad.constant(rng.normal(size=(5, 4)))
         self.check(lambda: ad.sum_all(ad.hadamard(a, b)), {"a": a, "b": b})
 
-    def test_add_bias(self, float64_mode):
+    def test_add_row(self, float64_mode):
         rng = np.random.default_rng(15)
         a = ad.constant(rng.normal(size=(5, 4)))
         b = ad.constant(rng.normal(size=(1, 4)))
-        self.check(lambda: ad.sum_all(ad.sigmoid(ad.add_bias(a, b))), {"a": a, "b": b})
+        self.check(lambda: ad.sum_all(ad.sigmoid(ad.add(a, b))), {"a": a, "b": b})
 
     def test_concat_slice(self, float64_mode):
         # concat's VJP hands each operand its slice of the output gradient
@@ -595,12 +638,13 @@ class TestGradCheckPerPrimitive:
         self.check(lambda: ad.sum_all(ad.sigmoid(ad.gather_rows(a, idx))), {"a": a})
 
     def test_row_sum_mean_sum(self, float64_mode):
-        # row sums as dot products with ones; the mean as a scaled sum
+        # row sums as dot products with a row of ones; the mean as a scaled
+        # sum
         rng = np.random.default_rng(18)
         a = ad.constant(rng.normal(size=(5, 4)))
-        ones = ad.constant(np.ones((5, 4)))
-        self.check(lambda: ad.scale(ad.sum_all(ad.dot_rows(a, ones)), 1 / 20),
-                   {"a": a})
+        ones = ad.constant(np.ones((1, 4)))
+        self.check(lambda: ad.scale(ad.sum_all(ad.dot_pairs(
+            a, ones, np.arange(5), np.zeros(5, int))), 1 / 20), {"a": a})
         self.check(lambda: ad.scale(ad.sum_all(ad.sigmoid(a)), 0.1), {"a": a})
 
     def test_sigmoid(self, float64_mode):
@@ -624,11 +668,13 @@ class TestGradCheckPerPrimitive:
         a = ad.constant(1.0 + vals)
         self.check(lambda: ad.sum_all(ad.hinge(a)), {"a": a})
 
-    def test_dot_rows(self, float64_mode):
+    def test_dot_pairs(self, float64_mode):
         rng = np.random.default_rng(22)
         a = ad.constant(rng.normal(size=(5, 4)))
-        b = ad.constant(rng.normal(size=(5, 4)))
-        self.check(lambda: ad.sum_all(ad.sigmoid(ad.dot_rows(a, b))), {"a": a, "b": b})
+        b = ad.constant(rng.normal(size=(3, 4)))
+        rows_a, rows_b = [4, 0, 4, 2, 1, 0], [0, 2, 2, 1, 0, 0]
+        self.check(lambda: ad.sum_all(ad.sigmoid(ad.dot_pairs(
+            a, b, rows_a, rows_b))), {"a": a, "b": b})
 
     def test_tensor_contract(self, float64_mode):
         rng = np.random.default_rng(23)
@@ -670,8 +716,8 @@ class TestGradCheckPerPrimitive:
         b = ad.constant(rng.normal(size=(1, 4)) * 0.5)
 
         def build():
-            h = ad.leaky_relu(ad.add_bias(ad.matmul(e, w), b), 0.5)
-            scores = ad.dot_rows(h, e)
+            h = ad.leaky_relu(ad.add(ad.matmul(e, w), b), 0.5)
+            scores = ad.dot_pairs(h, e, np.arange(6), np.arange(6))
             return ad.sum_all(ad.hinge(scores))
 
         self.check(build, {"e": e, "w": w, "b": b})
@@ -718,6 +764,14 @@ class TestErrors:
             ad.concat_cols(a, ad.constant(np.ones((3, 3))))
         with pytest.raises(ad.ShapeMismatchError, match=r"2, 3"):
             ad.add(a, ad.constant(np.ones((3, 2))))
+
+    def test_dot_pairs_checks_rows_and_widths(self):
+        a, b = ad.constant(np.ones((4, 3))), ad.constant(np.ones((2, 3)))
+        for args in ((a, b, [0, 4], [0, 1]), (a, b, [0, 1], [0, -1]),
+                     (a, b, [0, 1], [0]), (a, b, [[0]], [[0]]),
+                     (a, ad.constant(np.ones((2, 2))), [0], [0])):
+            with pytest.raises(ad.ShapeMismatchError, match="dot_pairs"):
+                ad.dot_pairs(*args)
 
     def test_linear_attention_shapes(self):
         q, k = ad.constant(np.ones((2, 6))), ad.constant(np.ones((3, 6)))

@@ -219,10 +219,8 @@ class TestPredictAndLoss:
                                     ad.gather_rows(gamma_v, vv), head, 0.5)
             lab2 = S.solidity_label(ad.gather_rows(gamma_u, uu2),
                                     ad.gather_rows(gamma_v, vv2), head, 0.5)
-            pr1 = ad.dot_rows(ad.gather_rows(embed_u, uu),
-                              ad.gather_rows(embed_v, vv))
-            pr2 = ad.dot_rows(ad.gather_rows(embed_u, uu2),
-                              ad.gather_rows(embed_v, vv2))
+            pr1 = ad.dot_pairs(embed_u, embed_v, uu, vv)
+            pr2 = ad.dot_pairs(embed_u, embed_v, uu2, vv2)
             return S.sa_loss(pr1, pr2, lab1, lab2)
 
         params = {"keys_u": keys_u, "keys_v": keys_v, "z_u": z_u,

@@ -390,6 +390,23 @@ class TestTrainEpoch:
         row = T.train_epoch(model, adj, splits.train, opt, rng, epoch=0)
         assert row["tape_nodes"] == per_step
 
+    # tape nodes per step of a 400x200 epoch, Config(hyperedges=16), by
+    # ablation: a change to how many nodes a step records shows here
+    TAPE_NODES = {"default": 123, "trans": 107, "meta": 113, "sal": 74,
+                  "hyper": 18, "deeph": 111, "highh": 93, "pos": 115}
+
+    @pytest.mark.parametrize("flag", sorted(TAPE_NODES))
+    def test_tape_nodes_per_step_are_pinned(self, flag):
+        ablate = () if flag == "default" else (flag,)
+        ds = D.synthetic_blocks(num_users=400, num_items=200, seed=0)
+        splits = D.split(ds, 0)
+        adj = D.build_normalized_adjacency(splits.train)
+        model = Model(Config(hyperedges=16, seed=0, ablate=ablate), 400, 200)
+        opt = T.Adam(model.params, lr=model.cfg.lr)
+        row = T.train_epoch(model, adj, splits.train, opt,
+                            spawn_rng(0, STREAM_TRAIN), epoch=0)
+        assert row["tape_nodes"] == self.TAPE_NODES[flag]
+
     def test_deterministic_under_seed(self):
         results = []
         for _ in range(2):
@@ -489,7 +506,7 @@ class TestStepMemory:
             live = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert ad.tape_size() == 131
+        assert ad.tape_size() == 123
         ad.backward(loss)
         assert live <= 1.1e6, live
 
