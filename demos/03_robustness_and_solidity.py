@@ -34,7 +34,7 @@ for label, variant in (("full", cfg),
 print("== solidity scores on a 15%-corrupted training graph ==")
 splits = split(dataset, seed=0)
 noisy15, fake = inject_noise(splits.train, 0.15, seed=0)
-run = train_on_split(SplitDataset(noisy15, splits.validation, splits.test, 0),
+run = train_on_split(SplitDataset(noisy15, splits.validation, splits.test),
                      cfg)
 s = run.model.solidity_of_edges(run.adj, noisy15.edges)
 print(f"  injected fake edges: mean solidity {np.mean(s[fake]):.4f} "

@@ -28,7 +28,7 @@ for finite-difference gradient checking.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -546,32 +546,26 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
                  "linear_attention")
 
 
-def sum_squares(tensors: Sequence[Tensor]) -> Tensor:
-    """Sum of the squared entries of every tensor, as one 1×1 node.
+def sum_squares(t: Tensor) -> Tensor:
+    """Sum of the squared entries of ``t``, as one 1×1 node.
 
-    Each tensor's squared Frobenius norm, the dot product of its entries
-    with themselves, is added in the order given. The VJP adds 2·g·t to
-    each tensor's gradient, ``BLOCK`` entries at a time into a gradient
+    The value is the dot product of the entries with themselves. The VJP
+    adds 2·g·t to the gradient, ``BLOCK`` entries at a time into a gradient
     that exists, so a packed parameter vector needs no temporary of its
     size.
     """
-    parts = tuple((t.node, t.value) for t in tensors)
-    total = None
-    for _, x in parts:
-        term = np.vdot(x, x).reshape(1, 1)
-        total = term if total is None else total + term
+    node, x = t.node, t.value
 
     def vjp(g):
         c = 2.0 * g[0, 0]
-        for node, x in parts:
-            if node.grad is None:
-                _accumulate(node, c * x)
-                continue
-            grad, x = _flat(node.grad), x.reshape(-1)
-            for lo in range(0, x.size, BLOCK):
-                grad[lo:lo + BLOCK] += c * x[lo:lo + BLOCK]
+        if node.grad is None:
+            _accumulate(node, c * x)
+            return
+        grad, flat = _flat(node.grad), x.reshape(-1)
+        for lo in range(0, flat.size, BLOCK):
+            grad[lo:lo + BLOCK] += c * flat[lo:lo + BLOCK]
 
-    return _make(total, tuple(node for node, _ in parts), vjp, "sum_squares")
+    return _make(np.vdot(x, x).reshape(1, 1), (node,), vjp, "sum_squares")
 
 
 # ---------------------------------------------------------------------------
@@ -625,14 +619,14 @@ class GradCheckReport:
 
 
 def grad_check(build: Callable[[], Tensor], params: dict, epsilon: float = 1e-4,
-               tolerance: float = 1e-4, rel_floor: float = 1e-5) -> GradCheckReport:
+               tolerance: float = 1e-4) -> GradCheckReport:
     """Compare tape gradients of ``build()`` against central finite differences.
 
     ``build`` must deterministically construct a scalar loss from the tensors
     in ``params`` (any sampling frozen beforehand). Requires float64 values;
     mismatches are reported in the result, never raised.
 
-    Relative error per component is |ad - fd| / max(|ad|, |fd|, rel_floor);
+    Relative error per component is |ad - fd| / max(|ad|, |fd|, 1e-5);
     the floor absorbs finite-difference roundoff on near-zero gradients.
     """
     if not (1e-5 <= epsilon <= 1e-2):
@@ -667,6 +661,6 @@ def grad_check(build: Callable[[], Tensor], params: dict, epsilon: float = 1e-4,
             flat[i] = orig
             fd.reshape(-1)[i] = (up - down) / (2.0 * epsilon)
         a = analytic[name]
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(fd)), rel_floor)
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-5)
         report.errors[name] = float(np.max(np.abs(a - fd) / denom))
     return report

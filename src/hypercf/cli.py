@@ -110,9 +110,9 @@ def _metric_rows(model, adj, splits, split_names, cutoffs) -> list:
 
 
 def _parse_list(raw: str, flag: str, kind=int) -> list:
-    """Comma-separated values of type ``kind`` (int or float)."""
+    """Comma-separated ``kind`` values, each stripped; empty parts skipped."""
     try:
-        return [kind(part) for part in raw.split(",") if part.strip()]
+        return [kind(part.strip()) for part in raw.split(",") if part.strip()]
     except ValueError as exc:
         raise UsageError(f"{flag}: expected comma-separated "
                          f"{kind.__name__} values, got {raw!r}") from exc
@@ -251,8 +251,7 @@ def cmd_sparsity_report(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _effective_config(args)
     dataset = _load_dataset(cfg)
-    flags = ([f.strip() for f in args.flags.split(",") if f.strip()]
-             if args.flags else None)
+    flags = _parse_list(args.flags, "--flags", str) if args.flags else None
     for flag in flags or ():
         _check_variant(cfg, "--flags", ablate=(flag,))
     splits = data_mod.split(dataset, cfg.seed)
@@ -272,10 +271,7 @@ def cmd_sweep(args) -> int:
         param, raw = spec.split("=", 1)
         param = param.strip()
         values = []
-        for part in raw.split(","):
-            part = part.strip()
-            if not part:
-                continue
+        for part in _parse_list(raw, f"--vary {param}", str):
             # reuse the config parser so each value gets the field's type
             value = getattr(config_from_mapping({param: part}, cfg), param)
             _check_variant(cfg, f"--vary {param}", **{param: value})

@@ -238,7 +238,6 @@ class SplitDataset:
     train: InteractionDataset
     validation: InteractionDataset
     test: InteractionDataset
-    seed: int
 
     @property
     def num_users(self) -> int:
@@ -265,7 +264,7 @@ def split(dataset: InteractionDataset, seed: int) -> SplitDataset:
             dataset.num_users, dataset.num_items, dataset.edges[np.sort(idx)],
             dataset.user_ids, dataset.item_ids)
 
-    return SplitDataset(*(view(p) for p in parts), seed=seed)
+    return SplitDataset(*(view(p) for p in parts))
 
 
 @dataclass

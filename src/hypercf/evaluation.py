@@ -245,31 +245,25 @@ def evaluate_model(model, adj, train: InteractionDataset,
                    test, cutoffs)
 
 
-def subset_by_group(test: InteractionDataset, assignment: np.ndarray,
-                    group: int, axis: str) -> InteractionDataset:
-    """Test edges whose user (or item) falls in the given bucket."""
-    col = 0 if axis == "user" else 1
-    keep = assignment[test.edges[:, col]] == group
-    return InteractionDataset.from_edges(test.edges[keep], test.num_users,
-                                         test.num_items)
-
-
 def group_metrics(result: RankingResult, test: InteractionDataset,
-                  assignment: np.ndarray, axis: str,
+                  assignment: np.ndarray, groups: int, axis: str,
                   n: int = None) -> list:
-    """Per-bucket Recall/NDCG rows; empty buckets report nan metrics."""
+    """Recall/NDCG rows of buckets ``0 .. groups - 1``, ``assignment``
+    giving each user's (or item's) bucket. A bucket scores its test edges
+    whose user (or item) it holds; one without test edges reads nan
+    metrics, and any other bad input raises as ``recall_at_n`` does."""
+    bucket = assignment[test.edges[:, 0 if axis == "user" else 1]]
     rows = []
-    for g in range(int(assignment.max()) + 1):
-        sub = subset_by_group(test, assignment, g, axis)
-        row = {"group": g, "axis": axis, "test_edges": sub.num_edges}
-        try:
+    for g in range(groups):
+        # a subset of sorted, unique edges needs no dedup
+        sub = InteractionDataset(test.num_users, test.num_items,
+                                 test.edges[bucket == g])
+        row = {"group": g, "axis": axis, "test_edges": sub.num_edges,
+               "recall": float("nan"), "ndcg": float("nan"), "users": 0}
+        if sub.num_edges:
             hit, degree = _hits(result, sub, n)
             row.update(recall=_recall(hit, degree), ndcg=_ndcg(hit, degree),
                        users=len(degree))
-        except EvaluationError:
-            row["recall"] = float("nan")
-            row["ndcg"] = float("nan")
-            row["users"] = 0
         rows.append(row)
     return rows
 

@@ -46,10 +46,9 @@ def train_on_split(splits: SplitDataset, cfg: Config, out_dir: str = None,
     return TrainedRun(model, adj, splits, result)
 
 
-def _test_metrics(splits: SplitDataset, cfg: Config, cutoffs,
-                  log_fn) -> dict:
+def _test_metrics(splits: SplitDataset, cfg: Config, cutoffs) -> dict:
     """Fit a fresh model on the split; its best epoch's test metrics."""
-    return train_on_split(splits, cfg, log_fn=log_fn).test_metrics(cutoffs)
+    return train_on_split(splits, cfg).test_metrics(cutoffs)
 
 
 def _relative(x: float, base: float) -> float:
@@ -58,7 +57,7 @@ def _relative(x: float, base: float) -> float:
 
 
 def noise_robustness(dataset: InteractionDataset, ratios, cfg: Config,
-                     cutoff: int = 20, log_fn=None) -> list:
+                     cutoff: int = 20) -> list:
     """Retrain per corruption ratio; evaluate every run on the clean test set.
 
     Noise goes into the training edges only, so the reported drop measures
@@ -73,8 +72,8 @@ def noise_robustness(dataset: InteractionDataset, ratios, cfg: Config,
     for ratio in ratios:
         noisy, _ = data_mod.inject_noise(splits.train, ratio, seed=cfg.seed)
         metrics = _test_metrics(
-            SplitDataset(noisy, splits.validation, splits.test, cfg.seed),
-            cfg, (cutoff,), log_fn)
+            SplitDataset(noisy, splits.validation, splits.test), cfg,
+            (cutoff,))
         recall, ndcg = metrics[f"recall@{cutoff}"], metrics[f"ndcg@{cutoff}"]
         if ratio == 0.0:
             base_recall, base_ndcg = recall, ndcg
@@ -89,7 +88,8 @@ def sparsity_report(model: Model, adj, splits: SplitDataset,
     """Recall/NDCG per interaction-count bucket, user side then item side.
 
     A row's ``bound`` is its bucket's upper bound; the last bucket also
-    holds every count above its bound.
+    holds every count above its bound. Every bound gets a row, and a bucket
+    without test edges reads nan metrics.
     """
     user_emb, item_emb = model.embedding_tables(adj)
     result = rank_embeddings(user_emb, item_emb, splits.train, n)
@@ -99,7 +99,8 @@ def sparsity_report(model: Model, adj, splits: SplitDataset,
             continue
         assignment = data_mod.sparsity_groups(splits.train, axis, bounds)
         rows += [dict(row, bound=bounds[row["group"]]) for row in
-                 group_metrics(result, splits.test, assignment, axis, n)]
+                 group_metrics(result, splits.test, assignment, len(bounds),
+                               axis, n)]
     return rows
 
 
@@ -112,16 +113,15 @@ def ablation_variants(flags=None) -> list:
 
 
 def ablation_study(splits: SplitDataset, cfg: Config, flags=None,
-                   cutoffs=(20,), log_fn=None) -> list:
+                   cutoffs=(20,)) -> list:
     """Train the full model and each ablated variant on the same split."""
     return [{"variant": label,
-             **_test_metrics(splits, replace(cfg, ablate=ablate), cutoffs,
-                             log_fn)}
+             **_test_metrics(splits, replace(cfg, ablate=ablate), cutoffs)}
             for label, ablate in ablation_variants(flags)]
 
 
-def sweep(splits: SplitDataset, cfg: Config, grid: dict, cutoff: int = 20,
-          log_fn=None) -> list:
+def sweep(splits: SplitDataset, cfg: Config, grid: dict,
+          cutoff: int = 20) -> list:
     """One-axis-at-a-time hyperparameter study against the base config.
 
     ``grid`` maps config field names to value lists. Each row reports the
@@ -129,8 +129,7 @@ def sweep(splits: SplitDataset, cfg: Config, grid: dict, cutoff: int = 20,
     usual "how much do we lose by shrinking d / K / L" tables.
     """
     def row(param, value, change):
-        metrics = _test_metrics(splits, replace(cfg, **change), (cutoff,),
-                                log_fn)
+        metrics = _test_metrics(splits, replace(cfg, **change), (cutoff,))
         return {"param": param, "value": value,
                 "recall": metrics[f"recall@{cutoff}"],
                 "ndcg": metrics[f"ndcg@{cutoff}"]}

@@ -117,9 +117,9 @@ class Model:
 
     # -- forward ----------------------------------------------------------
 
-    def _dropout_fn(self, training: bool, rng):
+    def _dropout_fn(self, rng):
         rate = self.cfg.dropout
-        if not training or rate == 0.0 or rng is None:
+        if rate == 0.0 or rng is None:
             return None
 
         dtype = ad.default_dtype()
@@ -130,10 +130,10 @@ class Model:
 
         return mask
 
-    def forward(self, adj: NormalizedAdjacency,
-                training: bool = False, dropout_rng=None) -> dict:
+    def forward(self, adj: NormalizedAdjacency, dropout_rng=None) -> dict:
         """Record the whole-graph part of a forward pass: one
-        ``transformer.Tail`` per side."""
+        ``transformer.Tail`` per side, with dropout drawn from
+        ``dropout_rng`` when one is given."""
         cfg = self.cfg
         embed = [self.params[f"{side}.embed"] for side in SIDES]
         if "pos" in self.ablations:
@@ -141,7 +141,7 @@ class Model:
         else:
             fused = encoder.fuse_inputs(
                 *embed, *encoder.topo_embed(*embed, adj))
-        drop = self._dropout_fn(training, dropout_rng)
+        drop = self._dropout_fn(dropout_rng)
         return {side: transformer.forward(f, self.hyper[side],
                                           cfg.effective_layers, cfg.slope,
                                           dropout_mask=drop)
@@ -203,7 +203,7 @@ class Model:
     def reg_loss(self) -> ad.Tensor:
         """Squared Frobenius norm summed over every parameter, as one tape
         node over the packed vector."""
-        return ad.sum_squares([self.params.flat])
+        return ad.sum_squares(self.params.flat)
 
     def total_loss(self, state: dict, main_batch,
                    sal_batch=None, parts: Optional[dict] = None) -> ad.Tensor:
@@ -226,7 +226,7 @@ class Model:
     def embedding_tables(self, adj) -> tuple:
         """Prediction embeddings as plain arrays, recording disabled."""
         with ad.recording(False):
-            state = self.forward(adj, training=False)
+            state = self.forward(adj)
             user, item = (transformer.readout(t, np.arange(t.fused.rows))
                           for t in state.values())
         return user.value, item.value
@@ -236,7 +236,7 @@ class Model:
         if not self.supports_solidity:
             raise RuntimeError("solidity branch disabled by ablation")
         with ad.recording(False):
-            state = self.forward(adj, training=False)
+            state = self.forward(adj)
             users, (u,) = _compact(edges[:, 0])
             items, (v,) = _compact(edges[:, 1])
             s = self._labels(self._gamma_rows(state, users, items), u, v)

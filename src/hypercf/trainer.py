@@ -160,7 +160,7 @@ def train_epoch(model: Model, adj, train_ds, optimizer: Adam,
                if model.supports_solidity else None)
         parts: dict = {}
         with ad.recording():
-            state = model.forward(adj, training=True, dropout_rng=rng)
+            state = model.forward(adj, dropout_rng=rng)
             loss = model.total_loss(state, main, sal, parts=parts)
         value = float(loss.value.item())
         if not np.isfinite(value):

@@ -246,7 +246,7 @@ class TestBackward:
         x.grad[...] = rng.normal(size=x.shape)
         want = x.grad + (2.0 * np.float32(0.5)) * x.value
         with ad.recording():
-            loss = ad.scale(ad.sum_squares([x]), 0.5)
+            loss = ad.scale(ad.sum_squares(x), 0.5)
         tracemalloc.start()
         try:
             ad.backward(loss)
@@ -706,8 +706,9 @@ class TestGradCheckPerPrimitive:
         rng = np.random.default_rng(28)
         a = ad.constant(rng.normal(size=(5, 4)))
         b = ad.constant(rng.normal(size=(1, 3)))
-        self.check(lambda: ad.sigmoid(ad.scale(ad.sum_squares([a, b]), 0.1)),
-                   {"a": a, "b": b})
+        self.check(lambda: ad.sigmoid(ad.scale(
+            ad.add(ad.sum_squares(a), ad.sum_squares(b)), 0.1)),
+            {"a": a, "b": b})
 
     def test_composed_expression(self, float64_mode):
         rng = np.random.default_rng(25)

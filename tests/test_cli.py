@@ -381,6 +381,20 @@ class TestReportCommands:
                                      "sparsity.csv"))
         assert all(r["axis"] == "user" for r in rows)
 
+    def test_sparsity_report_rows_every_bound(self, trained, tmp_path,
+                                              capsys):
+        # no user has more than 100 training edges: the last bucket is
+        # empty and still gets its row
+        rc = main(["sparsity-report", trained["checkpoint"], "--data",
+                   trained["data"], "--out", str(tmp_path),
+                   "--user-bounds", "2,100,200"])
+        assert rc == 0
+        rows = read_csv(os.path.join(run_dir_of(capsys.readouterr().out),
+                                     "sparsity.csv"))
+        assert [r["bound"] for r in rows] == ["2", "100", "200"]
+        assert [rows[2][k] for k in ("test_edges", "users", "recall",
+                                     "ndcg")] == ["0", "0", "nan", "nan"]
+
     def test_sparsity_requires_bounds(self, trained, tmp_path, capsys):
         rc = main(["sparsity-report", trained["checkpoint"], "--data",
                    trained["data"], "--out", str(tmp_path)])

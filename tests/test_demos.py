@@ -1,4 +1,4 @@
-"""The quick demos run to completion as scripts."""
+"""Every demo runs to completion as a script."""
 
 import os
 import subprocess
@@ -8,14 +8,11 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# 03 (robustness and solidity) is left out: it trains several models and
-# takes longer than the other demos together
-QUICK_DEMOS = sorted(name for name in os.listdir(os.path.join(ROOT, "demos"))
-                     if name.endswith(".py")
-                     and name != "03_robustness_and_solidity.py")
+DEMOS = sorted(name for name in os.listdir(os.path.join(ROOT, "demos"))
+               if name.endswith(".py"))
 
 
-@pytest.mark.parametrize("script", QUICK_DEMOS)
+@pytest.mark.parametrize("script", DEMOS)
 def test_demo_exits_cleanly(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -486,18 +486,34 @@ class TestReports:
         scores = rng.normal(size=(users, items))
         result = E.rank_all(scores, train, 10)
         assignment = (np.arange(users) % 3)  # arbitrary user partition
-        rows = E.group_metrics(result, test, assignment, "user", 10)
+        rows = E.group_metrics(result, test, assignment, 3, "user", 10)
         weighted = sum(r["recall"] * r["users"] for r in rows if r["users"])
         count = sum(r["users"] for r in rows)
         assert weighted / count == pytest.approx(
             E.recall_at_n(result, test, 10), abs=1e-12)
 
     def test_item_group_subsets_partition_test_edges(self):
+        # bucket 2 holds no item: it still gets a row, with nan metrics
         test = dataset([[0, 0], [0, 1], [1, 2]], 2, 3)
+        result = E.RankingResult(np.array([[1, 0, 2], [2, 0, 1]]), 3)
+        rows = E.group_metrics(result, test, np.array([0, 1, 1]), 3, "item")
+        assert [r["group"] for r in rows] == [0, 1, 2]
+        assert [r["test_edges"] for r in rows] == [1, 2, 0]
+        assert [r["users"] for r in rows] == [1, 2, 0]
+        assert [r["recall"] for r in rows[:2]] == [1.0, 1.0]
+        assert np.isnan(rows[2]["recall"]) and np.isnan(rows[2]["ndcg"])
+
+    def test_group_errors_raise_instead_of_reading_empty(self):
+        # only a bucket without test edges reads nan; a cutoff past the
+        # ranked depth or a ranking of other users is an error
+        test = dataset([[0, 0], [0, 1], [1, 2]], 2, 3)
+        result = E.RankingResult(np.array([[1, 0, 2], [2, 0, 1]]), 3)
         assignment = np.array([0, 1, 1])
-        subs = [E.subset_by_group(test, assignment, g, "item")
-                for g in (0, 1)]
-        assert subs[0].num_edges + subs[1].num_edges == test.num_edges
+        with pytest.raises(E.EvaluationError, match="ranked depth"):
+            E.group_metrics(result, test, assignment, 2, "item", 50)
+        other = E.RankingResult(result.items[:1], 3)
+        with pytest.raises(E.EvaluationError, match="users"):
+            E.group_metrics(other, test, assignment, 2, "item")
 
     def test_csv_round_trip(self, tmp_path):
         rows = [{"epoch": 0, "recall": 0.125, "ndcg": 0.0625},

@@ -96,6 +96,18 @@ class TestSparsityReport:
         total_edges = sum(r["test_edges"] for r in rows if r["axis"] == "user")
         assert total_edges == tiny_splits.test.num_edges
 
+    def test_every_bound_gets_a_row(self, tiny_splits):
+        # an empty last bucket reads like an empty first one: no test
+        # edges, no users, nan metrics
+        run = train_on_split(tiny_splits, tiny_config())
+        rows = sparsity_report(run.model, run.adj, tiny_splits,
+                               user_bounds=(2, 100, 200), item_bounds=None,
+                               n=20)
+        assert [r["bound"] for r in rows] == [2, 100, 200]
+        assert (rows[2]["test_edges"], rows[2]["users"]) == (0, 0)
+        assert np.isnan(rows[2]["recall"]) and np.isnan(rows[2]["ndcg"])
+        assert sum(r["test_edges"] for r in rows) == tiny_splits.test.num_edges
+
     def test_weighted_user_average_matches_global(self, tiny_splits):
         run = train_on_split(tiny_splits, tiny_config())
         rows = sparsity_report(run.model, run.adj, tiny_splits,

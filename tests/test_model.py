@@ -226,8 +226,7 @@ class TestAblations:
         def step():
             model.params.flat.zero_grad()
             with ad.recording():
-                state = model.forward(adj, training=True,
-                                      dropout_rng=default_rng(4))
+                state = model.forward(adj, dropout_rng=default_rng(4))
                 loss = model.total_loss(
                     state, main, sal if model.supports_solidity else None)
             ad.backward(loss)
@@ -341,7 +340,7 @@ class TestInference:
         # included
         model, _, _, _ = toy_setup(dropout=rate)
         rng, twin = default_rng(5), default_rng(5)
-        kept, keep = model._dropout_fn(True, rng)((7, 8))
+        kept, keep = model._dropout_fn(rng)((7, 8))
         expect = twin.random((7, 8)) >= rate
         mask = expect.astype(np.float32) / (1.0 - rate)
         assert type(keep) is np.ndarray and keep.dtype == np.bool_
@@ -365,10 +364,9 @@ class TestInference:
     def test_dropout_training_only(self, float64_mode):
         model, adj, _, _ = toy_setup(dropout=0.5)
         with ad.recording(False):
-            eval_a = model.forward(adj, training=False)
-            eval_b = model.forward(adj, training=False)
-            train = model.forward(adj, training=True,
-                                  dropout_rng=default_rng(3))
+            eval_a = model.forward(adj)
+            eval_b = model.forward(adj)
+            train = model.forward(adj, dropout_rng=default_rng(3))
             finals = [T.readout(s["user"], np.arange(6)).value
                       for s in (eval_a, eval_b, train)]
         np.testing.assert_array_equal(finals[0], finals[1])
@@ -422,7 +420,7 @@ class TestGatheredReadout:
             p.zero_grad()
         rng = default_rng(seed) if training else None
         with ad.recording():
-            state = model.forward(adj, training=training, dropout_rng=rng)
+            state = model.forward(adj, dropout_rng=rng)
             loss = build(state)
         ad.backward(loss)
         return loss.value[0, 0], {n: p.grad.copy()
@@ -450,7 +448,7 @@ class TestGatheredReadout:
         model, adj, _, _ = toy_setup(dropout=0.25, layers=layers)
         rng, twin = default_rng(9), default_rng(9)
         with ad.recording():
-            state = model.forward(adj, training=True, dropout_rng=rng)
+            state = model.forward(adj, dropout_rng=rng)
             model.total_loss(state, SUBSET_MAIN, SUBSET_SAL)
         for rows in (6, 5):
             for _ in range(layers):
@@ -477,8 +475,7 @@ class TestGatheredReadout:
         for name in ("leaky_relu", "scale", "matmul", "gram"):
             monkeypatch.setattr(ad, name, logged(name, getattr(ad, name)))
         with ad.recording():
-            state = model.forward(adj, training=True,
-                                  dropout_rng=default_rng(2))
+            state = model.forward(adj, dropout_rng=default_rng(2))
             loss = model.total_loss(state, SUBSET_MAIN, SUBSET_SAL)
         ad.backward(loss)
         last = max(i for i, (name, *_) in enumerate(events)

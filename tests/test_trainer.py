@@ -381,8 +381,7 @@ class TestTrainEpoch:
                                    users=np.arange(32))
         sal = D.sample_sal_pairs(splits.train, 32, rng)
         with ad.recording():
-            model.total_loss(model.forward(adj, training=True,
-                                           dropout_rng=rng), main, sal)
+            model.total_loss(model.forward(adj, dropout_rng=rng), main, sal)
         per_step = ad.tape_size()
         ad.clear_tape()
         assert per_step > 0
@@ -467,7 +466,7 @@ class TestStepMemory:
                                        users=np.arange(32))
             sal = D.sample_sal_pairs(splits.train, 32, rng)
             with ad.recording():
-                state = model.forward(adj, training=True, dropout_rng=rng)
+                state = model.forward(adj, dropout_rng=rng)
                 loss = model.total_loss(state, main, sal)
             if not record_only:
                 ad.backward(loss)
