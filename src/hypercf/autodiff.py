@@ -207,12 +207,20 @@ class Store(dict):
     def views(self, vector: np.ndarray) -> dict:
         """Name -> that leaf's slot of ``vector``, a P-entry array laid out
         as ``flat``, as a view of the leaf's shape."""
+        return self.slots(self._layout, vector)
+
+    @staticmethod
+    def slots(layout: dict, vector: np.ndarray) -> dict:
+        """Name -> its slot of ``vector`` as a view of its (rows, cols)
+        shape, the slots back to back in ``layout``'s order and filling the
+        vector: the only code that computes parameter offsets."""
         vector = _flat(vector)
-        if vector.size != self.flat.value.size:
-            raise ShapeMismatchError(f"Store: a vector of {vector.size} "
-                                     f"entries, not {self.flat.value.size}")
+        size = sum(rows * cols for rows, cols in layout.values())
+        if vector.size != size:
+            raise ShapeMismatchError(
+                f"Store: a vector of {vector.size} entries, not {size}")
         out, start = {}, 0
-        for name, (rows, cols) in self._layout.items():
+        for name, (rows, cols) in layout.items():
             out[name] = vector[start:start + rows * cols].reshape(rows, cols)
             start += rows * cols
         return out

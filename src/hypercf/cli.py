@@ -25,7 +25,7 @@ from dataclasses import fields, replace
 from . import data as data_mod
 from . import evaluation, experiments, trainer
 from .config import (Config, ConfigError, config_from_mapping, format_config,
-                     load_config)
+                     format_value, load_config)
 
 ENV_OUT = "HYPERCF_OUT"
 
@@ -270,19 +270,22 @@ def cmd_sweep(args) -> int:
         _check("--vary", spec, "=" in spec, "expected param=v1,v2,...")
         param, raw = spec.split("=", 1)
         param = param.strip()
-        values = []
-        for part in _parse_list(raw, f"--vary {param}", str):
+        _check(f"--vary {param}", raw, param not in ("data", "out"),
+               "a sweep reads one data file into one run directory")
+        parts = _parse_list(raw, f"--vary {param}", str)
+        _check(f"--vary {param}", raw, parts, "no values")
+        for part in parts:
             # reuse the config parser so each value gets the field's type
             value = getattr(config_from_mapping({param: part}, cfg), param)
             _check_variant(cfg, f"--vary {param}", **{param: value})
-            values.append(value)
-        _check(f"--vary {param}", raw, values, "no values")
-        grid[param] = values
+            grid.setdefault(param, []).append(value)
     _check("--cutoff", args.cutoff, args.cutoff >= 1, "need a cutoff >= 1")
     splits = data_mod.split(dataset, cfg.seed)
     run_dir = _run_dir(cfg, "sweep")
     rows = experiments.sweep(splits, cfg, grid, cutoff=args.cutoff)
-    return _report(run_dir, "sweep.csv", rows)
+    return _report(run_dir, "sweep.csv",
+                   [dict(row, value=format_value(row["value"]))
+                    for row in rows])
 
 
 # ---------------------------------------------------------------------------

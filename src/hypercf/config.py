@@ -153,12 +153,14 @@ def load_config(path: str, base: Config = None) -> Config:
         return parse_config_text(fh.read(), base, source=path)
 
 
+def format_value(value) -> str:
+    """A field value as its `key = value` line spells it."""
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
 def format_config(cfg: Config) -> str:
     """Serialize as one `key = value` line per field, field order fixed."""
-    lines = []
-    for f in fields(Config):
-        value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{f.name} = {format_value(getattr(cfg, f.name))}\n"
+                   for f in fields(Config))

@@ -124,9 +124,11 @@ def sweep(splits: SplitDataset, cfg: Config, grid: dict,
           cutoff: int = 20) -> list:
     """One-axis-at-a-time hyperparameter study against the base config.
 
-    ``grid`` maps config field names to value lists. Each row reports the
-    metric and its relative decrease versus the base run, mirroring the
-    usual "how much do we lose by shrinking d / K / L" tables.
+    ``grid`` maps config field names to value lists; each distinct value of
+    a field trains once, in the order given (an ``ablate`` value is compared
+    by its normalized flags). Each row reports the metric and its relative
+    decrease versus the base run, mirroring the usual "how much do we lose
+    by shrinking d / K / L" tables.
     """
     def row(param, value, change):
         metrics = _test_metrics(splits, replace(cfg, **change), (cutoff,))
@@ -138,7 +140,11 @@ def sweep(splits: SplitDataset, cfg: Config, grid: dict,
     base.update(recall_drop=0.0, ndcg_drop=0.0)
     rows = [base]
     for param in sorted(grid):
-        for value in grid[param]:
+        values = grid[param]
+        if param == "ablate":
+            values = [tuple(dict.fromkeys(map(normalize_flag, flags)))
+                      for flags in values]
+        for value in dict.fromkeys(values):
             r = row(param, value, {param: value})
             r["recall_drop"] = 1.0 - _relative(r["recall"], base["recall"])
             r["ndcg_drop"] = 1.0 - _relative(r["ndcg"], base["ndcg"])

@@ -32,7 +32,6 @@ SELECTION_CUTOFF = 20  # validation metric used to pick the best epoch
 
 # Adam's decay rates and epsilon; fixed, so a checkpoint need not store them
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
-MOMENT_PREFIX = "adam."
 
 
 class TrainingError(RuntimeError):
@@ -114,21 +113,6 @@ class Adam:
             denom += EPS
             step /= denom
             p -= step
-
-    def moment_tensors(self) -> dict:
-        """Each parameter's moments, as views into ``m`` and ``v`` named
-        ``adam.m.<name>`` and ``adam.v.<name>``; in sorted-name order, that
-        is all of ``m`` then all of ``v``."""
-        return {MOMENT_PREFIX + key + name: view
-                for key, vector in (("m.", self.m), ("v.", self.v))
-                for name, view in self.params.views(vector).items()}
-
-    def load_moments(self, tensors: dict) -> None:
-        """Strict copy of the moment tensors among ``tensors`` (named as
-        ``moment_tensors`` names them) into this optimizer."""
-        _copy_strict(self.moment_tensors(),
-                     {name: arr for name, arr in tensors.items()
-                      if name.startswith(MOMENT_PREFIX)})
 
 
 def train_epoch(model: Model, adj, train_ds, optimizer: Adam,
@@ -267,45 +251,41 @@ def fit(model: Model, adj, splits, out_dir: str = None,
                        best_values, stopped)
 
 
-def _copy_strict(targets: dict, values: dict) -> None:
-    """Strict copy of plain arrays into the same-named target arrays; any
-    missing, unexpected, or reshaped array is an error."""
-    for name, target in targets.items():
+def load_values(model: Model, values: dict) -> None:
+    """Strict copy of a checkpoint's parameters or a retained best epoch
+    into a model: any missing, unexpected, or reshaped array is an error."""
+    for name, p in model.params.items():
         if name not in values:
             raise CheckpointError(f"missing value for {name!r}")
         arr = np.asarray(values[name])
-        if arr.shape != target.shape:
+        if arr.shape != p.value.shape:
             raise CheckpointError(
                 f"shape mismatch for {name!r}: value {arr.shape}, "
-                f"target {target.shape}")
-        target[...] = arr.astype(target.dtype)
-    unexpected = sorted(set(values) - set(targets))
+                f"target {p.value.shape}")
+        p.value[...] = arr
+    unexpected = sorted(set(values) - set(model.params))
     if unexpected:
         raise CheckpointError(
             f"values for tensors the target does not hold: {unexpected[:3]}")
 
 
-def load_values(model: Model, values: dict) -> None:
-    """Strict copy of a checkpoint's parameters or a retained best epoch
-    into a model."""
-    _copy_strict({name: p.value for name, p in model.params.items()}, values)
-
-
 # ---------------------------------------------------------------------------
 # Checkpoint format
 #
-# magic "SHTCKPT4", a uint32 byte length, then one utf-8 JSON record of that
-# length, then each tensor's float32 row-major data, back to back in
-# sorted-name order. All integers and floats little-endian. The record holds
-# `tensors` (the [name, shape] pairs in data order), the `format_config`
-# text, users, items, the Progress fields, Adam's step count and the rng's
-# `bit_generator.state` (the last two null when not saved). Files of any
-# other magic are refused, SHTCKPT1-3 included (SHTCKPT3 held K, V, W0 and
-# V1 in the paper's orientation, in these same shapes), and so is a config
-# text naming a key `Config` no longer has.
+# magic "SHTCKPT5", a uint32 byte length, one utf-8 JSON record of that
+# length, then k float32 vectors of the store's P entries: the values, then
+# Adam's m and v exactly when `adam_steps` is not null (k = 1 or 3). All
+# little-endian. The record holds `layout` (each parameter's [name, shape]
+# once, in the store's sorted-name order, which lays out every vector), the
+# `format_config` text, users, items, the Progress fields, Adam's step count
+# and the rng's `bit_generator.state` (the last two null when not saved).
+# Any other magic is refused, SHTCKPT1-4 included (SHTCKPT4 named each
+# tensor of m, v and the values; SHTCKPT3 held K, V, W0 and V1 in the
+# paper's orientation, in these same shapes), and so is a config text
+# naming a key `Config` no longer has.
 # ---------------------------------------------------------------------------
 
-MAGIC = b"SHTCKPT4"
+MAGIC = b"SHTCKPT5"
 
 
 def _count(value) -> bool:
@@ -325,8 +305,11 @@ def _pcg64_state(value) -> bool:
         type(word) is int for word in value["state"].values())
 
 
-# the record's keys besides `tensors`, each with the test its value passes
+# the record's keys, each with the test its value passes
 RECORD_KEYS = {
+    "layout": lambda v: isinstance(v, list) and all(
+        type(name) is str and isinstance(shape, list) and len(shape) == 2
+        and all(map(_count, shape)) for name, shape in v),
     "config": lambda v: type(v) is str,
     "users": _count,
     "items": _count,
@@ -340,7 +323,11 @@ RECORD_KEYS = {
 
 @dataclass
 class Checkpoint:
-    tensors: dict
+    """A read file's layout (name -> shape), its k × P float32 vectors
+    (values, then m and v when saved; read-only), record and config."""
+
+    layout: dict
+    vectors: np.ndarray
     record: dict
     config: Config
 
@@ -349,8 +336,7 @@ class Checkpoint:
         return Progress(**self.record["progress"])
 
     def parameters(self) -> dict:
-        return {name: arr for name, arr in self.tensors.items()
-                if not name.startswith(MOMENT_PREFIX)}
+        return ad.Store.slots(self.layout, self.vectors[0])
 
     def rng(self):
         if self.record["rng"] is None:
@@ -364,18 +350,13 @@ def save_checkpoint(path: str, model: Model, progress: Progress = None,
                     optimizer: Adam = None, rng=None) -> None:
     """Write the model's parameters and the run state; a file saved with
     an optimizer and an rng can be resumed."""
-    # sorted-name order: every "adam.m." name, every "adam.v." name, then
-    # the parameters, which is m, v and the value vector back to back
-    layout = [[name, list(p.shape)] for name, p in model.params.items()]
-    buffers = [model.params.flat.value]
+    vectors = [model.params.flat.value]
     if optimizer is not None:
         if optimizer.params is not model.params:
             raise ValueError("the optimizer does not update this model")
-        layout = [[MOMENT_PREFIX + key + name, shape] for key in ("m.", "v.")
-                  for name, shape in layout] + layout
-        buffers = [optimizer.m, optimizer.v, *buffers]
+        vectors += [optimizer.m, optimizer.v]
     record = {
-        "tensors": layout,
+        "layout": [[name, list(p.shape)] for name, p in model.params.items()],
         "config": format_config(model.cfg),
         "users": model.num_users,
         "items": model.num_items,
@@ -388,7 +369,7 @@ def save_checkpoint(path: str, model: Model, progress: Progress = None,
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(MAGIC + len(header).to_bytes(4, "little") + header)
-        for vector in buffers:
+        for vector in vectors:
             fh.write(np.ascontiguousarray(vector, dtype="<f4"))
     os.replace(tmp, path)
 
@@ -405,16 +386,13 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(f"{path}: truncated checkpoint")
     try:  # the header is outside input: check every shape before using it
         record = json.loads(data[start:off])
-        layout = [(name, tuple(dims)) for name, dims in record.pop("tensors")]
         wrong = [key for key, ok in RECORD_KEYS.items()
                  if key not in record or not ok(record[key])]
         if wrong:
             raise ValueError(f"record keys missing or mistyped: {wrong}")
-        if not all(isinstance(name, str) and all(map(_count, shape))
-                   for name, shape in layout):
-            raise ValueError("shapes must list non-negative integers")
-        if len({name for name, _ in layout}) != len(layout):
-            raise ValueError("a tensor name is listed twice")
+        names = [name for name, _ in record["layout"]]
+        if names != sorted(set(names)):
+            raise ValueError("the layout's names are not unique and sorted")
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
         raise CheckpointError(
             f"{path}: malformed checkpoint header ({exc!r})") from exc
@@ -422,18 +400,16 @@ def load_checkpoint(path: str) -> Checkpoint:
         config = parse_config_text(record["config"]).validate()
     except ConfigError as exc:
         raise CheckpointError(f"{path}: checkpoint config: {exc}") from exc
-    end = off + 4 * sum(math.prod(shape) for _, shape in layout)
+    layout = {name: tuple(shape) for name, shape in record.pop("layout")}
+    size = sum(math.prod(shape) for shape in layout.values())
+    k = 1 if record["adam_steps"] is None else 3
+    end = off + 4 * k * size
     if len(data) != end:
         raise CheckpointError(
             f"{path}: " + ("truncated checkpoint" if len(data) < end
                            else "trailing bytes after checkpoint"))
-    tensors = {}
-    for name, shape in layout:
-        size = math.prod(shape)
-        tensors[name] = np.frombuffer(data, "<f4", size, off).reshape(
-            shape).copy()
-        off += 4 * size
-    return Checkpoint(tensors, record, config)
+    vectors = np.frombuffer(data, "<f4", k * size, off).reshape(k, size)
+    return Checkpoint(layout, vectors, record, config)
 
 
 def build_model(ckpt: Checkpoint) -> Model:
@@ -455,10 +431,13 @@ def resume(source, adj, splits, out_dir: str = None, stop_after: int = None,
     if ckpt.record["adam_steps"] is None or rng is None:
         raise CheckpointError(
             "checkpoint has no optimizer and rng state to resume")
+    # load_values matched every name and shape, so the file's layout is the
+    # store's and its moment vectors copy whole
     model = build_model(ckpt)
     optimizer = Adam(model.params, model.cfg.lr)
     optimizer.steps = ckpt.record["adam_steps"]
-    optimizer.load_moments(ckpt.tensors)
+    optimizer.m[...] = ckpt.vectors[1]
+    optimizer.v[...] = ckpt.vectors[2]
     result = fit(model, adj, splits, out_dir=out_dir, optimizer=optimizer,
                  rng=rng, progress=ckpt.progress, stop_after=stop_after,
                  log_fn=log_fn)

@@ -183,6 +183,10 @@ class TestBadFlagValues:
         (["noise-test", "--cutoff", "0"], "--cutoff"),
         (["sweep", "--vary", "batch=64,16"], "--vary batch"),
         (["ablate", "--flags", "sal,bogus"], "--flags"),
+        # the sweep loads and splits the data once and writes one run dir
+        (["sweep", "--vary", "data=other.tsv"], "--vary data"),
+        (["sweep", "--vary", "d=16", "--vary", "out=elsewhere"],
+         "--vary out"),
     ])
     def test_rejected_before_any_work(self, argv, flag, trained, tmp_path,
                                       capsys):
@@ -415,6 +419,51 @@ class TestReportCommands:
         rows = read_csv(os.path.join(run_dir_of(capsys.readouterr().out),
                                      "sweep.csv"))
         assert [r["param"] for r in rows] == ["base", "layers"]
+
+    def test_sweep_trains_each_distinct_value_once(self, data_path,
+                                                    tmp_path, capsys,
+                                                    monkeypatch):
+        # a second --vary of a key adds to it, and a repeated or re-spelled
+        # value trains once; each value reads as config.txt spells it
+        trained = []
+        fit_and_score = experiments._test_metrics
+
+        def counted(splits, cfg, cutoffs):
+            trained.append((cfg.d, cfg.ablate))
+            return fit_and_score(splits, cfg, cutoffs)
+
+        monkeypatch.setattr(experiments, "_test_metrics", counted)
+        rc = main(["sweep", "--data", data_path, "--out", str(tmp_path),
+                   "--vary", "d=4", "--vary", "ablate=sal, -SAL,hyper",
+                   "--vary", "d=6,4"] + FAST[:-2] + ["--epochs", "1"])
+        assert rc == 0
+        rows = read_csv(os.path.join(run_dir_of(capsys.readouterr().out),
+                                     "sweep.csv"))
+        assert [(r["param"], r["value"]) for r in rows] == [
+            ("base", ""), ("ablate", "sal"), ("ablate", "hyper"),
+            ("d", "4"), ("d", "6")]
+        assert trained == [(8, ()), (8, ("sal",)), (8, ("hyper",)),
+                           (4, ()), (6, ())]
+
+    def test_sweep_value_pastes_back_as_a_flag(self, data_path, tmp_path,
+                                               capsys):
+        rc = main(["sweep", "--data", data_path, "--out", str(tmp_path),
+                   "--vary", "ablate=-sal", "--vary", "lr=0.002"]
+                  + FAST[:-2] + ["--epochs", "1"])
+        assert rc == 0
+        rows = read_csv(os.path.join(run_dir_of(capsys.readouterr().out),
+                                     "sweep.csv"))
+        assert [(r["param"], r["value"]) for r in rows[1:]] == [
+            ("ablate", "sal"), ("lr", "0.002")]
+        # the row's value as a flag trains the row's model again
+        capsys.readouterr()
+        rc = main(["ablate", "--data", data_path, "--out", str(tmp_path),
+                   "--flags", rows[1]["value"]] + FAST[:-2]
+                  + ["--epochs", "1"])
+        assert rc == 0
+        ablation = read_csv(os.path.join(
+            run_dir_of(capsys.readouterr().out), "ablation.csv"))
+        assert ablation[1]["recall@20"] == rows[1]["recall"]
 
     def test_sweep_requires_vary(self, data_path, tmp_path, capsys):
         rc = main(["sweep", "--data", data_path, "--out", str(tmp_path)]

@@ -151,3 +151,13 @@ class TestSweep:
             if rows[0]["recall"] > 0:
                 assert row["recall_drop"] == pytest.approx(
                     1.0 - row["recall"] / rows[0]["recall"])
+
+    def test_each_distinct_value_once(self, tiny_splits):
+        # a repeated value, or an ablation flag spelled another way,
+        # trains the same variant: one row each, in the order given
+        rows = sweep(tiny_splits, tiny_config(epochs=1),
+                     {"d": [4, 4, 2], "ablate": [("sal",), ("-SAL",),
+                                                 (" hyper",)]})
+        assert [(r["param"], r["value"]) for r in rows] == [
+            ("base", ""), ("ablate", ("sal",)), ("ablate", ("hyper",)),
+            ("d", 4), ("d", 2)]

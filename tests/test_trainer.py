@@ -42,7 +42,7 @@ def rewrite_header(path, edit):
 
 
 def set_first_shape(value):
-    return edit_record(lambda r: r["tensors"][0].__setitem__(1, value))
+    return edit_record(lambda r: r["layout"][0].__setitem__(1, value))
 
 
 def small_setup(seed=0, **overrides):
@@ -178,14 +178,15 @@ class TestAdam:
                 v[n] += (1.0 - b2) * np.square(g)
                 ref[n] -= lr * (m[n] / c1) / (np.sqrt(v[n] / c2) + eps)
             opt.step(params)
-            moments = opt.moment_tensors()
+            moments_m = opt.params.views(opt.m)
+            moments_v = opt.params.views(opt.v)
             for n, p in params.items():
                 assert p.value.dtype == np.float32
                 assert np.array_equal(p.value.view(np.uint32),
                                       ref[n].view(np.uint32)), (step, n)
-                assert np.array_equal(moments["adam.m." + n].view(np.uint32),
+                assert np.array_equal(moments_m[n].view(np.uint32),
                                       m[n].view(np.uint32))
-                assert np.array_equal(moments["adam.v." + n].view(np.uint32),
+                assert np.array_equal(moments_v[n].view(np.uint32),
                                       v[n].view(np.uint32))
 
     def test_owns_only_the_moments(self):
@@ -208,7 +209,8 @@ class TestAdam:
         moments = [opt.m, opt.v]
         assert opt.m.shape == opt.v.shape == (params.flat.value.size,)
         assert opt.m.base is None and opt.v.base is None
-        assert [a.shape for a in opt.moment_tensors().values()] == \
+        assert [a.shape for vector in moments
+                for a in opt.params.views(vector).values()] == \
             list(shapes.values()) * 2
         moment_bytes = sum(m.nbytes for m in moments)
         # 4 KB of room for the dicts and array headers; one scratch pair
@@ -225,15 +227,19 @@ class TestAdam:
         assert (x.value == 1.0).all()
 
     def test_moment_tensors_round_trip(self):
+        # each parameter's moments are its slots of m and v, written
+        # through to the vectors
         params = ad.Store({"x": np.ones((2, 3))})
         opt = T.Adam(params, lr=0.1)
         params["x"].grad[...] = 0.25
         opt.step(params)
-        stored = opt.moment_tensors()
-        assert set(stored) == {"adam.m.x", "adam.v.x"}
-        assert stored["adam.m.x"].all() and stored["adam.v.x"].all()
+        stored = {key: opt.params.views(vector)
+                  for key, vector in (("m", opt.m), ("v", opt.v))}
+        assert [set(views) for views in stored.values()] == [{"x"}, {"x"}]
+        assert stored["m"]["x"].all() and stored["v"]["x"].all()
         opt2 = T.Adam(params, lr=0.1)
-        opt2.load_moments(stored)
+        for key, vector in (("m", opt2.m), ("v", opt2.v)):
+            opt2.params.views(vector)["x"][...] = stored[key]["x"]
         assert np.array_equal(opt2.m, opt.m)
         assert np.array_equal(opt2.v, opt.v)
 
@@ -256,7 +262,7 @@ class TestParameterStore:
         built = T.build_model(ckpt)
         assert_packed(built)
         for name, p in built.params.items():
-            assert np.array_equal(p.value, ckpt.tensors[name]), name
+            assert np.array_equal(p.value, ckpt.parameters()[name]), name
         resumed, _ = T.resume(last, adj, splits)
         assert_packed(resumed)
 
@@ -530,9 +536,9 @@ class TestCheckpointFormat:
         assert ckpt.record["users"] == model.num_users
         assert ckpt.record["adam_steps"] == opt.steps
         for name, p in model.params.items():
-            assert np.array_equal(ckpt.tensors[name], p.value)
-        for name, arr in opt.moment_tensors().items():
-            assert np.array_equal(ckpt.tensors[name], arr)
+            assert np.array_equal(ckpt.parameters()[name], p.value)
+        assert np.array_equal(ckpt.vectors[1], opt.m)
+        assert np.array_equal(ckpt.vectors[2], opt.v)
         # restored rng continues the stream identically
         a, b = ckpt.rng(), rng
         assert a.integers(0, 1 << 30, 8).tolist() == \
@@ -544,7 +550,7 @@ class TestCheckpointFormat:
         model2 = T.build_model(ckpt)
         opt2 = T.Adam(model2.params, lr=opt.lr)
         opt2.steps = ckpt.record["adam_steps"]
-        opt2.load_moments(ckpt.tensors)
+        opt2.m[...], opt2.v[...] = ckpt.vectors[1:]
         path2 = str(tmp_path / "again.ckpt")
         T.save_checkpoint(path2, model2, ckpt.progress, opt2, ckpt.rng())
         with open(path, "rb") as fh:
@@ -553,8 +559,9 @@ class TestCheckpointFormat:
             second = fh.read()
         assert first == second
 
-    def test_data_is_moments_then_values(self, tmp_path):
-        # the blob after the record is m, v and the value vector, as bytes
+    def test_data_is_values_then_moments(self, tmp_path):
+        # the blob after the record is the value vector, m and v, as bytes:
+        # 12 + header + 12·P bytes in all
         model, opt, _, path = self.trained(tmp_path)
         with open(path, "rb") as fh:
             data = fh.read()
@@ -563,7 +570,41 @@ class TestCheckpointFormat:
                                            "little"):]
         assert opt.m.any() and opt.v.any()
         assert blob == b"".join(a.astype("<f4").tobytes() for a in
-                                (opt.m, opt.v, model.params.flat.value))
+                                (model.params.flat.value, opt.m, opt.v))
+        assert len(blob) == 12 * model.params.flat.value.size
+        assert T.load_checkpoint(path).vectors.shape == (3, opt.m.size)
+
+    def test_scoring_only_file_holds_one_vector(self, tmp_path):
+        # without an optimizer the data is the value vector alone
+        model, _, _ = small_setup()
+        path = str(tmp_path / "model.ckpt")
+        T.save_checkpoint(path, model, T.Progress())
+        with open(path, "rb") as fh:
+            data = fh.read()
+        start = len(T.MAGIC) + 4
+        off = start + int.from_bytes(data[len(T.MAGIC):start], "little")
+        assert data[off:] == model.params.flat.value.astype("<f4").tobytes()
+        ckpt = T.load_checkpoint(path)
+        assert ckpt.record["adam_steps"] is None
+        assert ckpt.vectors.shape == (1, model.params.flat.value.size)
+        with pytest.raises(T.CheckpointError, match="no optimizer"):
+            T.resume(ckpt, None, None)
+
+    def test_record_names_each_parameter_once(self, tmp_path):
+        model, _, _, path = self.trained(tmp_path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        start = len(T.MAGIC) + 4
+        record = json.loads(data[start:start + int.from_bytes(
+            data[len(T.MAGIC):start], "little")])
+        assert record["layout"] == [[name, list(p.shape)]
+                                    for name, p in model.params.items()]
+        assert "tensors" not in record
+        ckpt = T.load_checkpoint(path)
+        assert list(ckpt.layout) == list(model.params)
+        for name, view in ckpt.parameters().items():
+            assert view.dtype == np.float32 and not view.flags.writeable
+            assert np.shares_memory(view, ckpt.vectors[0]), name
 
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "junk.ckpt")
@@ -573,10 +614,12 @@ class TestCheckpointFormat:
             T.load_checkpoint(path)
 
     # SHTCKPT1 stored the run state in three places, SHTCKPT2 put a binary
-    # header before each tensor, and SHTCKPT3 held K, V, W0 and V1 in the
-    # paper's orientation, in the shapes SHTCKPT4 stores their right
-    # factors in; none is read
-    @pytest.mark.parametrize("magic", [b"SHTCKPT1", b"SHTCKPT2", b"SHTCKPT3"])
+    # header before each tensor, SHTCKPT3 held K, V, W0 and V1 in the
+    # paper's orientation, in the shapes later formats store their right
+    # factors in, and SHTCKPT4 listed m, v and the values tensor by tensor;
+    # none is read
+    @pytest.mark.parametrize("magic", [b"SHTCKPT1", b"SHTCKPT2", b"SHTCKPT3",
+                                       b"SHTCKPT4"])
     def test_old_format_magic_rejected(self, tmp_path, magic):
         _, _, _, path = self.trained(tmp_path)
         with open(path, "rb") as fh:
@@ -591,8 +634,10 @@ class TestCheckpointFormat:
         _, _, _, path = self.trained(tmp_path)
         with open(path, "ab") as fh:
             fh.write(b"\0" * 4)
-        with pytest.raises(T.CheckpointError, match="trailing bytes after"):
+        with pytest.raises(T.CheckpointError,
+                           match="trailing bytes after") as err:
             T.load_checkpoint(path)
+        assert path in str(err.value)
 
     def test_header_length_past_end_is_truncated(self, tmp_path):
         _, _, _, path = self.trained(tmp_path)
@@ -606,12 +651,14 @@ class TestCheckpointFormat:
 
     @pytest.mark.parametrize("edit", [
         lambda header: header[:-1],
-        edit_record(lambda r: r.pop("tensors")),
+        # a record keyed as SHTCKPT4 keyed it
+        edit_record(lambda r: r.__setitem__("tensors", r.pop("layout"))),
         set_first_shape([-1, 8]),
         set_first_shape([2.5, 8]),
         set_first_shape(8),
-    ], ids=["not-json", "no-tensors-key", "negative-dim", "float-dim",
-            "shape-not-list"])
+        set_first_shape([3, 8, 1]),
+    ], ids=["not-json", "tensors-not-layout", "negative-dim", "float-dim",
+            "shape-not-list", "three-dims"])
     def test_malformed_header_names_file(self, tmp_path, edit):
         _, _, _, path = self.trained(tmp_path)
         rewrite_header(path, edit)
@@ -621,7 +668,7 @@ class TestCheckpointFormat:
         assert path in str(err.value)
 
     @pytest.mark.parametrize("key", ["config", "users", "items", "progress",
-                                     "adam_steps", "rng"])
+                                     "adam_steps", "rng", "layout"])
     def test_missing_record_key_names_file_and_key(self, tmp_path, key):
         _, _, _, path = self.trained(tmp_path)
         rewrite_header(path, edit_record(lambda r: r.pop(key)))
@@ -661,9 +708,19 @@ class TestCheckpointFormat:
         _, _, _, path = self.trained(tmp_path)
         # the second tensor takes the first one's name
         rewrite_header(path, edit_record(
-            lambda r: r["tensors"][1].__setitem__(0, r["tensors"][0][0])))
+            lambda r: r["layout"][1].__setitem__(0, r["layout"][0][0])))
         with pytest.raises(T.CheckpointError,
-                           match="tensor name is listed twice") as err:
+                           match="names are not unique and sorted") as err:
+            T.load_checkpoint(path)
+        assert path in str(err.value)
+
+    def test_unsorted_layout_names_file(self, tmp_path):
+        # the store lays the vectors out in sorted-name order; a layout in
+        # another order would read each slot under another name
+        _, _, _, path = self.trained(tmp_path)
+        rewrite_header(path, edit_record(lambda r: r["layout"].reverse()))
+        with pytest.raises(T.CheckpointError,
+                           match="names are not unique and sorted") as err:
             T.load_checkpoint(path)
         assert path in str(err.value)
 
@@ -690,8 +747,27 @@ class TestCheckpointFormat:
             data = fh.read()
         with open(path, "wb") as fh:
             fh.write(data[:-10])
-        with pytest.raises(T.CheckpointError, match="truncated checkpoint"):
+        with pytest.raises(T.CheckpointError,
+                           match="truncated checkpoint") as err:
             T.load_checkpoint(path)
+        assert path in str(err.value)
+
+    @pytest.mark.parametrize("steps, error", [
+        (None, "trailing bytes after"), (0, "truncated checkpoint")],
+        ids=["resumable-read-as-scoring", "scoring-read-as-resumable"])
+    def test_vector_count_follows_adam_steps(self, tmp_path, steps, error):
+        # a resumable file read as scoring-only has two vectors too many;
+        # a scoring-only file read as resumable lacks two
+        if steps is None:
+            path = self.trained(tmp_path)[3]
+        else:
+            path = str(tmp_path / "model.ckpt")
+            T.save_checkpoint(path, small_setup()[0])
+        rewrite_header(path, edit_record(
+            lambda r: r.__setitem__("adam_steps", steps)))
+        with pytest.raises(T.CheckpointError, match=error) as err:
+            T.load_checkpoint(path)
+        assert path in str(err.value)
 
     def test_shape_mismatch_names_tensor(self, tmp_path):
         _, _, _, path = self.trained(tmp_path)
@@ -701,16 +777,20 @@ class TestCheckpointFormat:
             T.load_values(other, ckpt.parameters())
 
     def test_moment_shape_mismatch_names_tensor(self, tmp_path):
-        _, opt, _, path = self.trained(tmp_path)
-        tensors = T.load_checkpoint(path).tensors
-        tensors["adam.v.user.embed"] = tensors["adam.v.user.embed"][:-1]
+        # the moments share the values' layout: a file whose layout is not
+        # the model's is refused by name before any moment is copied
+        _, _, _, path = self.trained(tmp_path, ablate=("sal",))
+        ckpt = T.load_checkpoint(path)
+        rows, cols = ckpt.layout["user.embed"]
+        ckpt.layout["user.embed"] = (rows * cols, 1)
         with pytest.raises(T.CheckpointError,
-                           match="shape mismatch for 'adam.v.user.embed'"):
-            opt.load_moments(tensors)
-        del tensors["adam.v.user.embed"]
+                           match="shape mismatch for 'user.embed'"):
+            T.resume(ckpt, None, None)
+        ckpt.layout["user.embed"] = (rows, cols)
+        ckpt.config = replace(ckpt.config, ablate=())
         with pytest.raises(T.CheckpointError,
-                           match="missing value for 'adam.v.user.embed'"):
-            opt.load_moments(tensors)
+                           match="missing value for 'item.meta.V1'"):
+            T.resume(ckpt, None, None)
 
     def test_missing_and_unexpected_tensors(self, tmp_path):
         _, _, _, path = self.trained(tmp_path, ablate=("sal",))
