@@ -13,26 +13,25 @@ Run from the repository root:  python3 demos/03_robustness_and_solidity.py
 
 import numpy as np
 
-from hypercf import Config, inject_noise, noise_robustness, split, \
-    synthetic_blocks, train_on_split
-from hypercf.data import SplitDataset, build_normalized_adjacency
+from hypercf import Config, inject_noise, split, synthetic_blocks, \
+    train_on_split
+from hypercf.data import SplitDataset
+from hypercf.experiments import study
 
 dataset = synthetic_blocks(seed=0)
+splits = split(dataset, seed=0)
 cfg = Config(seed=0, hyperedges=16)
 
 print("== noise robustness: full model vs graph-only ablation ==")
-for label, variant in (("full", cfg),
-                       ("-hyper", Config(seed=0, hyperedges=16,
-                                         ablate=("hyper",)))):
-    rows = noise_robustness(dataset, [0.25], variant)
-    clean, noisy = rows[0], rows[1]
-    drop = 1.0 - noisy["recall_rel"]
-    print(f"  {label:6s} clean recall@20 {clean['recall']:.4f}  "
-          f"at 25% noise {noisy['recall']:.4f}  "
-          f"relative degradation {drop:+.3f}")
+recalls = [m["recall@20"] for m in study(
+    splits, [cfg, Config(seed=0, hyperedges=16, ablate=("hyper",))],
+    (0.0, 0.25))]
+for label, clean, noisy in zip(("full", "-hyper"), recalls[::2],
+                               recalls[1::2]):
+    print(f"  {label:6s} clean recall@20 {clean:.4f}  at 25% noise "
+          f"{noisy:.4f}  relative degradation {1.0 - noisy / clean:+.3f}")
 
 print("== solidity scores on a 15%-corrupted training graph ==")
-splits = split(dataset, seed=0)
 noisy15, fake = inject_noise(splits.train, 0.15, seed=0)
 run = train_on_split(SplitDataset(noisy15, splits.validation, splits.test),
                      cfg)

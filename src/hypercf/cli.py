@@ -230,8 +230,9 @@ def cmd_noise_test(args) -> int:
            all(0.0 <= r < data_mod.MAX_NOISE_RATIO for r in ratios),
            f"each ratio must be in [0, {data_mod.MAX_NOISE_RATIO})")
     _check("--cutoff", args.cutoff, args.cutoff >= 1, "need a cutoff >= 1")
+    splits = data_mod.split(dataset, cfg.seed)
     run_dir = _run_dir(cfg, "noise-test")
-    rows = experiments.noise_robustness(dataset, ratios, cfg,
+    rows = experiments.noise_robustness(splits, ratios, cfg,
                                         cutoff=args.cutoff)
     return _report(run_dir, "noise.csv", rows)
 

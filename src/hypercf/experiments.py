@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import data as data_mod
-from .config import ABLATIONS, Config, normalize_flag
-from .data import InteractionDataset, SplitDataset, build_normalized_adjacency
+from .config import ABLATIONS, Config, format_config, normalize_flag
+from .data import SplitDataset, build_normalized_adjacency
 from .evaluation import evaluate_model, group_metrics, rank_embeddings
 # not called here; kept because perfbench's patch tests read these bindings
 from .evaluation import evaluate_scores, score_matrix  # noqa: F401
@@ -46,41 +46,47 @@ def train_on_split(splits: SplitDataset, cfg: Config, out_dir: str = None,
     return TrainedRun(model, adj, splits, result)
 
 
-def _test_metrics(splits: SplitDataset, cfg: Config, cutoffs) -> dict:
-    """Fit a fresh model on the split; its best epoch's test metrics."""
-    return train_on_split(splits, cfg).test_metrics(cutoffs)
+def study(splits: SplitDataset, configs, ratios=(0.0,),
+          cutoffs=(20,)) -> list:
+    """Test metrics of each config fitted under each training-noise ratio,
+    config-major: one dict per (config, ratio), each distinct pair fitted
+    once. The noise is drawn under the config's seed; the test set is clean.
+    """
+    fits, rows = {}, []
+    for cfg in configs:
+        for ratio in ratios:
+            key = (format_config(cfg), float(ratio))
+            if key not in fits:
+                noisy, _ = data_mod.inject_noise(splits.train, ratio, cfg.seed)
+                fits[key] = train_on_split(
+                    SplitDataset(noisy, splits.validation, splits.test),
+                    cfg).test_metrics(cutoffs)
+            rows.append(dict(fits[key]))
+    return rows
 
 
-def _relative(x: float, base: float) -> float:
-    """``x`` as a fraction of ``base``; nan when ``base`` is 0."""
-    return x / base if base else float("nan")
+def _versus(labels, metrics, cutoff: int, suffix: str, change) -> list:
+    """Each label with its recall and NDCG at ``cutoff``, then ``change`` of
+    their fractions of the first row's (nan if 0) as ``<metric><suffix>``."""
+    rows = [dict(label, recall=m[f"recall@{cutoff}"], ndcg=m[f"ndcg@{cutoff}"])
+            for label, m in zip(labels, metrics)]
+    return [dict(row, **{name + suffix: change(
+        row[name] / rows[0][name] if rows[0][name] else float("nan"))
+        for name in ("recall", "ndcg")}) for row in rows]
 
 
-def noise_robustness(dataset: InteractionDataset, ratios, cfg: Config,
+def noise_robustness(splits: SplitDataset, ratios, cfg: Config,
                      cutoff: int = 20) -> list:
     """Retrain per corruption ratio; evaluate every run on the clean test set.
 
-    Noise goes into the training edges only, so the reported drop measures
-    how much the corrupted graph damages what the model learns, not a change
-    of the exam. The clean run (ratio 0) comes first whether or not
-    ``ratios`` lists it, then each other distinct ratio once, in order. The
-    clean row is bit-identical to a plain clean run under the same seed.
+    The clean run (ratio 0) comes first whether or not ``ratios`` lists it,
+    then each other distinct ratio once, in order. The clean row is
+    bit-identical to a plain clean run under the same seed.
     """
     ratios = list(dict.fromkeys([0.0, *map(float, ratios)]))
-    splits = data_mod.split(dataset, cfg.seed)
-    rows = []
-    for ratio in ratios:
-        noisy, _ = data_mod.inject_noise(splits.train, ratio, seed=cfg.seed)
-        metrics = _test_metrics(
-            SplitDataset(noisy, splits.validation, splits.test), cfg,
-            (cutoff,))
-        recall, ndcg = metrics[f"recall@{cutoff}"], metrics[f"ndcg@{cutoff}"]
-        if ratio == 0.0:
-            base_recall, base_ndcg = recall, ndcg
-        rows.append({"ratio": ratio, "recall": recall, "ndcg": ndcg,
-                     "recall_rel": _relative(recall, base_recall),
-                     "ndcg_rel": _relative(ndcg, base_ndcg)})
-    return rows
+    return _versus([{"ratio": r} for r in ratios],
+                   study(splits, [cfg], ratios, (cutoff,)), cutoff, "_rel",
+                   lambda r: r)
 
 
 def sparsity_report(model: Model, adj, splits: SplitDataset,
@@ -115,9 +121,10 @@ def ablation_variants(flags=None) -> list:
 def ablation_study(splits: SplitDataset, cfg: Config, flags=None,
                    cutoffs=(20,)) -> list:
     """Train the full model and each ablated variant on the same split."""
-    return [{"variant": label,
-             **_test_metrics(splits, replace(cfg, ablate=ablate), cutoffs)}
-            for label, ablate in ablation_variants(flags)]
+    variants = ablation_variants(flags)
+    configs = [replace(cfg, ablate=ablate) for _, ablate in variants]
+    return [{"variant": label, **m} for (label, _), m in
+            zip(variants, study(splits, configs, cutoffs=cutoffs))]
 
 
 def sweep(splits: SplitDataset, cfg: Config, grid: dict,
@@ -125,28 +132,20 @@ def sweep(splits: SplitDataset, cfg: Config, grid: dict,
     """One-axis-at-a-time hyperparameter study against the base config.
 
     ``grid`` maps config field names to value lists; each distinct value of
-    a field trains once, in the order given (an ``ablate`` value is compared
-    by its normalized flags). Each row reports the metric and its relative
+    a field gets one row, in the order given (an ``ablate`` value is
+    compared by its normalized flags), and a value equal to the base's
+    reuses the base fit. Each row reports the metric and its relative
     decrease versus the base run, mirroring the usual "how much do we lose
     by shrinking d / K / L" tables.
     """
-    def row(param, value, change):
-        metrics = _test_metrics(splits, replace(cfg, **change), (cutoff,))
-        return {"param": param, "value": value,
-                "recall": metrics[f"recall@{cutoff}"],
-                "ndcg": metrics[f"ndcg@{cutoff}"]}
-
-    base = row("base", "", {})
-    base.update(recall_drop=0.0, ndcg_drop=0.0)
-    rows = [base]
+    changes = [("base", "")]
     for param in sorted(grid):
         values = grid[param]
         if param == "ablate":
             values = [tuple(dict.fromkeys(map(normalize_flag, flags)))
                       for flags in values]
-        for value in dict.fromkeys(values):
-            r = row(param, value, {param: value})
-            r["recall_drop"] = 1.0 - _relative(r["recall"], base["recall"])
-            r["ndcg_drop"] = 1.0 - _relative(r["ndcg"], base["ndcg"])
-            rows.append(r)
-    return rows
+        changes += [(param, value) for value in dict.fromkeys(values)]
+    configs = [cfg] + [replace(cfg, **{p: v}) for p, v in changes[1:]]
+    return _versus([{"param": p, "value": v} for p, v in changes],
+                   study(splits, configs, cutoffs=(cutoff,)), cutoff,
+                   "_drop", lambda r: 1.0 - r)

@@ -20,6 +20,7 @@ from hypercf import evaluation as E
 from hypercf import trainer as T
 from hypercf import transformer as TR
 from hypercf.config import Config
+from hypercf.experiments import study, train_on_split
 from hypercf.model import Model
 from rankings import user_list
 
@@ -37,50 +38,26 @@ def accept_config(seed: int, ablate=()) -> Config:
     return Config(seed=seed, hyperedges=16, ablate=ablate)
 
 
-def fit_and_score(seed: int, train_ds, splits, ablate=()):
-    cfg = accept_config(seed, ablate)
-    adj = D.build_normalized_adjacency(train_ds)
-    model = Model(cfg, splits.num_users, splits.num_items)
-    result = T.fit(model, adj,
-                   D.SplitDataset(train_ds, splits.validation, splits.test))
-    T.load_values(model, result.best_values)
-    recall = E.evaluate_model(model, adj, train_ds, splits.test,
-                              cutoffs=(20,))["recall@20"]
-    return recall, model, adj
-
-
 @pytest.fixture(scope="module")
 def blocks():
-    """The shared synthetic problem: per-seed splits and noisy variants."""
+    """The shared synthetic problem: per-seed splits, and each split with 15%
+    of its training edges faked plus the mask of the fakes."""
     out = {}
     for seed in SEEDS:
-        ds = D.synthetic_blocks(seed=seed)
-        splits = D.split(ds, seed)
-        noisy25, _ = D.inject_noise(splits.train, 0.25, seed=seed)
+        splits = D.split(D.synthetic_blocks(seed=seed), seed)
         noisy15, fake15 = D.inject_noise(splits.train, 0.15, seed=seed)
-        out[seed] = {"splits": splits, "noisy25": noisy25,
-                     "noisy15": noisy15, "fake15": fake15}
+        out[seed] = {"splits": splits, "fake15": fake15, "noisy15":
+                     D.SplitDataset(noisy15, splits.validation, splits.test)}
     return out
 
 
 @pytest.fixture(scope="module")
-def clean_full(blocks):
-    return {s: fit_and_score(s, blocks[s]["splits"].train,
-                             blocks[s]["splits"])[0] for s in SEEDS}
-
-
-@pytest.fixture(scope="module")
-def degradations(blocks, clean_full):
-    def deg(seed, ablate):
-        clean = (clean_full[seed] if not ablate else
-                 fit_and_score(seed, blocks[seed]["splits"].train,
-                               blocks[seed]["splits"], ablate)[0])
-        noisy = fit_and_score(seed, blocks[seed]["noisy25"],
-                              blocks[seed]["splits"], ablate)[0]
-        return 1.0 - noisy / clean
-
-    return {"full": [deg(s, ()) for s in SEEDS],
-            "hyper": [deg(s, ("hyper",)) for s in SEEDS]}
+def recalls(blocks):
+    """Test recall@20 per seed of the full model, then the graph-only
+    ablation, each fitted clean and at 25% training noise."""
+    return {s: [m["recall@20"] for m in study(
+        blocks[s]["splits"], [accept_config(s), accept_config(s, ("hyper",))],
+        (0.0, 0.25))] for s in SEEDS}
 
 
 # -- criterion 1: gradient correctness --------------------------------------
@@ -432,19 +409,19 @@ def test_criterion_4_metric_oracle():
 
 # -- criteria 5-7: end-to-end behaviour on the synthetic blocks -------------
 
-def test_criterion_5_end_to_end_learning(clean_full):
-    start = time.perf_counter()
-    mean = float(np.mean(list(clean_full.values())))
-    elapsed = time.perf_counter() - start
+def test_criterion_5_end_to_end_learning(recalls):
+    clean = [recalls[s][0] for s in SEEDS]
+    mean = float(np.mean(clean))
     verdict(5, mean >= 0.3,
             f"mean test recall@20 {mean:.4f} >= 0.3 "
             f"(3x random baseline); seeds "
-            + ", ".join(f"{clean_full[s]:.4f}" for s in SEEDS))
+            + ", ".join(f"{r:.4f}" for r in clean))
 
 
-def test_criterion_6_noise_robustness_ordering(degradations):
-    full = float(np.mean(degradations["full"]))
-    hyper = float(np.mean(degradations["hyper"]))
+def test_criterion_6_noise_robustness_ordering(recalls):
+    # relative degradation at 25% noise, per seed, of full then graph-only
+    full, hyper = (float(np.mean([1.0 - recalls[s][i + 1] / recalls[s][i]
+                                  for s in SEEDS])) for i in (0, 2))
     verdict(6, full <= hyper,
             f"relative degradation at 25% noise: full {full:+.4f} <= "
             f"graph-only ablation {hyper:+.4f}")
@@ -454,10 +431,9 @@ def test_criterion_7_solidity_discrimination(blocks):
     wins = 0
     details = []
     for seed in SEEDS:
-        noisy15 = blocks[seed]["noisy15"]
         fake = blocks[seed]["fake15"]
-        _, model, adj = fit_and_score(seed, noisy15, blocks[seed]["splits"])
-        s = model.solidity_of_edges(adj, noisy15.edges)
+        run = train_on_split(blocks[seed]["noisy15"], accept_config(seed))
+        s = run.model.solidity_of_edges(run.adj, run.splits.train.edges)
         fake_mean = float(np.mean(s[fake]))
         real_mean = float(np.mean(s[~fake]))
         wins += fake_mean < real_mean
@@ -526,8 +502,8 @@ def test_criterion_9_paper_numbers_not_gating():
                     "only (set HYPERCF_DATASET to record the smoke run)")
     ds = D.load_interactions(dump)
     splits = D.split(ds, 0)
-    full, _, _ = fit_and_score(0, splits.train, splits)
-    hyper, _, _ = fit_and_score(0, splits.train, splits, ablate=("hyper",))
+    full, hyper = (m["recall@20"] for m in study(
+        splits, [accept_config(0), accept_config(0, ("hyper",))]))
     beat = full > hyper
     # informative, never blocking
     print(f"[criterion 9] INFO: smoke run on {dump}: full {full:.4f} vs "

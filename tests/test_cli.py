@@ -424,26 +424,29 @@ class TestReportCommands:
                                                     tmp_path, capsys,
                                                     monkeypatch):
         # a second --vary of a key adds to it, and a repeated or re-spelled
-        # value trains once; each value reads as config.txt spells it
+        # value trains once; a value equal to the base's reuses the base
+        # fit; each value reads as config.txt spells it
         trained = []
-        fit_and_score = experiments._test_metrics
+        train_on_split = experiments.train_on_split
 
-        def counted(splits, cfg, cutoffs):
+        def counted(splits, cfg, **kwargs):
             trained.append((cfg.d, cfg.ablate))
-            return fit_and_score(splits, cfg, cutoffs)
+            return train_on_split(splits, cfg, **kwargs)
 
-        monkeypatch.setattr(experiments, "_test_metrics", counted)
+        monkeypatch.setattr(experiments, "train_on_split", counted)
         rc = main(["sweep", "--data", data_path, "--out", str(tmp_path),
                    "--vary", "d=4", "--vary", "ablate=sal, -SAL,hyper",
-                   "--vary", "d=6,4"] + FAST[:-2] + ["--epochs", "1"])
+                   "--vary", "d=6,4,8"] + FAST[:-2] + ["--epochs", "1"])
         assert rc == 0
         rows = read_csv(os.path.join(run_dir_of(capsys.readouterr().out),
                                      "sweep.csv"))
         assert [(r["param"], r["value"]) for r in rows] == [
             ("base", ""), ("ablate", "sal"), ("ablate", "hyper"),
-            ("d", "4"), ("d", "6")]
+            ("d", "4"), ("d", "6"), ("d", "8")]
         assert trained == [(8, ()), (8, ("sal",)), (8, ("hyper",)),
                            (4, ()), (6, ())]
+        assert (rows[-1]["recall"], rows[-1]["ndcg"]) == (rows[0]["recall"],
+                                                          rows[0]["ndcg"])
 
     def test_sweep_value_pastes_back_as_a_flag(self, data_path, tmp_path,
                                                capsys):

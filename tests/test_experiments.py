@@ -1,14 +1,17 @@
 """Harness tests on miniature problems: wiring, determinism, and the
 ratio-0-equals-clean-run invariant."""
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from hypercf import data as D
 from hypercf.config import ABLATIONS, Config
 from hypercf.experiments import (ablation_study, ablation_variants,
-                                 noise_robustness, sparsity_report, sweep,
-                                 train_on_split)
+                                 noise_robustness, sparsity_report, study,
+                                 sweep, train_on_split)
 from hypercf.model import Model
 from hypercf.trainer import fit
 
@@ -52,21 +55,18 @@ class TestTrainOnSplit:
 class TestNoiseRobustness:
     def test_ratio_zero_equals_clean_run(self, tiny_splits):
         cfg = tiny_config()
-        rows = noise_robustness(
-            D.synthetic_blocks(num_users=48, num_items=24, num_blocks=4,
-                               edges_per_user=8, seed=0),
-            [0.0], cfg)
-        clean = train_on_split(tiny_splits, cfg)
-        metrics = clean.test_metrics((20,))
+        rows = noise_robustness(tiny_splits, [0.0], cfg)
+        metrics = train_on_split(tiny_splits, cfg).test_metrics((20,))
         assert rows[0]["ratio"] == 0.0
         assert rows[0]["recall"] == metrics["recall@20"]
         assert rows[0]["ndcg"] == metrics["ndcg@20"]
         assert rows[0]["recall_rel"] == 1.0
+        assert study(tiny_splits, [cfg]) == [metrics]
 
     def test_prepends_baseline_and_reports_relatives(self):
         ds = D.synthetic_blocks(num_users=48, num_items=24, num_blocks=4,
                                 edges_per_user=8, seed=1)
-        rows = noise_robustness(ds, [0.2], tiny_config(seed=1))
+        rows = noise_robustness(D.split(ds, 1), [0.2], tiny_config(seed=1))
         assert [r["ratio"] for r in rows] == [0.0, 0.2]
         base = rows[0]
         assert base["recall_rel"] == 1.0 and base["ndcg_rel"] == 1.0
@@ -80,9 +80,30 @@ class TestNoiseRobustness:
     def test_baseline_first_then_each_ratio_once(self, ratios):
         ds = D.synthetic_blocks(num_users=48, num_items=24, num_blocks=4,
                                 edges_per_user=8, seed=1)
-        rows = noise_robustness(ds, ratios, tiny_config(seed=1))
+        rows = noise_robustness(D.split(ds, 1), ratios, tiny_config(seed=1))
         assert [r["ratio"] for r in rows] == [0.0, 0.1]
         assert rows[0]["recall_rel"] == 1.0 and rows[0]["ndcg_rel"] == 1.0
+
+
+class TestStudy:
+    def test_each_distinct_fit_once_config_major(self, tiny_splits,
+                                                  monkeypatch):
+        # a fake fit records its d and whether its training edges are the
+        # clean ones, and scores as its call index
+        fits = []
+
+        def fake(splits, cfg):
+            index = len(fits)
+            fits.append((cfg.d, np.array_equal(splits.train.edges,
+                                               tiny_splits.train.edges)))
+            return SimpleNamespace(test_metrics=lambda cutoffs: {"fit": index})
+
+        monkeypatch.setattr("hypercf.experiments.train_on_split", fake)
+        a = tiny_config()
+        rows = study(tiny_splits, [a, tiny_config(d=4), replace(a)],
+                     [0.0, 0.1, 0.1])
+        assert fits == [(8, True), (8, False), (4, True), (4, False)]
+        assert [r["fit"] for r in rows] == [0, 1, 1, 2, 3, 3, 0, 1, 1]
 
 
 class TestSparsityReport:
