@@ -32,6 +32,8 @@ from typing import Callable
 
 import numpy as np
 
+from ._sparsetools import csr_matvecs as _csr_matvecs
+
 
 class ShapeMismatchError(ValueError):
     """Raised when a primitive receives incompatible operand shapes."""
@@ -293,21 +295,56 @@ def gram(a: Tensor) -> Tensor:
     return _make(a.value.T @ a.value, (a.node,), vjp, "gram")
 
 
+def _csr_product(s, x: np.ndarray) -> np.ndarray:
+    """``s @ x`` for CSR arrays ``s``, by the call ``csr_matrix @ x`` makes:
+    scipy's kernel adds into zeros of the promoted dtype, casting ``s``'s
+    data to it, and reads ``x`` as one C-order block."""
+    rows, cols = s.shape
+    out = np.zeros((rows, x.shape[1]),
+                   dtype=np.promote_types(s.data.dtype, x.dtype))
+    _csr_matvecs(rows, cols, x.shape[1], s.indptr, s.indices, s.data,
+                 x.ravel(), out.ravel())
+    return out
+
+
 def spmm(adj_pair, x: Tensor) -> Tensor:
     """Multiply a constant sparse matrix by a dense tensor: ``S @ x``.
 
-    ``adj_pair`` is ``(S, S_T)`` with ``S_T`` the precomputed transpose in a
-    row-efficient format; only ``x`` is differentiable.
+    ``adj_pair`` is ``(S, S_T)``, two CSR matrices given by their
+    ``shape``, ``indptr``, ``indices`` and ``data`` (``data.CSRMatrix`` or
+    a scipy ``csr_matrix``), with ``S_T`` the transpose of ``S``; only
+    ``x`` is differentiable. Their sizes and index dtypes are checked here;
+    their entries are taken as valid, as ``build_normalized_adjacency`` and
+    scipy make them.
     """
     s, st = adj_pair
-    if s.shape[1] != x.rows:
+    rows, cols = s.shape
+    if tuple(st.shape) != (cols, rows):
         raise ShapeMismatchError(
-            f"spmm: incompatible shapes {s.shape} and {x.value.shape}")
+            f"spmm: S_T has shape {tuple(st.shape)}, not S's {(rows, cols)} "
+            f"transposed")
+    if x.rows != cols:
+        raise ShapeMismatchError(
+            f"spmm: incompatible shapes {(rows, cols)} and {x.value.shape}")
+    for name, m in (("S", s), ("S_T", st)):
+        if len(m.indptr) != m.shape[0] + 1:
+            raise ShapeMismatchError(
+                f"spmm: {name} has {len(m.indptr)} row pointers for "
+                f"{m.shape[0]} rows")
+        if not m.indptr[-1] == len(m.indices) == len(m.data):
+            raise ShapeMismatchError(
+                f"spmm: {name}'s row pointers end at {m.indptr[-1]}, with "
+                f"{len(m.indices)} indices and {len(m.data)} values")
+        if (m.indices.dtype != m.indptr.dtype
+                or m.indptr.dtype not in (np.int32, np.int64)):
+            raise ShapeMismatchError(
+                f"spmm: {name}'s indptr ({m.indptr.dtype}) and indices "
+                f"({m.indices.dtype}) are not one int32 or int64 dtype")
 
     def vjp(g, x=x.node):
-        _accumulate(x, st @ g)
+        _accumulate(x, _csr_product(st, g))
 
-    value = np.ascontiguousarray(s @ x.value, dtype=x.value.dtype)
+    value = np.ascontiguousarray(_csr_product(s, x.value), dtype=x.value.dtype)
     return _make(value, (x.node,), vjp, "spmm")
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
+from ._sparsetools import csr_tocsc as _csr_tocsc
 from .rng import STREAM_NOISE, STREAM_SPLIT, spawn_rng
 
 TRAIN_RATIO, VALID_RATIO, TEST_RATIO = 0.7, 0.2, 0.1
@@ -267,16 +267,31 @@ def split(dataset: InteractionDataset, seed: int) -> SplitDataset:
     return SplitDataset(*(view(p) for p in parts))
 
 
+@dataclass(frozen=True)
+class CSRMatrix:
+    """A sparse matrix as scipy's CSR arrays: row r holds ``data[k]`` in
+    column ``indices[k]`` for k in ``indptr[r]:indptr[r + 1]``, columns
+    ascending. ``indptr`` and ``indices`` share one integer dtype."""
+
+    shape: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
 @dataclass
 class NormalizedAdjacency:
     """Degree-normalized bipartite adjacency: weight = 1/(sqrt(Du) sqrt(Dv)).
 
-    Stored as CSR with its transpose precomputed; both matrices are constants
-    from autodiff's point of view.
+    Both directions are plain CSR arrays, the arrays that scipy's
+    ``csr_matrix((w, (u, v)))`` and its ``.T.tocsr()`` hold: the same
+    values, index dtype (int32 while every size fits) and entry order.
+    ``autodiff.spmm`` multiplies by them with scipy's compiled kernel, and
+    autodiff treats both as constants.
     """
 
-    matrix: sp.csr_matrix       # I x J
-    matrix_t: sp.csr_matrix     # J x I
+    matrix: CSRMatrix       # I x J
+    matrix_t: CSRMatrix     # J x I
 
     @property
     def pair(self):
@@ -294,10 +309,18 @@ def build_normalized_adjacency(train: InteractionDataset,
     dv = train.item_degree()
     u, v = train.edges[:, 0], train.edges[:, 1]
     # isolated nodes have no edges, so the formula never divides by zero
-    w = 1.0 / (np.sqrt(du[u]) * np.sqrt(dv[v]))
-    mat = sp.csr_matrix((w.astype(dtype), (u, v)),
-                        shape=(train.num_users, train.num_items))
-    return NormalizedAdjacency(mat, mat.T.tocsr())
+    w = (1.0 / (np.sqrt(du[u]) * np.sqrt(dv[v]))).astype(dtype)
+    rows, cols = shape = (train.num_users, train.num_items)
+    index = (np.int32 if max(rows, cols, len(w)) <= np.iinfo(np.int32).max
+             else np.int64)
+    # sorted, unique edges are already in CSR order, with row pointer ptr
+    mat = CSRMatrix(shape, train.ptr.astype(index), v.astype(index), w)
+    mat_t = CSRMatrix((cols, rows), np.empty(cols + 1, dtype=index),
+                      np.empty(len(w), dtype=index), np.empty_like(w))
+    # the CSC arrays of S are the CSR arrays of S_T
+    _csr_tocsc(rows, cols, mat.indptr, mat.indices, mat.data,
+               mat_t.indptr, mat_t.indices, mat_t.data)
+    return NormalizedAdjacency(mat, mat_t)
 
 
 @dataclass

@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hypercf import autodiff as ad
 from hypercf import data as D
@@ -79,8 +80,8 @@ def _primitive_cases(rng):
     vec3 = p((1, 3))
     # query rows differ from key rows; width 4 splits into 1 or 2 heads
     query, key, val = p((3, 4)), p((5, 4)), p((5, 4))
-    sp = np.abs(rng.normal(size=(5, 4))).astype(np.float64)
-    adj_pair = (sp, sp.T.copy())
+    s = sp.csr_matrix(np.abs(rng.normal(size=(5, 4))).astype(np.float64))
+    adj_pair = (s, s.T.tocsr())
 
     cases = {
         "matmul": ({"a": a, "sq": sq}, lambda: ad.sum_all(ad.matmul(a, sq))),

@@ -1,6 +1,7 @@
 """Core autodiff: forward values, backward gradients, finite-difference checks."""
 
 import decimal
+import dataclasses
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import pytest
 import scipy.sparse as sp
 
 from hypercf import autodiff as ad
+from hypercf import data as D
 
 
 def tensors(*arrays):
@@ -743,16 +745,120 @@ print(json.dumps({
 """
 
 
-def test_import_loads_no_scipy_special():
-    # a fresh interpreter: this one may have scipy.special loaded already
+def run_child(code: str, *args) -> str:
+    """Run ``code`` in a fresh interpreter that imports this hypercf, since
+    this one may have scipy.special or scipy.sparse loaded already."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ad.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    child = subprocess.run([sys.executable, "-c", IMPORT_CHILD], env=env,
+    child = subprocess.run([sys.executable, "-c", code, *args], env=env,
                            capture_output=True, text=True, timeout=120.0)
     assert child.returncode == 0, child.stderr
-    loaded = json.loads(child.stdout)
+    return child.stdout
+
+
+def test_import_loads_no_scipy_special():
+    loaded = json.loads(run_child(IMPORT_CHILD))
     assert loaded == {"scipy_special": False, "scipy_globals": []}
+
+
+SPARSE_CHILD = """
+import json, sys
+import numpy as np
+import hypercf
+from hypercf import autodiff as ad
+adj = hypercf.build_normalized_adjacency(hypercf.synthetic_blocks(
+    30, 20, num_blocks=3, edges_per_user=4, seed=0))
+x = ad.constant(np.ones((20, 3)), dtype=np.float32)
+with ad.recording():
+    loss = ad.sum_all(ad.spmm(adj.pair, x))
+ad.backward(loss)
+assert x.grad.any()
+print(json.dumps([name for name in ("scipy.sparse", "scipy._lib._array_api")
+                  if name in sys.modules]))
+"""
+
+
+def test_spmm_runs_without_scipy_sparse():
+    # the compiled kernels are bound without running scipy.sparse's
+    # __init__, whose array-API layer loads numpy.f2py, .testing and .ma
+    assert json.loads(run_child(SPARSE_CHILD)) == []
+
+
+def test_missing_kernels_name_scipy_version_and_path(tmp_path):
+    # no fallback: a scipy without the compiled extension fails the import
+    fake = tmp_path / "scipy"
+    fake.mkdir()
+    (fake / "__init__.py").write_text('__version__ = "0.0.fake"\n')
+    message = run_child(
+        "import sys\nsys.path.insert(0, sys.argv[1])\n"
+        "try:\n    import hypercf\nexcept ImportError as err:\n"
+        "    print(err)\n", str(tmp_path))
+    assert f"scipy 0.0.fake at {fake} has no compiled" in message
+
+
+REFERENCE_CHILD = """
+import sys
+import numpy as np
+if sys.argv[1] == "before":
+    import scipy.sparse as sp
+from hypercf import autodiff as ad
+from hypercf import data as D
+
+rng = np.random.default_rng(5)
+# users 2 and 6 and items 0 and 4 have no edges
+edges = np.stack([rng.choice([0, 1, 3, 4, 5, 7], 40),
+                  rng.choice([1, 2, 3, 5], 40)], axis=1)
+ds = D.InteractionDataset.from_edges(edges, 8, 6)
+assert (ds.user_degree() == 0).sum() == 2
+assert (ds.item_degree() == 0).sum() == 2
+adj = D.build_normalized_adjacency(ds)
+
+
+def spmm_and_vjp(x, g):
+    ad.set_default_dtype(x.dtype.type)
+    xt = ad.constant(x, dtype=x.dtype)
+    with ad.recording():
+        y = ad.spmm(adj.pair, xt)
+        loss = ad.sum_all(ad.hadamard(y, ad.constant(g, dtype=g.dtype)))
+    ad.backward(loss)
+    return y.value, xt.grad
+
+
+cases = []
+for dtype in (np.float32, np.float64):
+    x = rng.normal(size=(6, 3)).astype(dtype)
+    g = rng.normal(size=(8, 3)).astype(dtype)
+    cases.append((x, g, spmm_and_vjp(x, g)))
+
+if sys.argv[1] == "after":
+    assert "scipy.sparse" not in sys.modules
+    import scipy.sparse as sp
+u, v = ds.edges[:, 0], ds.edges[:, 1]
+du, dv = ds.user_degree(), ds.item_degree()
+w = 1.0 / (np.sqrt(du[u]) * np.sqrt(dv[v]))
+s = sp.csr_matrix((w.astype(np.float32), (u, v)), shape=(8, 6))
+s_t = s.T.tocsr()
+for ours, ref in ((adj.matrix, s), (adj.matrix_t, s_t)):
+    assert ours.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(ours, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+for x, g, (y, grad) in cases:
+    for ours, ref in ((y, s @ x), (grad, s_t @ g)):
+        assert ours.dtype == ref.dtype == x.dtype
+        assert ours.tobytes() == ref.tobytes()
+# the kernels hypercf bound still agree with the ones scipy.sparse uses
+assert np.array_equal(spmm_and_vjp(*cases[0][:2])[0], cases[0][2][0])
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("scipy_sparse", ["before", "after"])
+def test_adjacency_and_spmm_equal_scipy_sparse(scipy_sparse):
+    # scipy.sparse imported before hypercf, whose kernels then come from
+    # it, or after, once hypercf has loaded the extension on its own
+    assert run_child(REFERENCE_CHILD, scipy_sparse).split() == ["ok"]
 
 
 class TestErrors:
@@ -773,6 +879,53 @@ class TestErrors:
                      (a, ad.constant(np.ones((2, 2))), [0], [0])):
             with pytest.raises(ad.ShapeMismatchError, match="dot_pairs"):
                 ad.dot_pairs(*args)
+
+    @staticmethod
+    def csr_pair():
+        """A 2 x 3 adjacency's CSR arrays and its transpose's."""
+        ds = D.InteractionDataset.from_edges([(0, 0), (0, 2), (1, 1)], 2, 3)
+        return D.build_normalized_adjacency(ds, dtype=np.float64).pair
+
+    def test_spmm_rejects_row_pointers_of_wrong_length(self):
+        s, st = self.csr_pair()
+        x = ad.constant(np.ones((3, 2)))
+        short = dataclasses.replace(s, indptr=s.indptr[:-1])
+        with pytest.raises(ad.ShapeMismatchError,
+                           match="S has 2 row pointers for 2 rows"):
+            ad.spmm((short, st), x)
+        truncated = dataclasses.replace(s, data=s.data[:-1])
+        with pytest.raises(ad.ShapeMismatchError,
+                           match="S's row pointers end at 3, with 3 indices "
+                                 "and 2 values"):
+            ad.spmm((truncated, st), x)
+        # scipy's S.T is CSC: its indptr runs over S_T's columns
+        csc = sp.csr_matrix(np.array([[1.0, 0, 2], [0, 3, 0]])).T
+        with pytest.raises(ad.ShapeMismatchError,
+                           match="S_T has 3 row pointers for 3 rows"):
+            ad.spmm((s, csc), x)
+
+    def test_spmm_rejects_index_arrays_not_of_one_dtype(self):
+        s, st = self.csr_pair()
+        x = ad.constant(np.ones((3, 2)))
+        for indptr, indices in ((st.indptr, st.indices.astype(np.int64)),
+                                (st.indptr, st.indices.astype(np.float64)),
+                                (st.indptr.astype(np.int16),
+                                 st.indices.astype(np.int16))):
+            bad = dataclasses.replace(st, indptr=indptr, indices=indices)
+            with pytest.raises(ad.ShapeMismatchError,
+                               match="S_T's indptr .* not one int32 or int64"):
+                ad.spmm((s, bad), x)
+
+    def test_spmm_rejects_a_transpose_of_the_wrong_shape(self):
+        s, _ = self.csr_pair()
+        with pytest.raises(ad.ShapeMismatchError,
+                           match=r"S_T has shape \(2, 3\)"):
+            ad.spmm((s, s), ad.constant(np.ones((3, 2))))
+
+    def test_spmm_rejects_x_with_the_wrong_rows(self):
+        with pytest.raises(ad.ShapeMismatchError,
+                           match=r"spmm: incompatible shapes \(2, 3\)"):
+            ad.spmm(self.csr_pair(), ad.constant(np.ones((2, 2))))
 
     def test_linear_attention_shapes(self):
         q, k = ad.constant(np.ones((2, 6))), ad.constant(np.ones((3, 6)))

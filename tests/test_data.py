@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.random import default_rng
 
 from hypercf import data as D
@@ -278,23 +279,29 @@ class TestSplit:
             D.split(self.make(9), seed=0)
 
 
+def scipy_csr(m: D.CSRMatrix) -> sp.csr_matrix:
+    """The scipy matrix over an adjacency direction's CSR arrays."""
+    return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+
+
 class TestAdjacency:
     def test_single_edge_weight_one(self):
         ds = D.InteractionDataset.from_edges([(0, 0)], 1, 1)
         adj = D.build_normalized_adjacency(ds)
-        assert adj.matrix[0, 0] == 1.0
+        assert scipy_csr(adj.matrix)[0, 0] == 1.0
 
     def test_shared_item_weights(self):
         # two users, one shared item: both weights 1/(sqrt(1) sqrt(2))
         ds = D.InteractionDataset.from_edges([(0, 0), (1, 0)], 2, 1)
         adj = D.build_normalized_adjacency(ds, dtype=np.float64)
-        np.testing.assert_allclose(adj.matrix.toarray(),
+        np.testing.assert_allclose(scipy_csr(adj.matrix).toarray(),
                                    [[1 / np.sqrt(2)], [1 / np.sqrt(2)]])
 
     def test_four_items_degree_one(self):
         ds = D.InteractionDataset.from_edges([(0, j) for j in range(4)], 1, 4)
         adj = D.build_normalized_adjacency(ds, dtype=np.float64)
-        np.testing.assert_allclose(adj.matrix.toarray(), np.full((1, 4), 0.5))
+        np.testing.assert_allclose(scipy_csr(adj.matrix).toarray(),
+                                   np.full((1, 4), 0.5))
 
     def test_exhaustive_weight_formula(self):
         rng = default_rng(11)
@@ -302,13 +309,14 @@ class TestAdjacency:
                  for _ in range(20)}
         ds = D.InteractionDataset.from_edges(sorted(edges), 6, 7)
         adj = D.build_normalized_adjacency(ds, dtype=np.float64)
+        mat, mat_t = scipy_csr(adj.matrix), scipy_csr(adj.matrix_t)
         du, dv = ds.user_degree(), ds.item_degree()
         for u, v in ds.edges:
             expect = 1.0 / np.sqrt(du[u] * dv[v])
-            assert abs(adj.matrix[u, v] - expect) < 1e-12
+            assert abs(mat[u, v] - expect) < 1e-12
         # transpose and row neighborhoods agree with the forward matrix
-        assert (adj.matrix_t.toarray() == adj.matrix.toarray().T).all()
-        row = adj.matrix[int(ds.edges[0, 0])]
+        assert (mat_t.toarray() == mat.toarray().T).all()
+        row = mat[int(ds.edges[0, 0])]
         assert row.nnz == du[ds.edges[0, 0]]
 
     def test_isolated_nodes_flagged(self):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hypercf import autodiff as ad
 from hypercf import data as D
@@ -80,7 +81,10 @@ class TestTopoEmbed:
             e_u = rng.normal(size=(num_u, 6))
             e_v = rng.normal(size=(num_v, 6))
             t_u, t_v = encoder.topo_embed(ad.constant(e_u), ad.constant(e_v), adj)
-            o_u, o_v = dense_oracle(adj.matrix.toarray(), e_u, e_v)
+            m = adj.matrix
+            dense = sp.csr_matrix((m.data, m.indices, m.indptr),
+                                  shape=m.shape).toarray()
+            o_u, o_v = dense_oracle(dense, e_u, e_v)
             np.testing.assert_allclose(t_u.value, o_u, atol=1e-6)
             np.testing.assert_allclose(t_v.value, o_v, atol=1e-6)
 
