@@ -8,7 +8,7 @@ labels trained by the self-augmentation task score injected edges lower
 than surviving real edges.
 
 Run from the repository root:  python3 demos/03_robustness_and_solidity.py
-(takes a couple of minutes: it trains five models)
+(it trains five small models: under ten seconds on a 2-vCPU box)
 """
 
 import numpy as np

@@ -25,7 +25,7 @@ from dataclasses import fields, replace
 from . import data as data_mod
 from . import evaluation, experiments, trainer
 from .config import (Config, ConfigError, config_from_mapping, format_config,
-                     format_value, load_config)
+                     format_value, load_config, split_list)
 
 ENV_OUT = "HYPERCF_OUT"
 
@@ -102,17 +102,22 @@ def _metric_rows(model, adj, splits, split_names, cutoffs) -> list:
     cutoffs = sorted(set(int(c) for c in cutoffs))
     ranked = evaluation.rank_embeddings(*model.embedding_tables(adj),
                                         splits.train, cutoffs[-1])
-    tests = {name: getattr(splits, name) for name in split_names}
-    return [{"split": name, "cutoff": c,
-             "recall": evaluation.recall_at_n(ranked, test, c),
-             "ndcg": evaluation.ndcg_at_n(ranked, test, c)}
-            for name, test in tests.items() for c in cutoffs]
+    rows = []
+    for name in split_names:
+        metrics = evaluation.report(ranked, getattr(splits, name), cutoffs)
+        rows += [{"split": name, "cutoff": c,
+                  "recall": metrics[f"recall@{c}"],
+                  "ndcg": metrics[f"ndcg@{c}"]} for c in cutoffs]
+    return rows
 
 
 def _parse_list(raw: str, flag: str, kind=int) -> list:
-    """Comma-separated ``kind`` values, each stripped; empty parts skipped."""
+    """The ``kind`` values of ``config.split_list(raw)``; a list with none
+    is a usage error."""
+    parts = split_list(raw)
+    _check(flag, raw, parts, "need one or more comma-separated values")
     try:
-        return [kind(part.strip()) for part in raw.split(",") if part.strip()]
+        return [kind(part) for part in parts]
     except ValueError as exc:
         raise UsageError(f"{flag}: expected comma-separated "
                          f"{kind.__name__} values, got {raw!r}") from exc
@@ -136,7 +141,7 @@ def _parse_bounds(raw, flag: str):
     if raw is None:
         return None
     bounds = _parse_list(raw, flag)
-    _check(flag, raw, bounds and bounds == sorted(set(bounds)),
+    _check(flag, raw, bounds == sorted(set(bounds)),
            "need strictly increasing bounds")
     return bounds
 
@@ -215,8 +220,8 @@ def cmd_evaluate(args) -> int:
     _check("--split", args.split, args.split in ("validation", "test"),
            "must be validation or test")
     cutoffs = _parse_list(args.cutoffs, "--cutoffs")
-    _check("--cutoffs", args.cutoffs, cutoffs and min(cutoffs) >= 1,
-           "need one or more cutoffs >= 1")
+    _check("--cutoffs", args.cutoffs, min(cutoffs) >= 1,
+           "each cutoff must be >= 1")
     model, cfg, splits, adj = _checkpoint_setup(args)
     rows = _metric_rows(model, adj, splits, (args.split,), cutoffs)
     return _report(_run_dir(cfg, "evaluate"), "metrics.csv", rows)
@@ -252,7 +257,8 @@ def cmd_sparsity_report(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _effective_config(args)
     dataset = _load_dataset(cfg)
-    flags = _parse_list(args.flags, "--flags", str) if args.flags else None
+    flags = (None if args.flags is None
+             else _parse_list(args.flags, "--flags", str))
     for flag in flags or ():
         _check_variant(cfg, "--flags", ablate=(flag,))
     splits = data_mod.split(dataset, cfg.seed)
@@ -273,9 +279,7 @@ def cmd_sweep(args) -> int:
         param = param.strip()
         _check(f"--vary {param}", raw, param not in ("data", "out"),
                "a sweep reads one data file into one run directory")
-        parts = _parse_list(raw, f"--vary {param}", str)
-        _check(f"--vary {param}", raw, parts, "no values")
-        for part in parts:
+        for part in _parse_list(raw, f"--vary {param}", str):
             # reuse the config parser so each value gets the field's type
             value = getattr(config_from_mapping({param: part}, cfg), param)
             _check_variant(cfg, f"--vary {param}", **{param: value})

@@ -115,10 +115,14 @@ def _parse_value(field_type, raw: str, key: str):
             raise ConfigError(f"{key}: expected {field_type.__name__}, "
                               f"got {raw!r}") from None
     if field_type is tuple:
-        if not raw:
-            return ()
-        return tuple(part.strip() for part in raw.split(",") if part.strip())
+        return tuple(split_list(raw))
     return raw
+
+
+def split_list(raw: str) -> list:
+    """The comma-separated parts of ``raw``, each stripped, empty parts
+    dropped: how a tuple value and every list flag are read."""
+    return [part.strip() for part in raw.split(",") if part.strip()]
 
 
 def config_from_mapping(mapping: dict, base: Config = None) -> Config:

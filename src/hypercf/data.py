@@ -443,27 +443,6 @@ def inject_noise(dataset: InteractionDataset, ratio: float, seed: int = 0):
     return out, mask
 
 
-def sparsity_groups(train: InteractionDataset, axis: str,
-                    boundaries) -> np.ndarray:
-    """Bucket users or items by training interaction count.
-
-    ``boundaries`` are strictly increasing upper bounds; node n lands in the
-    first bucket whose bound covers its count, and anything above the last
-    bound joins the final bucket, so the buckets always partition the side.
-    """
-    bounds = list(boundaries)
-    if not bounds or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-        raise ValueError("boundaries must be nonempty and strictly increasing")
-    if axis == "user":
-        counts = train.user_degree()
-    elif axis == "item":
-        counts = train.item_degree()
-    else:
-        raise ValueError(f"axis must be 'user' or 'item', got {axis!r}")
-    groups = np.searchsorted(np.asarray(bounds), counts, side="left")
-    return np.minimum(groups, len(bounds) - 1)
-
-
 # ---------------------------------------------------------------------------
 # File output
 # ---------------------------------------------------------------------------

@@ -216,8 +216,8 @@ def ndcg_at_n(result: RankingResult, test: InteractionDataset,
     return _ndcg(*_hits(result, test, n))
 
 
-def _report(result: RankingResult, test: InteractionDataset,
-            cutoffs) -> dict:
+def report(result: RankingResult, test: InteractionDataset,
+           cutoffs) -> dict:
     """``recall_at_n`` and ``ndcg_at_n`` at each cutoff, from one hit mask
     per cutoff."""
     out = {}
@@ -232,7 +232,7 @@ def evaluate_scores(scores: np.ndarray, train: InteractionDataset,
                     test: InteractionDataset, cutoffs=(20,)) -> dict:
     """Recall and NDCG at each cutoff, ranking once at the deepest one."""
     cutoffs = sorted(set(int(c) for c in cutoffs))
-    return _report(rank_all(scores, train, max(cutoffs)), test, cutoffs)
+    return report(rank_all(scores, train, max(cutoffs)), test, cutoffs)
 
 
 def evaluate_model(model, adj, train: InteractionDataset,
@@ -241,29 +241,43 @@ def evaluate_model(model, adj, train: InteractionDataset,
     holding the users-by-items score matrix."""
     cutoffs = sorted(set(int(c) for c in cutoffs))
     user_emb, item_emb = model.embedding_tables(adj)
-    return _report(rank_embeddings(user_emb, item_emb, train, max(cutoffs)),
-                   test, cutoffs)
+    return report(rank_embeddings(user_emb, item_emb, train, max(cutoffs)),
+                  test, cutoffs)
 
 
-def group_metrics(result: RankingResult, test: InteractionDataset,
-                  assignment: np.ndarray, groups: int, axis: str,
-                  n: int = None) -> list:
-    """Recall/NDCG rows of buckets ``0 .. groups - 1``, ``assignment``
-    giving each user's (or item's) bucket. A bucket scores its test edges
-    whose user (or item) it holds; one without test edges reads nan
-    metrics, and any other bad input raises as ``recall_at_n`` does."""
-    bucket = assignment[test.edges[:, 0 if axis == "user" else 1]]
+def bucket_metrics(result: RankingResult, train: InteractionDataset,
+                   test: InteractionDataset, axis: str, bounds) -> list:
+    """Recall/NDCG at ``result.n`` per training-degree bucket of the users
+    (``axis`` "user") or items ("item"), one row per bound.
+
+    ``bounds`` are strictly increasing upper bounds: a node falls in the
+    first bucket whose bound covers its training degree, and the last
+    bucket also takes every larger degree. A bucket scores the test edges
+    of its nodes; one without test edges reads nan metrics, and any other
+    bad input raises as ``recall_at_n`` does.
+    """
+    if axis not in ("user", "item"):
+        raise EvaluationError(f"axis must be 'user' or 'item', got {axis!r}")
+    bounds = list(bounds)
+    if not bounds or any(b <= a for a, b in zip(bounds, bounds[1:])):
+        raise EvaluationError(
+            f"bounds must be nonempty and strictly increasing, got {bounds}")
+    col = 0 if axis == "user" else 1
+    degree = train.user_degree() if col == 0 else train.item_degree()
+    bucket = np.minimum(np.searchsorted(bounds, degree),
+                        len(bounds) - 1)[test.edges[:, col]]
     rows = []
-    for g in range(groups):
+    for g, bound in enumerate(bounds):
         # a subset of sorted, unique edges needs no dedup
         sub = InteractionDataset(test.num_users, test.num_items,
                                  test.edges[bucket == g])
         row = {"group": g, "axis": axis, "test_edges": sub.num_edges,
-               "recall": float("nan"), "ndcg": float("nan"), "users": 0}
+               "recall": float("nan"), "ndcg": float("nan"), "users": 0,
+               "bound": bound}
         if sub.num_edges:
-            hit, degree = _hits(result, sub, n)
-            row.update(recall=_recall(hit, degree), ndcg=_ndcg(hit, degree),
-                       users=len(degree))
+            hit, tested = _hits(result, sub, None)
+            row.update(recall=_recall(hit, tested), ndcg=_ndcg(hit, tested),
+                       users=len(tested))
         rows.append(row)
     return rows
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from . import data as data_mod
 from .config import ABLATIONS, Config, format_config, normalize_flag
 from .data import SplitDataset, build_normalized_adjacency
-from .evaluation import evaluate_model, group_metrics, rank_embeddings
+from .evaluation import bucket_metrics, evaluate_model, rank_embeddings
 # not called here; kept because perfbench's patch tests read these bindings
 from .evaluation import evaluate_scores, score_matrix  # noqa: F401
 from .model import Model
@@ -91,22 +91,15 @@ def noise_robustness(splits: SplitDataset, ratios, cfg: Config,
 
 def sparsity_report(model: Model, adj, splits: SplitDataset,
                     user_bounds, item_bounds, n: int = 40) -> list:
-    """Recall/NDCG per interaction-count bucket, user side then item side.
-
-    A row's ``bound`` is its bucket's upper bound; the last bucket also
-    holds every count above its bound. Every bound gets a row, and a bucket
-    without test edges reads nan metrics.
-    """
-    user_emb, item_emb = model.embedding_tables(adj)
-    result = rank_embeddings(user_emb, item_emb, splits.train, n)
+    """``evaluation.bucket_metrics`` rows of the test split at cutoff
+    ``n``, user side then item side, from one ranking; a side whose bounds
+    are None is skipped."""
+    result = rank_embeddings(*model.embedding_tables(adj), splits.train, n)
     rows = []
     for axis, bounds in (("user", user_bounds), ("item", item_bounds)):
-        if bounds is None:
-            continue
-        assignment = data_mod.sparsity_groups(splits.train, axis, bounds)
-        rows += [dict(row, bound=bounds[row["group"]]) for row in
-                 group_metrics(result, splits.test, assignment, len(bounds),
-                               axis, n)]
+        if bounds is not None:
+            rows += bucket_metrics(result, splits.train, splits.test, axis,
+                                   bounds)
     return rows
 
 

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from hypercf import data as D
-from hypercf import experiments
+from hypercf import experiments, trainer
 from hypercf.cli import _epoch_log, build_parser, main
-from hypercf.evaluation import evaluate_model
+from hypercf.evaluation import (evaluate_model, ndcg_at_n, rank_embeddings,
+                                recall_at_n)
 from hypercf.model import Model
 
 FAST = ["--d", "8", "--hyperedges", "4", "--heads", "2", "--batch", "32",
@@ -187,6 +188,13 @@ class TestBadFlagValues:
         (["sweep", "--vary", "data=other.tsv"], "--vary data"),
         (["sweep", "--vary", "d=16", "--vary", "out=elsewhere"],
          "--vary out"),
+        # an empty list is refused on every list flag
+        (["ablate", "--flags", ""], "--flags"),
+        (["ablate", "--flags", ","], "--flags"),
+        (["noise-test", "--ratios", ""], "--ratios"),
+        (["evaluate", "CKPT", "--cutoffs", " , "], "--cutoffs"),
+        (["sparsity-report", "CKPT", "--item-bounds", ""], "--item-bounds"),
+        (["sweep", "--vary", "d="], "--vary d"),
     ])
     def test_rejected_before_any_work(self, argv, flag, trained, tmp_path,
                                       capsys):
@@ -343,6 +351,37 @@ class TestEvaluateReproduces:
                       if r["split"] == "validation"]
         assert rows == train_rows
 
+    @pytest.mark.parametrize("argv, split, cutoffs", [
+        ([], "validation", (20, 40)),
+        ([], "test", (20, 40)),
+        (["evaluate", "--split", "validation", "--cutoffs", "5,20,20,40"],
+         "validation", (5, 20, 40)),
+    ], ids=["train-validation", "train-test", "evaluate"])
+    def test_rows_equal_public_metric_functions(self, argv, split, cutoffs,
+                                                trained, tmp_path, capsys):
+        # every cell reads exactly what recall_at_n and ndcg_at_n give on
+        # one ranking at the deepest cutoff
+        run_dir = trained["run_dir"]
+        if argv:
+            rc = main(argv[:1] + [trained["checkpoint"], "--data",
+                                  trained["data"], "--out", str(tmp_path)]
+                      + argv[1:])
+            assert rc == 0
+            run_dir = run_dir_of(capsys.readouterr().out)
+        rows = [r for r in read_csv(os.path.join(run_dir, "metrics.csv"))
+                if r["split"] == split]
+        model = trainer.build_model(trainer.load_checkpoint(
+            trained["checkpoint"]))
+        splits = D.split(D.load_interactions(trained["data"]), 0)
+        ranked = rank_embeddings(*model.embedding_tables(
+            D.build_normalized_adjacency(splits.train)), splits.train,
+            cutoffs[-1])
+        test = getattr(splits, split)
+        assert [int(r["cutoff"]) for r in rows] == list(cutoffs)
+        for row, c in zip(rows, cutoffs):
+            assert float(row["recall"]) == recall_at_n(ranked, test, c)
+            assert float(row["ndcg"]) == ndcg_at_n(ranked, test, c)
+
     def test_bad_split_name(self, trained, tmp_path, capsys):
         rc = main(["evaluate", trained["checkpoint"], "--data",
                    trained["data"], "--out", str(tmp_path),
@@ -411,6 +450,20 @@ class TestReportCommands:
         rows = read_csv(os.path.join(run_dir_of(capsys.readouterr().out),
                                      "ablation.csv"))
         assert [r["variant"] for r in rows] == ["full", "-sal"]
+
+    def test_ablate_without_flags_runs_every_ablation(self, data_path,
+                                                      tmp_path, monkeypatch,
+                                                      capsys):
+        seen = []
+
+        def fake(splits, cfg, flags=None, cutoffs=(20,)):
+            seen.append(flags)
+            return [{"variant": "full"}]
+
+        monkeypatch.setattr(experiments, "ablation_study", fake)
+        rc = main(["ablate", "--data", data_path, "--out", str(tmp_path)]
+                  + FAST)
+        assert rc == 0 and seen == [None]
 
     def test_sweep(self, data_path, tmp_path, capsys):
         rc = main(["sweep", "--data", data_path, "--out", str(tmp_path),

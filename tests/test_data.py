@@ -455,40 +455,6 @@ class TestNoise:
             D.inject_noise(ds, 0.5, seed=0)
 
 
-class TestSparsityGroups:
-    def make(self):
-        edges = [(u, j) for u in range(6) for j in range(u + 1)]
-        return D.InteractionDataset.from_edges(edges, 6, 6)
-
-    def test_single_boundary_one_group(self):
-        ds = self.make()
-        groups = D.sparsity_groups(ds, "user", [1000])
-        assert (groups == 0).all() and len(groups) == 6
-
-    def test_populations_partition(self):
-        ds = self.make()
-        for axis, total in (("user", 6), ("item", 6)):
-            groups = D.sparsity_groups(ds, axis, [2, 4])
-            assert len(groups) == total
-            assert sum((groups == g).sum() for g in range(3)) == total
-
-    def test_first_bucket_includes_low_degree(self):
-        # degree sequence for users is 1..6; boundary 2 puts degrees <= 2 first
-        ds = self.make()
-        groups = D.sparsity_groups(ds, "user", [2, 4, 8])
-        assert groups.tolist() == [0, 0, 1, 1, 2, 2]
-        # zero-degree items (none here for users, item 5 unused) join bucket 0
-        item_groups = D.sparsity_groups(ds, "item", [2, 4, 8])
-        assert item_groups[5] == 0
-
-    def test_bad_boundaries(self):
-        ds = self.make()
-        with pytest.raises(ValueError):
-            D.sparsity_groups(ds, "user", [4, 4])
-        with pytest.raises(ValueError):
-            D.sparsity_groups(ds, "banana", [4])
-
-
 class TestSynthetic:
     def test_deterministic_and_shaped(self):
         a = D.synthetic_blocks(seed=5)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
+from hypercf import data as D
 from hypercf import evaluation as E
 from hypercf.data import InteractionDataset
 from rankings import user_list
@@ -476,45 +477,6 @@ class TestReports:
         assert out["recall@40"] >= out["recall@20"]
         assert all(0.0 <= v <= 1.0 for v in out.values())
 
-    def test_group_weighted_average_matches_global(self):
-        rng = default_rng(21)
-        users, items = 30, 50
-        train = dataset(np.stack([rng.integers(0, users, 60),
-                                  rng.integers(0, items, 60)], 1), users, items)
-        test = dataset(np.stack([rng.integers(0, users, 40),
-                                 rng.integers(0, items, 40)], 1), users, items)
-        scores = rng.normal(size=(users, items))
-        result = E.rank_all(scores, train, 10)
-        assignment = (np.arange(users) % 3)  # arbitrary user partition
-        rows = E.group_metrics(result, test, assignment, 3, "user", 10)
-        weighted = sum(r["recall"] * r["users"] for r in rows if r["users"])
-        count = sum(r["users"] for r in rows)
-        assert weighted / count == pytest.approx(
-            E.recall_at_n(result, test, 10), abs=1e-12)
-
-    def test_item_group_subsets_partition_test_edges(self):
-        # bucket 2 holds no item: it still gets a row, with nan metrics
-        test = dataset([[0, 0], [0, 1], [1, 2]], 2, 3)
-        result = E.RankingResult(np.array([[1, 0, 2], [2, 0, 1]]), 3)
-        rows = E.group_metrics(result, test, np.array([0, 1, 1]), 3, "item")
-        assert [r["group"] for r in rows] == [0, 1, 2]
-        assert [r["test_edges"] for r in rows] == [1, 2, 0]
-        assert [r["users"] for r in rows] == [1, 2, 0]
-        assert [r["recall"] for r in rows[:2]] == [1.0, 1.0]
-        assert np.isnan(rows[2]["recall"]) and np.isnan(rows[2]["ndcg"])
-
-    def test_group_errors_raise_instead_of_reading_empty(self):
-        # only a bucket without test edges reads nan; a cutoff past the
-        # ranked depth or a ranking of other users is an error
-        test = dataset([[0, 0], [0, 1], [1, 2]], 2, 3)
-        result = E.RankingResult(np.array([[1, 0, 2], [2, 0, 1]]), 3)
-        assignment = np.array([0, 1, 1])
-        with pytest.raises(E.EvaluationError, match="ranked depth"):
-            E.group_metrics(result, test, assignment, 2, "item", 50)
-        other = E.RankingResult(result.items[:1], 3)
-        with pytest.raises(E.EvaluationError, match="users"):
-            E.group_metrics(other, test, assignment, 2, "item")
-
     def test_csv_round_trip(self, tmp_path):
         rows = [{"epoch": 0, "recall": 0.125, "ndcg": 0.0625},
                 {"epoch": 1, "recall": 0.25, "ndcg": 0.5}]
@@ -530,3 +492,145 @@ class TestReports:
     def test_csv_refuses_empty(self, tmp_path):
         with pytest.raises(E.EvaluationError):
             E.write_csv(str(tmp_path / "x.csv"), [])
+
+
+# -- degree buckets ------------------------------------------------------------
+
+def node_buckets(train, axis, bounds):
+    """Each node's bucket, read off ``bucket_metrics`` with one test edge on
+    that node alone."""
+    nodes = train.num_users if axis == "user" else train.num_items
+    result = E.RankingResult(np.zeros((train.num_users, 1), np.int64), 1)
+    out = []
+    for node in range(nodes):
+        test = dataset([(node, 0) if axis == "user" else (0, node)],
+                       train.num_users, train.num_items)
+        rows = E.bucket_metrics(result, train, test, axis, bounds)
+        out.append([r["test_edges"] for r in rows].index(1))
+    return np.array(out)
+
+
+def bucket_loops(result, train, test, axis, bounds):
+    """Reference bucket rows: each bucket's test edges filtered by their
+    node's training degree in plain python, scored by the public metric
+    functions."""
+    col = 0 if axis == "user" else 1
+    degree = [0] * (train.num_users if axis == "user" else train.num_items)
+    for edge in train.edges.tolist():
+        degree[edge[col]] += 1
+    rows = []
+    for g, bound in enumerate(bounds):
+        low = bounds[g - 1] if g else -math.inf
+        high = bound if g < len(bounds) - 1 else math.inf
+        keep = [e for e in test.edges.tolist() if low < degree[e[col]] <= high]
+        row = {"group": g, "axis": axis, "test_edges": len(keep),
+               "recall": None, "ndcg": None, "users": 0, "bound": bound}
+        if keep:
+            sub = dataset(keep, test.num_users, test.num_items)
+            row.update(recall=E.recall_at_n(result, sub),
+                       ndcg=E.ndcg_at_n(result, sub),
+                       users=len({u for u, _ in keep}))
+        rows.append(row)
+    return rows
+
+
+class TestBucketMetrics:
+    def make(self):
+        edges = [(u, j) for u in range(6) for j in range(u + 1)]
+        return D.InteractionDataset.from_edges(edges, 6, 6)
+
+    def test_single_boundary_one_group(self):
+        ds = self.make()
+        groups = node_buckets(ds, "user", [1000])
+        assert (groups == 0).all() and len(groups) == 6
+
+    def test_populations_partition(self):
+        ds = self.make()
+        for axis, total in (("user", 6), ("item", 6)):
+            groups = node_buckets(ds, axis, [2, 4])
+            assert len(groups) == total
+            assert sum((groups == g).sum() for g in range(3)) == total
+
+    def test_first_bucket_includes_low_degree(self):
+        # degree sequence for users is 1..6; boundary 2 puts degrees <= 2 first
+        ds = self.make()
+        groups = node_buckets(ds, "user", [2, 4, 8])
+        assert groups.tolist() == [0, 0, 1, 1, 2, 2]
+        # zero-degree items (none here for users, item 5 unused) join bucket 0
+        item_groups = node_buckets(ds, "item", [2, 4, 8])
+        assert item_groups[5] == 0
+
+    def test_bad_boundaries(self):
+        ds = self.make()
+        result = E.RankingResult(np.zeros((6, 1), np.int64), 1)
+        with pytest.raises(ValueError):
+            E.bucket_metrics(result, ds, ds, "user", [4, 4])
+        with pytest.raises(ValueError):
+            E.bucket_metrics(result, ds, ds, "banana", [4])
+
+    def test_group_weighted_average_matches_global(self):
+        rng = default_rng(21)
+        users, items = 30, 50
+        train = dataset(np.stack([rng.integers(0, users, 60),
+                                  rng.integers(0, items, 60)], 1), users, items)
+        test = dataset(np.stack([rng.integers(0, users, 40),
+                                 rng.integers(0, items, 40)], 1), users, items)
+        scores = rng.normal(size=(users, items))
+        result = E.rank_all(scores, train, 10)
+        rows = E.bucket_metrics(result, train, test, "user", [1, 2, 3])
+        weighted = sum(r["recall"] * r["users"] for r in rows if r["users"])
+        count = sum(r["users"] for r in rows)
+        assert weighted / count == pytest.approx(
+            E.recall_at_n(result, test, 10), abs=1e-12)
+
+    def test_item_group_subsets_partition_test_edges(self):
+        # bucket 2 holds no item: it still gets a row, with nan metrics
+        train = dataset([[0, 2], [1, 1]], 2, 3)  # item degrees 0, 1, 1
+        test = dataset([[0, 0], [0, 1], [1, 2]], 2, 3)
+        result = E.RankingResult(np.array([[1, 0, 2], [2, 0, 1]]), 3)
+        rows = E.bucket_metrics(result, train, test, "item", [0, 1, 2])
+        assert [r["group"] for r in rows] == [0, 1, 2]
+        assert [r["test_edges"] for r in rows] == [1, 2, 0]
+        assert [r["users"] for r in rows] == [1, 2, 0]
+        assert [r["recall"] for r in rows[:2]] == [1.0, 1.0]
+        assert np.isnan(rows[2]["recall"]) and np.isnan(rows[2]["ndcg"])
+
+    def test_group_errors_raise_instead_of_reading_empty(self):
+        # only a bucket without test edges reads nan; a ranking of other
+        # users is an error
+        train = dataset([[0, 2], [1, 1]], 2, 3)
+        test = dataset([[0, 0], [0, 1], [1, 2]], 2, 3)
+        other = E.RankingResult(np.array([[1, 0, 2]]), 3)
+        with pytest.raises(E.EvaluationError, match="users"):
+            E.bucket_metrics(other, train, test, "item", [0, 1])
+
+    @pytest.mark.parametrize("axis, bounds", [
+        # user degrees are 0, 2, 4 and 6: (0, 1] and the last bucket are
+        # empty
+        ("user", [0, 1, 2, 4, 6, 9]),
+        # item degrees are 0 (items 0 and 7..15), 6, 12 and 18: (6, 9]
+        # and the last bucket are empty
+        ("item", [0, 6, 9, 12, 18, 30]),
+    ])
+    def test_rows_equal_brute_force(self, axis, bounds):
+        rng = default_rng(5)
+        users, items = 24, 16
+        train = dataset([(u, j) for u in range(users)
+                         for j in range(1, 2 * (u % 4) + 1)], users, items)
+        test = dataset(np.stack([rng.integers(0, users, 60),
+                                 rng.integers(0, items, 60)], 1), users, items)
+        result = E.rank_all(np.round(rng.normal(size=(users, items)), 1),
+                            train, 7)
+        rows = E.bucket_metrics(result, train, test, axis, bounds)
+        want = bucket_loops(result, train, test, axis, bounds)
+        # zero-degree nodes with test edges, an empty middle bucket and an
+        # empty last one
+        edges = [r["test_edges"] for r in want]
+        assert edges[0] > 0 and 0 in edges[1:-1] and edges[-1] == 0
+        assert [list(r) for r in rows] == [list(r) for r in want]
+        for got, ref in zip(rows, want):
+            if ref["recall"] is None:
+                assert np.isnan(got.pop("recall")) and np.isnan(
+                    got.pop("ndcg"))
+                del ref["recall"], ref["ndcg"]
+            assert got == ref
