@@ -10,9 +10,9 @@ Run from the repository root:  python3 demos/02_synthetic_training.py
 import os
 import tempfile
 
-from hypercf import (Config, build_normalized_adjacency, evaluate_model,
-                     load_checkpoint, split, synthetic_blocks, train_on_split)
-from hypercf.trainer import Progress, build_model, save_checkpoint
+from hypercf import (Config, evaluate_model, load_checkpoint, split,
+                     synthetic_blocks, train_on_split)
+from hypercf.trainer import build_model
 
 dataset = synthetic_blocks(seed=0)
 print(f"dataset: {dataset.num_users} users x {dataset.num_items} items, "
@@ -33,23 +33,24 @@ def log(row):
               f"loss {row['loss']:.4f} (main {row['main']:.4f} "
               f"sal {row['sal']:.4f} reg {row['reg']:.4f})")
 
-run = train_on_split(splits, cfg, log_fn=log)
-print(f"best epoch: {run.result.best_epoch} "
-      f"(validation recall@20 = {run.result.best_metric:.4f})")
+# The run writes best.ckpt on each validation improvement and last.ckpt
+# after every epoch; either file holds the Adam moments and rng state too,
+# so `resume` can continue the run from it.
+with tempfile.TemporaryDirectory() as out_dir:
+    run = train_on_split(splits, cfg, out_dir=out_dir, log_fn=log)
+    print(f"best epoch: {run.result.best_epoch} "
+          f"(validation recall@20 = {run.result.best_metric:.4f})")
 
-metrics = run.test_metrics((20, 40))
-for key in sorted(metrics):
-    print(f"  test {key} = {metrics[key]:.4f}")
+    metrics = run.test_metrics((20, 40))
+    for key in sorted(metrics):
+        print(f"  test {key} = {metrics[key]:.4f}")
 
-# Checkpoint round trip: the restored model scores identically. Saved
-# without optimizer and rng state, the file can be scored but not resumed.
-with tempfile.TemporaryDirectory() as tmp:
-    path = os.path.join(tmp, "model.ckpt")
-    save_checkpoint(path, run.model, Progress(
-        epoch=run.result.best_epoch, best_epoch=run.result.best_epoch,
-        best_metric=run.result.best_metric))
+    # Checkpoint round trip: the model built from best.ckpt scores exactly
+    # as the run's restored best epoch does.
+    path = os.path.join(out_dir, "best.ckpt")
     ckpt = load_checkpoint(path)
-    print(f"checkpoint: {os.path.getsize(path)} bytes, {ckpt.progress}")
+    print(f"checkpoint: {os.path.getsize(path)} bytes, {ckpt.progress}, "
+          f"{ckpt.record['adam_steps']} Adam steps")
     restored = build_model(ckpt)
     again = evaluate_model(restored, run.adj, splits.train, splits.test,
                            cutoffs=(20,))

@@ -460,14 +460,17 @@ def write_interactions(path: str, dataset: InteractionDataset) -> None:
 # Synthetic data
 # ---------------------------------------------------------------------------
 
+WITHIN_PROB = 0.8  # share of a synthetic user's items drawn from its block
+
+
 def synthetic_blocks(num_users: int = 400, num_items: int = 200,
                      num_blocks: int = 8, edges_per_user: int = 20,
-                     within_prob: float = 0.8, seed: int = 0) -> InteractionDataset:
+                     seed: int = 0) -> InteractionDataset:
     """Block-structured dataset: users mostly interact inside their block.
 
     Users and items are assigned round-robin to ``num_blocks`` communities;
-    each user draws ``edges_per_user`` items, from its own block with
-    probability ``within_prob`` and uniformly elsewhere otherwise. The planted
+    each user draws ``edges_per_user`` items, a ``WITHIN_PROB`` share of
+    them from its own block and the rest uniformly elsewhere. The planted
     structure is what a recommender should recover.
     """
     rng = spawn_rng(seed, STREAM_SPLIT)
@@ -475,7 +478,7 @@ def synthetic_blocks(num_users: int = 400, num_items: int = 200,
     item_block = np.arange(num_items) % num_blocks
     block_items = [np.flatnonzero(item_block == b) for b in range(num_blocks)]
     other_items = [np.flatnonzero(item_block != b) for b in range(num_blocks)]
-    n_within = int(np.round(edges_per_user * within_prob))
+    n_within = int(np.round(edges_per_user * WITHIN_PROB))
     counts = np.zeros(num_users, dtype=np.int64)
     picked = [np.empty(0, dtype=np.int64)]  # concatenable with zero users
     for u in range(num_users):

@@ -191,15 +191,15 @@ class TrainResult:
 
 def fit(model: Model, adj, splits, out_dir: str = None,
         optimizer: Adam = None, rng: np.random.Generator = None,
-        progress: Progress = None, stop_after: int = None,
-        log_fn=None) -> TrainResult:
-    """Run epochs, validate, retain the best-validation-recall parameters.
+        progress: Progress = None, log_fn=None) -> TrainResult:
+    """Run epochs up to ``cfg.epochs``, validate, retain the
+    best-validation-recall parameters.
 
     Starts after ``progress.epoch`` and updates ``progress`` as epochs
-    finish. With ``out_dir`` set, writes last.ckpt every epoch (resume
-    point) and best.ckpt on improvement. ``stop_after`` caps the epoch
-    index exclusive of cfg.epochs, which lets tests interrupt and resume a
-    run; it does not change which epochs validate.
+    finish. With ``out_dir`` set, writes best.ckpt on improvement and,
+    once ``log_fn`` has seen the epoch's row, last.ckpt, the resume point:
+    a run stopped before that write, by a crash or by ``log_fn`` raising,
+    resumes from the previous epoch's last.ckpt.
     """
     cfg = model.cfg
     if optimizer is None:
@@ -214,9 +214,7 @@ def fit(model: Model, adj, splits, out_dir: str = None,
     history = []
     best_values = None
     stopped = False
-    end_epoch = cfg.epochs if stop_after is None else min(cfg.epochs,
-                                                          stop_after)
-    for epoch in range(progress.epoch + 1, end_epoch):
+    for epoch in range(progress.epoch + 1, cfg.epochs):
         row = train_epoch(model, adj, splits.train, optimizer, rng, epoch)
         row["val_recall"] = row["val_ndcg"] = float("nan")
         progress.epoch = epoch
@@ -273,12 +271,13 @@ def load_values(model: Model, values: dict) -> None:
 # Checkpoint format
 #
 # magic "SHTCKPT5", a uint32 byte length, one utf-8 JSON record of that
-# length, then k float32 vectors of the store's P entries: the values, then
-# Adam's m and v exactly when `adam_steps` is not null (k = 1 or 3). All
-# little-endian. The record holds `layout` (each parameter's [name, shape]
-# once, in the store's sorted-name order, which lays out every vector), the
-# `format_config` text, users, items, the Progress fields, Adam's step count
-# and the rng's `bit_generator.state` (the last two null when not saved).
+# length, then 3 float32 vectors of the store's P entries: the values, then
+# Adam's m and v (12 + header + 12·P bytes in all). All little-endian. Every
+# file is a resume point. The record holds `layout` (each parameter's
+# [name, shape] once, in the store's sorted-name order, which lays out every
+# vector), the `format_config` text, users, items, the Progress fields,
+# Adam's step count and the rng's PCG64 `bit_generator.state`; a null in
+# any of them is a malformed header.
 # Any other magic is refused, SHTCKPT1-4 included (SHTCKPT4 named each
 # tensor of m, v and the values; SHTCKPT3 held K, V, W0 and V1 in the
 # paper's orientation, in these same shapes), and so is a config text
@@ -316,15 +315,15 @@ RECORD_KEYS = {
     "progress": lambda v: isinstance(v, dict) and {
         key: type(x) for key, x in v.items()} == {
         f.name: type(f.default) for f in fields(Progress)},
-    "adam_steps": lambda v: v is None or _count(v),
-    "rng": lambda v: v is None or _pcg64_state(v),
+    "adam_steps": _count,
+    "rng": _pcg64_state,
 }
 
 
 @dataclass
 class Checkpoint:
-    """A read file's layout (name -> shape), its k × P float32 vectors
-    (values, then m and v when saved; read-only), record and config."""
+    """A read file's layout (name -> shape), its 3 × P float32 vectors
+    (values, m, v; read-only), record and config."""
 
     layout: dict
     vectors: np.ndarray
@@ -338,38 +337,32 @@ class Checkpoint:
     def parameters(self) -> dict:
         return ad.Store.slots(self.layout, self.vectors[0])
 
-    def rng(self):
-        if self.record["rng"] is None:
-            return None
+    def rng(self) -> np.random.Generator:
         rng = np.random.Generator(np.random.PCG64())
         rng.bit_generator.state = self.record["rng"]
         return rng
 
 
-def save_checkpoint(path: str, model: Model, progress: Progress = None,
-                    optimizer: Adam = None, rng=None) -> None:
-    """Write the model's parameters and the run state; a file saved with
-    an optimizer and an rng can be resumed."""
-    vectors = [model.params.flat.value]
-    if optimizer is not None:
-        if optimizer.params is not model.params:
-            raise ValueError("the optimizer does not update this model")
-        vectors += [optimizer.m, optimizer.v]
+def save_checkpoint(path: str, model: Model, progress: Progress,
+                    optimizer: Adam, rng: np.random.Generator) -> None:
+    """Write the model's parameters and the run state to resume from."""
+    if optimizer.params is not model.params:
+        raise ValueError("the optimizer does not update this model")
     record = {
         "layout": [[name, list(p.shape)] for name, p in model.params.items()],
         "config": format_config(model.cfg),
         "users": model.num_users,
         "items": model.num_items,
-        "progress": asdict(progress or Progress()),
-        "adam_steps": None if optimizer is None else optimizer.steps,
-        "rng": None if rng is None else rng.bit_generator.state,
+        "progress": asdict(progress),
+        "adam_steps": optimizer.steps,
+        "rng": rng.bit_generator.state,
     }
     header = json.dumps(record, sort_keys=True).encode("utf-8")
 
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(MAGIC + len(header).to_bytes(4, "little") + header)
-        for vector in vectors:
+        for vector in (model.params.flat.value, optimizer.m, optimizer.v):
             fh.write(np.ascontiguousarray(vector, dtype="<f4"))
     os.replace(tmp, path)
 
@@ -402,13 +395,12 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(f"{path}: checkpoint config: {exc}") from exc
     layout = {name: tuple(shape) for name, shape in record.pop("layout")}
     size = sum(math.prod(shape) for shape in layout.values())
-    k = 1 if record["adam_steps"] is None else 3
-    end = off + 4 * k * size
+    end = off + 12 * size
     if len(data) != end:
         raise CheckpointError(
             f"{path}: " + ("truncated checkpoint" if len(data) < end
                            else "trailing bytes after checkpoint"))
-    vectors = np.frombuffer(data, "<f4", k * size, off).reshape(k, size)
+    vectors = np.frombuffer(data, "<f4", 3 * size, off).reshape(3, size)
     return Checkpoint(layout, vectors, record, config)
 
 
@@ -418,19 +410,14 @@ def build_model(ckpt: Checkpoint) -> Model:
     return model
 
 
-def resume(source, adj, splits, out_dir: str = None, stop_after: int = None,
-           log_fn=None):
+def resume(path: str, adj, splits, out_dir: str = None, log_fn=None):
     """Continue a run from a checkpoint; returns (model, TrainResult).
 
     Bit-identical to the uninterrupted run: parameters, Adam moments and
     step count, the rng stream and the run's Progress all come from the
     file. The learning rate follows from the schedule.
     """
-    ckpt = load_checkpoint(source) if isinstance(source, str) else source
-    rng = ckpt.rng()
-    if ckpt.record["adam_steps"] is None or rng is None:
-        raise CheckpointError(
-            "checkpoint has no optimizer and rng state to resume")
+    ckpt = load_checkpoint(path)
     # load_values matched every name and shape, so the file's layout is the
     # store's and its moment vectors copy whole
     model = build_model(ckpt)
@@ -439,6 +426,5 @@ def resume(source, adj, splits, out_dir: str = None, stop_after: int = None,
     optimizer.m[...] = ckpt.vectors[1]
     optimizer.v[...] = ckpt.vectors[2]
     result = fit(model, adj, splits, out_dir=out_dir, optimizer=optimizer,
-                 rng=rng, progress=ckpt.progress, stop_after=stop_after,
-                 log_fn=log_fn)
+                 rng=ckpt.rng(), progress=ckpt.progress, log_fn=log_fn)
     return model, result

@@ -454,12 +454,19 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     cfg = Config(d=8, hyperedges=4, heads=2, batch=32, lambda1=1e-2,
                  lambda2=1e-4, epochs=4, seed=0)
 
-    def run(out_dir=None, stop_after=None):
+    def run(out_dir=None, log_fn=None):
         adj = D.build_normalized_adjacency(splits.train)
         model = Model(cfg, splits.num_users, splits.num_items)
-        result = T.fit(model, adj, splits, out_dir=out_dir,
-                       stop_after=stop_after)
+        result = T.fit(model, adj, splits, out_dir=out_dir, log_fn=log_fn)
         return model, adj, result
+
+    class Crash(Exception):
+        pass
+
+    def crash_in_epoch_2(row):
+        # stops the run as a crash would: last.ckpt still holds epoch 1
+        if row["epoch"] == 2:
+            raise Crash
 
     paths = []
     for tag in ("a", "b"):
@@ -476,7 +483,8 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     identical = paths[0].read_bytes() == paths[1].read_bytes()
 
     run_dir = tmp_path / "interrupted"
-    run(out_dir=str(run_dir), stop_after=2)
+    with pytest.raises(Crash):
+        run(out_dir=str(run_dir), log_fn=crash_in_epoch_2)
     resumed_model, result = T.resume(str(run_dir / "last.ckpt"),
                                      D.build_normalized_adjacency(
                                          splits.train), splits)

@@ -475,7 +475,7 @@ class TestSynthetic:
          "84c6fb72491e899ba3000257f5baa0798c4e98ff4803599fdfabc7311820d8bd"),
         # 3 blocks of 10 items: the 16 within-block draws are capped at 10
         (dict(num_users=60, num_items=30, num_blocks=3, edges_per_user=20,
-              within_prob=0.8, seed=7),
+              seed=7),
          "df22f9c8e30553f13b198ce7971871312483c0058467c0169a26b23a4101bbd1"),
     ])
     def test_edges_pinned(self, kwargs, digest):

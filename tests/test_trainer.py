@@ -59,6 +59,25 @@ def small_setup(seed=0, **overrides):
     return model, adj, splits
 
 
+class Crash(Exception):
+    """Raised from a log_fn to stop a run the way a crash would."""
+
+
+def interrupted_fit(model, adj, splits, out_dir, epoch):
+    """Fit until ``log_fn`` sees ``epoch``'s row and crash there; returns
+    the rows logged before it. last.ckpt then holds epoch - 1."""
+    rows = []
+
+    def log(row):
+        if row["epoch"] == epoch:
+            raise Crash
+        rows.append(row)
+
+    with pytest.raises(Crash):
+        T.fit(model, adj, splits, out_dir=out_dir, log_fn=log)
+    return rows
+
+
 def tiny_graph(**overrides):
     fields = dict(d=4, hyperedges=2, heads=2, layers=1, batch=32,
                   lambda1=1e-2, lambda2=1e-4, seed=0)
@@ -254,8 +273,9 @@ class TestParameterStore:
     def test_still_packed_after_loading_and_resuming(self, tmp_path):
         model, adj, splits = small_setup(epochs=3)
         out = str(tmp_path / "run")
-        result = T.fit(model, adj, splits, out_dir=out, stop_after=2)
-        T.load_values(model, result.best_values)
+        interrupted_fit(model, adj, splits, out, epoch=2)
+        best = T.load_checkpoint(os.path.join(out, "best.ckpt"))
+        T.load_values(model, best.parameters())
         assert_packed(model)
         last = os.path.join(out, "last.ckpt")
         ckpt = T.load_checkpoint(last)
@@ -284,10 +304,11 @@ class TestParameterStore:
         model, other = small_setup()[0], small_setup()[0]
         opt = T.Adam(other.params, lr=0.1)
         path = tmp_path / "model.ckpt"
+        rng = spawn_rng(0, STREAM_TRAIN)
         with pytest.raises(ValueError, match="does not update this model"):
-            T.save_checkpoint(str(path), model, optimizer=opt)
+            T.save_checkpoint(str(path), model, T.Progress(), opt, rng)
         assert not os.path.exists(path)
-        T.save_checkpoint(str(path), other, optimizer=opt)
+        T.save_checkpoint(str(path), other, T.Progress(), opt, rng)
 
     def test_packed_grad_is_written_in_place_not_rebound(self):
         # a rebound grad would leave the gradient vector Adam reads stale
@@ -574,22 +595,6 @@ class TestCheckpointFormat:
         assert len(blob) == 12 * model.params.flat.value.size
         assert T.load_checkpoint(path).vectors.shape == (3, opt.m.size)
 
-    def test_scoring_only_file_holds_one_vector(self, tmp_path):
-        # without an optimizer the data is the value vector alone
-        model, _, _ = small_setup()
-        path = str(tmp_path / "model.ckpt")
-        T.save_checkpoint(path, model, T.Progress())
-        with open(path, "rb") as fh:
-            data = fh.read()
-        start = len(T.MAGIC) + 4
-        off = start + int.from_bytes(data[len(T.MAGIC):start], "little")
-        assert data[off:] == model.params.flat.value.astype("<f4").tobytes()
-        ckpt = T.load_checkpoint(path)
-        assert ckpt.record["adam_steps"] is None
-        assert ckpt.vectors.shape == (1, model.params.flat.value.size)
-        with pytest.raises(T.CheckpointError, match="no optimizer"):
-            T.resume(ckpt, None, None)
-
     def test_record_names_each_parameter_once(self, tmp_path):
         model, _, _, path = self.trained(tmp_path)
         with open(path, "rb") as fh:
@@ -693,7 +698,9 @@ class TestCheckpointFormat:
                  "has_uint32": 0, "uinteger": 0}),
         ("rng", {"bit_generator": "PCG64", "state": {"state": 1, "inc": 2.5},
                  "has_uint32": 0, "uinteger": 0}),
-        ("config", 5)])
+        ("config", 5),
+        # every file is a resume point: no run state may be left out
+        ("adam_steps", None), ("rng", None)])
     def test_wrongly_typed_record_value_names_file_and_key(
             self, tmp_path, key, value):
         _, _, _, path = self.trained(tmp_path)
@@ -752,20 +759,17 @@ class TestCheckpointFormat:
             T.load_checkpoint(path)
         assert path in str(err.value)
 
-    @pytest.mark.parametrize("steps, error", [
-        (None, "trailing bytes after"), (0, "truncated checkpoint")],
-        ids=["resumable-read-as-scoring", "scoring-read-as-resumable"])
-    def test_vector_count_follows_adam_steps(self, tmp_path, steps, error):
-        # a resumable file read as scoring-only has two vectors too many;
-        # a scoring-only file read as resumable lacks two
-        if steps is None:
-            path = self.trained(tmp_path)[3]
-        else:
-            path = str(tmp_path / "model.ckpt")
-            T.save_checkpoint(path, small_setup()[0])
-        rewrite_header(path, edit_record(
-            lambda r: r.__setitem__("adam_steps", steps)))
-        with pytest.raises(T.CheckpointError, match=error) as err:
+    def test_values_only_file_is_truncated(self, tmp_path):
+        # every file holds the values, m and v; the values alone are a
+        # file cut short
+        model, _, _, path = self.trained(tmp_path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        size = 4 * model.params.flat.value.size
+        with open(path, "wb") as fh:
+            fh.write(data[:len(data) - 2 * size])
+        with pytest.raises(T.CheckpointError,
+                           match="truncated checkpoint") as err:
             T.load_checkpoint(path)
         assert path in str(err.value)
 
@@ -779,18 +783,23 @@ class TestCheckpointFormat:
     def test_moment_shape_mismatch_names_tensor(self, tmp_path):
         # the moments share the values' layout: a file whose layout is not
         # the model's is refused by name before any moment is copied
-        _, _, _, path = self.trained(tmp_path, ablate=("sal",))
-        ckpt = T.load_checkpoint(path)
-        rows, cols = ckpt.layout["user.embed"]
-        ckpt.layout["user.embed"] = (rows * cols, 1)
-        with pytest.raises(T.CheckpointError,
-                           match="shape mismatch for 'user.embed'"):
-            T.resume(ckpt, None, None)
-        ckpt.layout["user.embed"] = (rows, cols)
-        ckpt.config = replace(ckpt.config, ablate=())
-        with pytest.raises(T.CheckpointError,
-                           match="missing value for 'item.meta.V1'"):
-            T.resume(ckpt, None, None)
+        def reshape_user_embed(record):
+            for entry in record["layout"]:
+                if entry[0] == "user.embed":
+                    entry[1] = [math.prod(entry[1]), 1]
+
+        def drop_ablation(record):
+            record["config"] = record["config"].replace(
+                "ablate = sal\n", "ablate = \n")
+
+        for edit, error in ((reshape_user_embed,
+                             "shape mismatch for 'user.embed'"),
+                            (drop_ablation,
+                             "missing value for 'item.meta.V1'")):
+            _, _, _, path = self.trained(tmp_path, ablate=("sal",))
+            rewrite_header(path, edit_record(edit))
+            with pytest.raises(T.CheckpointError, match=error):
+                T.resume(path, None, None)
 
     def test_missing_and_unexpected_tensors(self, tmp_path):
         _, _, _, path = self.trained(tmp_path, ablate=("sal",))
@@ -844,22 +853,15 @@ class TestFitAndResume:
 
         model_b, adj_b, splits_b = small_setup(epochs=4)
         out = str(tmp_path / "interrupted")
-        part1 = T.fit(model_b, adj_b, splits_b, out_dir=out, stop_after=2)
+        part1 = interrupted_fit(model_b, adj_b, splits_b, out, epoch=2)
         model_b2, part2 = T.resume(os.path.join(out, "last.ckpt"),
                                    adj_b, splits_b)
 
-        assert len(part1.history) == 2 and len(part2.history) == 2
-        assert part1.history + part2.history == result_a.history
+        assert len(part1) == 2 and len(part2.history) == 2
+        assert part1 + part2.history == result_a.history
         for name, p in model_a.params.items():
             assert np.array_equal(p.value, model_b2.params[name].value), name
         assert part2.best_metric == result_a.best_metric
-
-    def test_resume_requires_optimizer_state(self, tmp_path):
-        model, adj, splits = small_setup()
-        path = str(tmp_path / "bare.ckpt")
-        T.save_checkpoint(path, model)
-        with pytest.raises(T.CheckpointError, match="optimizer"):
-            T.resume(path, adj, splits)
 
     def test_resume_equals_uninterrupted_with_sparse_validation(self,
                                                                 tmp_path):
@@ -875,11 +877,11 @@ class TestFitAndResume:
 
         model_b, adj_b, splits_b = small_setup(**overrides)
         out = str(tmp_path / "interrupted")
-        part1 = T.fit(model_b, adj_b, splits_b, out_dir=out, stop_after=2)
+        part1 = interrupted_fit(model_b, adj_b, splits_b, out, epoch=2)
         model_b2, part2 = T.resume(os.path.join(out, "last.ckpt"),
                                    adj_b, splits_b)
 
-        history = part1.history + part2.history
+        history = part1 + part2.history
         assert [r["epoch"] for r in history] == \
             [r["epoch"] for r in result_a.history]
         assert validated(history) == validated(result_a.history)
@@ -905,8 +907,9 @@ class TestFitAndResume:
 
         model, adj, splits = small_setup(epochs=3)
         out = str(tmp_path / "run")
-        result = T.fit(model, adj, splits, out_dir=out, stop_after=2)
-        T.load_values(model, result.best_values)
+        interrupted_fit(model, adj, splits, out, epoch=2)
+        best = T.load_checkpoint(os.path.join(out, "best.ckpt"))
+        T.load_values(model, best.parameters())
         assert tables_match_fresh(model)
         resumed, _ = T.resume(os.path.join(out, "last.ckpt"), adj, splits)
         assert tables_match_fresh(resumed)
